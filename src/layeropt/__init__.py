@@ -8,7 +8,7 @@ gradient method with a diminishing clamped stepsize, full-variable L-BFGS and
 incremental gradient baselines, and a multi-seed benchmark harness.
 """
 
-from .linalg import SeededRng, frobenius_norm, matmul
+from .linalg import SeededRng, frobenius_norm
 from .network import (Architecture, NetworkWeights, ForwardCache, Activation,
                       forward, forward_partial, init_weights,
                       parse_architecture, sigmoid, sigmoid_prime)

@@ -19,10 +19,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .linalg import SeededRng, frobenius_norm
-from .network import (Activation, NetworkWeights, forward, forward_partial,
-                      hidden_activation_prime, sigmoid)
-from .objective import (ObjectiveConfig, block_gradient, full_gradient,
-                        gradient_norm, weights_squared_norm)
+# `sigmoid` is not called here; bench/tests/test_bench.py looks it up as
+# `batch.sigmoid`.
+from .network import (ForwardCache, NetworkWeights, _propagate, forward,
+                      forward_partial, sigmoid)  # noqa: F401
+from .objective import (ObjectiveConfig, _block_grad, _loss, backprop_deltas,
+                        block_gradient, full_gradient, gradient_norm,
+                        objective_value, weights_squared_norm)
 from .solvers import (ArmijoParams, LbfgsParams, LinesearchError,
                       armijo_linesearch, lbfgs_minimize, lbfgs_minimize_block)
 
@@ -49,22 +52,6 @@ class BlockSelectionRule:
             return list(range(num_layers, 0, -1))
         rng = SeededRng(self.seed).child(cycle_index)
         return [int(i) + 1 for i in rng.permutation(num_layers)]
-
-
-class BlockCycler:
-    """Stateful one-at-a-time view of a selection rule."""
-
-    def __init__(self, rule: BlockSelectionRule, num_layers: int):
-        self.rule = rule
-        self.num_layers = num_layers
-        self._cycle_index = 0
-        self._queue = []
-
-    def next_block(self) -> int:
-        if not self._queue:
-            self._queue = self.rule.cycle(self.num_layers, self._cycle_index)
-            self._cycle_index += 1
-        return self._queue.pop(0)
 
 
 @dataclass(frozen=True)
@@ -117,46 +104,28 @@ class OptimizerRun:
     inner_iterations: int = 0
 
 
-def _value_from_outputs(outputs, Y, cfg, sq_norm):
-    resid = outputs - Y
-    return float(np.dot(resid.ravel(), resid.ravel())) / cfg.sample_count \
-        + cfg.rho * sq_norm
-
-
-def _block_eval(weights, cache, Y, cfg, l, base_sq, gprime):
+def _block_eval(weights, cache, Y, cfg, l, base_sq):
     """Closures evaluating f and (f, grad) as functions of block l alone,
     propagating only layers >= l from the cached prefix. No shared state is
     mutated, so these are safe inside linesearches."""
-    L = weights.num_layers
     z_prev = cache.z[l - 1]
     old_sq = float(np.dot(weights.block(l).ravel(), weights.block(l).ravel()))
-    _sig = sigmoid if weights.arch.activation is Activation.SIGMOID else (lambda x: x)
 
     def value(Wl):
         sq = base_sq - old_sq + float(np.dot(Wl.ravel(), Wl.ravel()))
-        a = z_prev @ Wl
-        z = a if l == L else _sig(a)
-        for j in range(l + 1, L + 1):
-            a = z @ weights.block(j)
-            z = a if j == L else _sig(a)
-        return _value_from_outputs(z, Y, cfg, sq)
+        outputs = _propagate(weights, z_prev, l, override=Wl)
+        return _loss(outputs, Y, cfg, sq, cfg.rho)
 
     def value_and_grad(Wl):
         sq = base_sq - old_sq + float(np.dot(Wl.ravel(), Wl.ravel()))
-        a_list = {}
-        a = z_prev @ Wl
-        a_list[l] = a
-        z = a if l == L else _sig(a)
-        for j in range(l + 1, L + 1):
-            a = z @ weights.block(j)
-            a_list[j] = a
-            z = a if j == L else _sig(a)
-        f = _value_from_outputs(z, Y, cfg, sq)
-        delta = z - Y
-        for j in range(L - 1, l - 1, -1):
-            delta = (delta @ weights.block(j + 1).T) * gprime(a_list[j])
-        grad = (2.0 / cfg.sample_count) * (z_prev.T @ delta) + 2.0 * cfg.rho * Wl
-        return f, grad
+        trial = ForwardCache(a=list(cache.a), z=list(cache.z))
+        outputs = _propagate(weights, z_prev, l, trial, override=Wl)
+        # backprop reads only a[l..L-1] and the outputs; freeing the trial's
+        # hidden z first keeps it from holding them beside every delta
+        trial.z[l:-1] = [None] * (len(trial.z) - 1 - l)
+        delta = backprop_deltas(weights, trial, Y, l)[l]
+        return _loss(outputs, Y, cfg, sq, cfg.rho), \
+            _block_grad(z_prev, delta, Wl, cfg, cfg.rho)
 
     return value, value_and_grad
 
@@ -173,14 +142,12 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
         else start + stop.time_limit_seconds
 
     _, cache = forward(weights, X)
-    sq = weights_squared_norm(weights)
-    f_cur = _value_from_outputs(cache.outputs, Y, cfg, sq)
+    f_cur = _loss(cache.outputs, Y, cfg, weights_squared_norm(weights), cfg.rho)
     traj = [f_cur]
     counts = [0] * L
     last_rel_dec = [math.inf] * L
     eps = lbfgs.grad_tol
     inner_total = 0
-    gprime = hidden_activation_prime(weights.arch)
     reason = None
     cycle = 0
 
@@ -206,8 +173,8 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
             if bnorm <= stop.grad_norm_tol or last_rel_dec[l - 1] <= stop.f_tol:
                 continue
 
-            sq = weights_squared_norm(weights)
-            value, value_and_grad = _block_eval(weights, cache, Y, cfg, l, sq, gprime)
+            value, value_and_grad = _block_eval(weights, cache, Y, cfg, l,
+                                                weights_squared_norm(weights))
             w_l = weights.block(l)
 
             # Armijo reference point along the block steepest-descent direction.
@@ -273,8 +240,8 @@ def lbfgs_baseline_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
     def fg(vec):
         weights.set_from_flat(vec)
         grads = full_gradient(weights, X, Y, cfg)
-        resid_f = _objective_flat(weights, X, Y, cfg)
-        return resid_f, np.concatenate([g.ravel() for g in grads])
+        f, _ = objective_value(weights, X, Y, cfg)
+        return f, np.concatenate([g.ravel() for g in grads])
 
     max_iters = stop.max_inner_iters if stop.max_inner_iters is not None \
         else lbfgs.max_iters
@@ -291,7 +258,3 @@ def lbfgs_baseline_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
                         layer_update_counts=[res.iterations] * weights.num_layers,
                         stop_reason=reason, inner_iterations=res.iterations)
 
-
-def _objective_flat(weights, X, Y, cfg):
-    outputs, _ = forward(weights, X)
-    return _value_from_outputs(outputs, Y, cfg, weights_squared_norm(weights))

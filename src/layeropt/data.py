@@ -70,11 +70,13 @@ def load_delimited(path, target_columns, delimiter=",", has_header=False) -> Dat
         parsed = []
         for c, cell in enumerate(cells, start=1):
             try:
-                parsed.append(float(cell))
+                value = float(cell)
             except ValueError:
-                raise ParseError(
-                    f"non-numeric value {cell!r} at row {r}, column {c}",
-                    row=r, col=c) from None
+                value = math.nan
+            if not math.isfinite(value):
+                raise ParseError(f"non-numeric or non-finite value {cell!r} at "
+                                 f"row {r}, column {c}", row=r, col=c)
+            parsed.append(value)
         rows.append(parsed)
     if not rows:
         raise ParseError("file contains no data rows")

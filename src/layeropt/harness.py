@@ -7,7 +7,6 @@ compared pairwise per seed with a 5% win rule (a value wins only when it is
 at least 5% better than the other, else the pair is a tie).
 """
 
-import dataclasses
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -18,8 +17,7 @@ from .batch import (AcceptanceParams, BlockSelectionRule, StoppingCriteria,
 from .data import (Dataset, fit_apply_normalization, load_delimited,
                    synth_teacher_dataset, train_test_split)
 from .linalg import SeededRng
-from .minibatch import (MINIBATCH_TIME_LIMIT_SECONDS, BlingParams,
-                        MinibatchSelectionRule, bling_run, ig_run,
+from .minibatch import (BlingParams, MinibatchSelectionRule, bling_run, ig_run,
                         make_partition)
 from .network import Architecture, init_weights, parse_architecture
 from .objective import ObjectiveConfig, default_rho, mse_value
@@ -219,11 +217,6 @@ def run_single(algorithm: str, weights0, train: Dataset, test: Dataset,
         run = lbfgs_baseline_run(weights0, X, Y, cfg, LbfgsParams(), stop,
                                  seed=seed)
     elif algorithm in ("BLInG", "IG"):
-        # minibatch runs default to a 60 s budget; explicit non-default
-        # limits are honored as given
-        if stop.time_limit_seconds == StoppingCriteria().time_limit_seconds:
-            stop = dataclasses.replace(
-                stop, time_limit_seconds=MINIBATCH_TIME_LIMIT_SECONDS)
         part = make_partition(train.num_samples,
                               min(batch_size, train.num_samples))
         rule = MinibatchSelectionRule(MinibatchSelectionRule.INCREMENTAL)
@@ -298,7 +291,8 @@ def _fmt(value):
         return f"{value:.17g}"
     if isinstance(value, list):
         return ";".join(str(v) for v in value)
-    return str(value)
+    # a tab, CR or LF inside a cell would split its row
+    return str(value).replace("\t", " ").replace("\r", " ").replace("\n", " ")
 
 
 def emit_report(report: ExperimentReport, out_dir, threshold: float = 0.05):
@@ -311,8 +305,7 @@ def emit_report(report: ExperimentReport, out_dir, threshold: float = 0.05):
         fh.write("\t".join(CSV_COLUMNS) + "\n")
         for r in report.rows:
             d = asdict(r)
-            fh.write("\t".join(_fmt(d[c]).replace("\t", " ")
-                               for c in CSV_COLUMNS) + "\n")
+            fh.write("\t".join(_fmt(d[c]) for c in CSV_COLUMNS) + "\n")
 
     summary_path = os.path.join(out_dir, "summary.txt")
     with open(summary_path, "w") as fh:

@@ -20,32 +20,10 @@ class ShapeMismatchError(ValueError):
         super().__init__(f"{op}: shapes {self.shape_a} and {self.shape_b} do not conform")
 
 
-def as_matrix(data) -> np.ndarray:
-    """Coerce input to a 2-D row-major float64 array."""
-    m = np.array(data, dtype=np.float64, order="C")
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    return m
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit conformance check."""
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError("matmul", a.shape, b.shape)
-    return a @ b
-
-
 def frobenius_norm(a: np.ndarray) -> float:
     """sqrt of the sum of squared entries."""
     r = a.ravel()
     return math.sqrt(float(np.dot(r, r)))
-
-
-def squared_norm(a: np.ndarray) -> float:
-    r = a.ravel()
-    return float(np.dot(r, r))
 
 
 class SeededRng:

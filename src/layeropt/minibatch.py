@@ -9,18 +9,17 @@ performs a single simultaneous update of all blocks per minibatch with the
 same stepsize schedule and normalization.
 """
 
-import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .batch import OptimizerRun, StoppingCriteria
-from .linalg import SeededRng
+from .linalg import SeededRng, frobenius_norm
 from .network import NetworkWeights, forward, forward_partial
-from .objective import (ObjectiveConfig, gradient_norm,
+from .objective import (ObjectiveConfig, full_gradient, gradient_norm,
                         minibatch_all_gradients, minibatch_block_gradient,
-                        full_gradient, weights_squared_norm)
+                        objective_value)
 
 
 @dataclass(frozen=True)
@@ -78,18 +77,12 @@ class MinibatchSelectionRule:
         return [rng.integers(0, H) for _ in range(H)]
 
 
-# Default wall-clock budget for minibatch runs; batch runs default to the
-# longer StoppingCriteria limit.
-MINIBATCH_TIME_LIMIT_SECONDS = 60.0
-
-
 @dataclass(frozen=True)
 class BlingParams:
     alpha0: float = 0.5
     eps_dim: float = 5e-3        # diminishing-stepsize coefficient
     clamp_lo: float = 1e-3       # lower bound on the normalization divisor
     clamp_hi: float = 1e6        # upper bound on the normalization divisor
-    backward_order: bool = True  # working set: all layers, output-to-input
 
     @staticmethod
     def default_alpha0(num_layers: int) -> float:
@@ -109,26 +102,61 @@ def clamped_scale(direction_norm: float, clamp_lo: float, clamp_hi: float) -> fl
     return max(clamp_lo, min(clamp_hi, direction_norm))
 
 
-def _block_norm(g: np.ndarray) -> float:
-    r = g.ravel()
-    return math.sqrt(float(np.dot(r, r)))
+def _bling_step(weights, cache, Yb, cfg, params, alpha):
+    """One clamped normalized step per block, output-to-input, each block's
+    gradient taken after the blocks above it have moved."""
+    for l in range(weights.num_layers, 0, -1):
+        d = minibatch_block_gradient(weights, cache, Yb, cfg, l)
+        div = clamped_scale(frobenius_norm(d), params.clamp_lo, params.clamp_hi)
+        weights.set_block(l, weights.block(l) - (alpha / div) * d)
+        forward_partial(weights, cache, l)
 
 
-def _global_norm(grads) -> float:
-    return math.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in grads))
+def _ig_step(weights, cache, Yb, cfg, params, alpha):
+    """One simultaneous step of every block, clamped on the full direction."""
+    grads = minibatch_all_gradients(weights, cache, Yb, cfg)
+    div = clamped_scale(gradient_norm(grads), params.clamp_lo, params.clamp_hi)
+    for l, d in enumerate(grads, start=1):
+        weights.set_block(l, weights.block(l) - (alpha / div) * d)
 
 
-def _finalize(weights, X, Y, cfg, algorithm, seed, traj, counts, reason, start, k):
+def _run_epochs(algorithm, step, weights0, X, Y, cfg, partition, rule, params,
+                stop, seed):
+    """The epoch loop both minibatch methods share: visit the minibatches in
+    the rule's order, take `step` on each from a fresh forward pass, then
+    shrink the stepsize. Each step moves every block once."""
+    weights = weights0.copy()
+    start = time.monotonic()
+    deadline = None if stop.time_limit_seconds is None \
+        else start + stop.time_limit_seconds
+    alpha = params.alpha0
+    k = 0
+    reason = None
+    epoch = 0
+
+    while reason is None:
+        if stop.max_epochs is not None and epoch >= stop.max_epochs:
+            reason = "max_epochs"
+            break
+        for h in rule.epoch_order(partition.num_batches, epoch):
+            batch = partition.batches[h]
+            Xb, Yb = X[batch], Y[batch]
+            _, cache = forward(weights, Xb)
+            step(weights, cache, Yb, cfg, params, alpha)
+            alpha = stepsize_update(alpha, params.eps_dim)
+            k += 1
+            if deadline is not None and time.monotonic() > deadline:
+                reason = "time_limit"
+                break
+        epoch += 1
+
     gnorm = gradient_norm(full_gradient(weights, X, Y, cfg))
-    outputs, _ = forward(weights, X)
-    resid = outputs - Y
-    f = float(np.dot(resid.ravel(), resid.ravel())) / cfg.sample_count \
-        + cfg.rho * weights_squared_norm(weights)
-    traj.append(f)
+    f, _ = objective_value(weights, X, Y, cfg)
     return OptimizerRun(algorithm=algorithm, seed=seed, final_weights=weights,
-                        trajectory=traj, final_objective=f, final_grad_norm=gnorm,
+                        trajectory=[f], final_objective=f, final_grad_norm=gnorm,
                         elapsed_seconds=time.monotonic() - start,
-                        layer_update_counts=counts, stop_reason=reason,
+                        layer_update_counts=[k] * weights.num_layers,
+                        stop_reason=reason,
                         inner_iterations=k)
 
 
@@ -139,43 +167,8 @@ def bling_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
     """Layer-wise incremental gradient: per minibatch, one clamped normalized
     gradient step per block in backward order, reusing the forward cache
     across block updates within the minibatch."""
-    weights = weights0.copy()
-    L = weights.num_layers
-    start = time.monotonic()
-    deadline = None if stop.time_limit_seconds is None \
-        else start + stop.time_limit_seconds
-    alpha = params.alpha0
-    counts = [0] * L
-    traj = []
-    k = 0
-    reason = None
-    epoch = 0
-    layer_order = list(range(L, 0, -1)) if params.backward_order \
-        else list(range(1, L + 1))
-
-    while reason is None:
-        if stop.max_epochs is not None and epoch >= stop.max_epochs:
-            reason = "max_epochs"
-            break
-        for h in rule.epoch_order(partition.num_batches, epoch):
-            batch = partition.batches[h]
-            Xb, Yb = X[batch], Y[batch]
-            _, cache = forward(weights, Xb)
-            for l in layer_order:
-                d = minibatch_block_gradient(weights, cache, Yb, cfg, l)
-                div = clamped_scale(_block_norm(d), params.clamp_lo, params.clamp_hi)
-                weights.set_block(l, weights.block(l) - (alpha / div) * d)
-                counts[l - 1] += 1
-                forward_partial(weights, cache, l)
-            alpha = stepsize_update(alpha, params.eps_dim)
-            k += 1
-            if deadline is not None and time.monotonic() > deadline:
-                reason = "time_limit"
-                break
-        epoch += 1
-
-    return _finalize(weights, X, Y, cfg, "BLInG", seed, traj, counts, reason,
-                     start, k)
+    return _run_epochs("BLInG", _bling_step, weights0, X, Y, cfg, partition,
+                       rule, params, stop, seed)
 
 
 def ig_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
@@ -184,37 +177,5 @@ def ig_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
            seed: int = 0) -> OptimizerRun:
     """Non-decomposed baseline: one simultaneous update of every block per
     minibatch, the clamp applied to the norm of the full direction."""
-    weights = weights0.copy()
-    L = weights.num_layers
-    start = time.monotonic()
-    deadline = None if stop.time_limit_seconds is None \
-        else start + stop.time_limit_seconds
-    alpha = params.alpha0
-    counts = [0] * L
-    traj = []
-    k = 0
-    reason = None
-    epoch = 0
-
-    while reason is None:
-        if stop.max_epochs is not None and epoch >= stop.max_epochs:
-            reason = "max_epochs"
-            break
-        for h in rule.epoch_order(partition.num_batches, epoch):
-            batch = partition.batches[h]
-            Xb, Yb = X[batch], Y[batch]
-            _, cache = forward(weights, Xb)
-            grads = minibatch_all_gradients(weights, cache, Yb, cfg)
-            div = clamped_scale(_global_norm(grads), params.clamp_lo, params.clamp_hi)
-            for l in range(1, L + 1):
-                weights.set_block(l, weights.block(l) - (alpha / div) * grads[l - 1])
-                counts[l - 1] += 1
-            alpha = stepsize_update(alpha, params.eps_dim)
-            k += 1
-            if deadline is not None and time.monotonic() > deadline:
-                reason = "time_limit"
-                break
-        epoch += 1
-
-    return _finalize(weights, X, Y, cfg, "IG", seed, traj, counts, reason,
-                     start, k)
+    return _run_epochs("IG", _ig_step, weights0, X, Y, cfg, partition, rule,
+                       params, stop, seed)

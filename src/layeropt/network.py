@@ -199,7 +199,7 @@ def forward(weights: NetworkWeights, inputs: np.ndarray):
     cache = ForwardCache(a=[None] * (weights.num_layers + 1),
                          z=[None] * (weights.num_layers + 1))
     cache.z[0] = inputs
-    _propagate(weights, cache, 1)
+    _propagate(weights, inputs, 1, cache)
     cache.versions = weights.versions()
     return cache.outputs, cache
 
@@ -219,18 +219,28 @@ def forward_partial(weights: NetworkWeights, cache: ForwardCache, from_layer: in
         if cache.versions[l - 1] != cur[l - 1]:
             raise StaleCacheError(
                 f"cache stale at layer {l}: version {cache.versions[l - 1]} != {cur[l - 1]}")
-    _propagate(weights, cache, from_layer)
+    _propagate(weights, cache.z[from_layer - 1], from_layer, cache)
     cache.versions = cur
     return cache.outputs, cache
 
 
-def _propagate(weights: NetworkWeights, cache: ForwardCache, start: int):
+def _propagate(weights: NetworkWeights, z, start: int, cache: ForwardCache = None,
+               override: np.ndarray = None):
+    """The layer loop: carry z, the output of layer start-1, through layers
+    start..L and return the network outputs. Block `start` is read from
+    `override` when one is given. With a cache, every visited layer's a and z
+    are stored into it; without one, nothing per layer is kept."""
     L = weights.num_layers
     g, _ = _ACT[weights.arch.activation]
     for l in range(start, L + 1):
-        a = cache.z[l - 1] @ weights.block(l)
-        cache.a[l] = a
-        cache.z[l] = a if l == L else g(a)
+        a = z @ (override if l == start and override is not None
+                 else weights.block(l))
+        if cache is not None:
+            cache.a[l] = a
+        z = a if l == L else g(a)
+        if cache is not None:
+            cache.z[l] = z
+    return z
 
 
 def hidden_activation_prime(arch: Architecture):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import (ForwardCache, NetworkWeights, forward,
+from .network import (ForwardCache, NetworkWeights, StaleCacheError, forward,
                       hidden_activation_prime)
 
 
@@ -41,19 +41,40 @@ def weights_squared_norm(weights: NetworkWeights) -> float:
                for b in (weights.block(l) for l in range(1, weights.num_layers + 1)))
 
 
+def _squared_error(outputs, Y) -> float:
+    resid = outputs - Y
+    return float(np.dot(resid.ravel(), resid.ravel()))
+
+
+def _share(cfg: ObjectiveConfig, rows: int) -> float:
+    """Regularizer coefficient of the component over `rows` samples, |B| rho / P.
+    The full objective uses rho itself, also when a minibatch holds every row."""
+    return rows * cfg.rho / cfg.sample_count
+
+
+def _loss(outputs, Y, cfg: ObjectiveConfig, sq_norm: float, reg: float) -> float:
+    """The one loss: (1/P) sum ||yhat - y||^2 over the rows of `outputs`, plus
+    reg * ||w||^2. reg = rho gives f, reg = |B| rho / P gives f_B."""
+    return _squared_error(outputs, Y) / cfg.sample_count + reg * sq_norm
+
+
+def _block_grad(z_prev, delta, W, cfg: ObjectiveConfig, reg: float) -> np.ndarray:
+    """The one block-gradient product: d/dW of `_loss` with the same `reg`,
+    from the input z_prev of the block and the delta at its output."""
+    return (2.0 / cfg.sample_count) * (z_prev.T @ delta) + 2.0 * reg * W
+
+
 def objective_value(weights: NetworkWeights, X, Y, cfg: ObjectiveConfig):
     """Returns (regularized objective, unregularized mean squared error)."""
     outputs, _ = forward(weights, X)
-    resid = outputs - Y
-    mse = float(np.dot(resid.ravel(), resid.ravel())) / cfg.sample_count
-    return mse + cfg.rho * weights_squared_norm(weights), mse
+    return (_loss(outputs, Y, cfg, weights_squared_norm(weights), cfg.rho),
+            _squared_error(outputs, Y) / cfg.sample_count)
 
 
 def mse_value(weights: NetworkWeights, X, Y) -> float:
     """Unregularized MSE, used as the test-error metric."""
     outputs, _ = forward(weights, X)
-    resid = outputs - Y
-    return float(np.dot(resid.ravel(), resid.ravel())) / X.shape[0]
+    return _squared_error(outputs, Y) / X.shape[0]
 
 
 def backprop_deltas(weights: NetworkWeights, cache: ForwardCache, Y, down_to: int):
@@ -74,8 +95,15 @@ def backprop_deltas(weights: NetworkWeights, cache: ForwardCache, Y, down_to: in
     return deltas
 
 
-def _block_grad_from_delta(weights, cache, delta, l, scale, reg_coeff):
-    return scale * (cache.z[l - 1].T @ delta) + reg_coeff * weights.block(l)
+def _one_block(weights, cache, Y, cfg, l, reg):
+    delta = backprop_deltas(weights, cache, Y, l)[l]
+    return _block_grad(cache.z[l - 1], delta, weights.block(l), cfg, reg)
+
+
+def _all_blocks(weights, cache, Y, cfg, reg):
+    deltas = backprop_deltas(weights, cache, Y, 1)
+    return [_block_grad(cache.z[l - 1], deltas[l], weights.block(l), cfg, reg)
+            for l in range(1, weights.num_layers + 1)]
 
 
 def block_gradient(weights: NetworkWeights, Y, cfg: ObjectiveConfig, l: int,
@@ -86,21 +114,14 @@ def block_gradient(weights: NetworkWeights, Y, cfg: ObjectiveConfig, l: int,
     output layer down to l and no further.
     """
     if cache.versions != weights.versions():
-        from .network import StaleCacheError
         raise StaleCacheError("cache does not match current weights")
-    deltas = backprop_deltas(weights, cache, Y, l)
-    return _block_grad_from_delta(weights, cache, deltas[l], l,
-                                  2.0 / cfg.sample_count, 2.0 * cfg.rho)
+    return _one_block(weights, cache, Y, cfg, l, cfg.rho)
 
 
 def full_gradient(weights: NetworkWeights, X, Y, cfg: ObjectiveConfig):
     """Per-block gradients of the objective, as a list indexed l-1."""
     _, cache = forward(weights, X)
-    deltas = backprop_deltas(weights, cache, Y, 1)
-    scale = 2.0 / cfg.sample_count
-    reg = 2.0 * cfg.rho
-    return [_block_grad_from_delta(weights, cache, deltas[l], l, scale, reg)
-            for l in range(1, weights.num_layers + 1)]
+    return _all_blocks(weights, cache, Y, cfg, cfg.rho)
 
 
 def gradient_norm(grads) -> float:
@@ -110,19 +131,14 @@ def gradient_norm(grads) -> float:
 def minibatch_value(weights: NetworkWeights, cache: ForwardCache, Yb,
                     cfg: ObjectiveConfig) -> float:
     """Component objective f_B evaluated from a cache over the minibatch rows."""
-    resid = cache.outputs - Yb
-    loss = float(np.dot(resid.ravel(), resid.ravel())) / cfg.sample_count
-    share = Yb.shape[0] * cfg.rho / cfg.sample_count
-    return loss + share * weights_squared_norm(weights)
+    return _loss(cache.outputs, Yb, cfg, weights_squared_norm(weights),
+                 _share(cfg, Yb.shape[0]))
 
 
 def minibatch_block_gradient(weights: NetworkWeights, cache: ForwardCache, Yb,
                              cfg: ObjectiveConfig, l: int) -> np.ndarray:
     """Gradient of f_B w.r.t. block l, from a cache over the minibatch rows."""
-    deltas = backprop_deltas(weights, cache, Yb, l)
-    reg = 2.0 * Yb.shape[0] * cfg.rho / cfg.sample_count
-    return _block_grad_from_delta(weights, cache, deltas[l], l,
-                                  2.0 / cfg.sample_count, reg)
+    return _one_block(weights, cache, Yb, cfg, l, _share(cfg, Yb.shape[0]))
 
 
 def minibatch_value_and_block_gradient(weights: NetworkWeights, batch, X, Y,
@@ -146,8 +162,4 @@ def minibatch_value_and_block_gradient(weights: NetworkWeights, batch, X, Y,
 def minibatch_all_gradients(weights: NetworkWeights, cache: ForwardCache, Yb,
                             cfg: ObjectiveConfig):
     """All block gradients of f_B from one backward sweep (used by the IG baseline)."""
-    deltas = backprop_deltas(weights, cache, Yb, 1)
-    reg = 2.0 * Yb.shape[0] * cfg.rho / cfg.sample_count
-    return [_block_grad_from_delta(weights, cache, deltas[l], l,
-                                   2.0 / cfg.sample_count, reg)
-            for l in range(1, weights.num_layers + 1)]
+    return _all_blocks(weights, cache, Yb, cfg, _share(cfg, Yb.shape[0]))

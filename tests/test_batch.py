@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from layeropt.batch import (AcceptanceParams, BlockCycler, BlockSelectionRule,
-                            StoppingCriteria, accept_trial, b2ld_run,
-                            lbfgs_baseline_run)
+from layeropt.batch import (AcceptanceParams, BlockSelectionRule,
+                            StoppingCriteria, _block_eval, accept_trial,
+                            b2ld_run, lbfgs_baseline_run)
 from layeropt.linalg import SeededRng
 from layeropt.network import Architecture, forward, init_weights
-from layeropt.objective import (ObjectiveConfig, full_gradient, gradient_norm,
-                                objective_value)
+from layeropt.objective import (ObjectiveConfig, block_gradient,
+                                full_gradient, gradient_norm, objective_value,
+                                weights_squared_norm)
 from layeropt.solvers import LbfgsParams, llsq_last_layer
 
 
@@ -45,10 +48,6 @@ class TestSelectionRules:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             BlockSelectionRule("sideways")
-
-    def test_cycler_concatenates_cycles(self):
-        cyc = BlockCycler(BlockSelectionRule("backward"), 2)
-        assert [cyc.next_block() for _ in range(6)] == [2, 1, 2, 1, 2, 1]
 
 
 class TestAcceptance:
@@ -180,3 +179,44 @@ class TestLbfgsBaseline:
         r = lbfgs_baseline_run(w, X, Y, cfg, LbfgsParams(), stop)
         assert r.stop_reason == "grad_norm"
         assert r.inner_iterations == 0
+
+
+@st.composite
+def block_trial(draw):
+    """A small problem, a block index l and an arbitrary new block for it."""
+    widths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    rho = draw(st.sampled_from([0.0, 1e-3, 0.37]))
+    w, X, Y, cfg = make_problem(widths, draw(st.integers(1, 4)),
+                                draw(st.integers(1, 7)),
+                                draw(st.integers(0, 2**16)), rho=rho)
+    l = draw(st.integers(1, w.num_layers))
+    r, c = w.arch.block_shape(l)
+    values = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+    W = np.array(draw(st.lists(values, min_size=r * c, max_size=r * c)))
+    return w, X, Y, cfg, l, W.reshape(r, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_trial())
+def test_block_eval_matches_objective_after_set_block(case):
+    """B2LD's block closures agree with the full objective and block_gradient
+    at the point reached by set_block(l, W). The gradient and, without a
+    regularizer, the value are bitwise equal; with one, the closures update
+    ||w||^2 by difference, so the value agrees to rounding of that sum."""
+    w, X, Y, cfg, l, W = case
+    _, cache = forward(w, X)
+    base_sq = weights_squared_norm(w)
+    value, value_and_grad = _block_eval(w, cache, Y, cfg, l, base_sq)
+    f_value = value(W)
+    f_pair, grad = value_and_grad(W)
+
+    w.set_block(l, W)
+    f_ref, _ = objective_value(w, X, Y, cfg)
+    _, cache_ref = forward(w, X)
+    assert f_value == f_pair
+    assert np.array_equal(grad, block_gradient(w, Y, cfg, l, cache_ref))
+    if cfg.rho == 0.0:
+        assert f_value == f_ref
+    else:
+        sq_scale = cfg.rho * (base_sq + float(np.sum(W * W)))
+        assert f_value == pytest.approx(f_ref, rel=1e-12, abs=1e-13 * sq_scale)

@@ -49,6 +49,13 @@ class TestLoadDelimited:
             load_delimited(p, target_columns=[2])
         assert exc.value.row == 2 and exc.value.col == 2
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_reports_row_and_col(self, tmp_path, cell):
+        p = self.write(tmp_path, f"1,2,3\n4,5,6\n7,{cell},9\n")
+        with pytest.raises(ParseError) as exc:
+            load_delimited(p, target_columns=[3])
+        assert exc.value.row == 3 and exc.value.col == 2
+
     def test_ragged_row_reports_row(self, tmp_path):
         p = self.write(tmp_path, "1,2,3\n4,5\n")
         with pytest.raises(ParseError) as exc:

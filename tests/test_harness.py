@@ -3,11 +3,15 @@ import json
 import numpy as np
 import pytest
 
+import layeropt.harness as harness
 from layeropt.batch import StoppingCriteria
 from layeropt.harness import (ALGORITHMS, ConfigError, DatasetSpec,
-                              ExperimentConfig, depth_ratio, emit_report,
-                              load_report, prepare_dataset,
-                              resolve_architecture, run_experiment, tally_wins)
+                              ExperimentConfig, ExperimentReport, RunRow,
+                              depth_ratio, emit_report, load_report,
+                              prepare_dataset, resolve_architecture,
+                              run_experiment, run_single, tally_wins)
+from layeropt.linalg import SeededRng
+from layeropt.network import init_weights
 
 
 class TestTallyWins:
@@ -219,3 +223,43 @@ class TestRunExperiment:
         for a, b in zip(serial.rows, parallel.rows):
             assert a.final_objective == b.final_objective
             assert a.init_digest == b.init_digest
+
+
+class TestReportCells:
+    def test_error_with_line_breaks_round_trips_as_one_row(self, tmp_path):
+        nan = float("nan")
+        row = RunRow(dataset="toy", architecture="[1x4]", algorithm="IG",
+                     seed=3, final_objective=nan, grad_norm=nan, test_mse=nan,
+                     elapsed_seconds=0.0, stop_reason="error",
+                     layer_update_counts=[], init_digest="abc",
+                     error="ValueError: line one\nline two\r\nline\tthree")
+        tsv, _ = emit_report(ExperimentReport(rows=[row]), tmp_path / "out")
+        back = load_report(tsv)
+        assert len(back.rows) == 1
+        got = back.rows[0]
+        assert (got.architecture, got.seed, got.init_digest) == ("[1x4]", 3, "abc")
+        assert got.error == "ValueError: line one line two  line three"
+
+
+class TestRunSingle:
+    @pytest.mark.parametrize("algorithm,driver", [("BLInG", "bling_run"),
+                                                  ("IG", "ig_run")])
+    def test_minibatch_time_limit_passed_unchanged(self, monkeypatch,
+                                                   algorithm, driver):
+        real = getattr(harness, driver)
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(args[7])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, driver, spy)
+        train, test = prepare_dataset(DatasetSpec(
+            name="toy", teacher_arch="3-[1x4]-1", samples=40, data_seed=2))
+        w0 = init_weights(resolve_architecture("[1x4]", 3, 1), SeededRng(0))
+        # the overall default limit, which must not be rewritten for
+        # minibatch methods
+        stop = StoppingCriteria(max_epochs=1)
+        assert stop.time_limit_seconds == 150.0
+        run, _ = run_single(algorithm, w0, train, test, stop, batch_size=16)
+        assert seen == [stop] and run.stop_reason == "max_epochs"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layeropt.linalg import SeededRng
 from layeropt.network import (Architecture, NetworkWeights, StaleCacheError,
@@ -154,3 +156,36 @@ class TestForwardPartial:
         w.set_block(1, w.block(1) * 1.5)  # below from_layer=2
         with pytest.raises(StaleCacheError):
             forward_partial(w, cache, 2)
+
+
+@st.composite
+def net_and_edits(draw):
+    """A small net, its inputs, and a list of (layer, new block) edits."""
+    widths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    arch, w, X = random_net(widths, seed=draw(st.integers(0, 2**16)),
+                            input_dim=draw(st.integers(1, 4)),
+                            P=draw(st.integers(1, 7)))
+    values = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+    edits = []
+    for l in draw(st.lists(st.integers(1, arch.num_layers), min_size=1,
+                           max_size=4)):
+        shape = arch.block_shape(l)
+        flat = draw(st.lists(values, min_size=shape[0] * shape[1],
+                             max_size=shape[0] * shape[1]))
+        edits.append((l, np.array(flat).reshape(shape)))
+    return arch, w, X, edits
+
+
+@settings(max_examples=60, deadline=None)
+@given(net_and_edits())
+def test_forward_partial_matches_forward_after_block_edits(case):
+    arch, w, X, edits = case
+    _, cache = forward(w, X)
+    for l, block in edits:
+        w.set_block(l, block)
+    out, _ = forward_partial(w, cache, min(l for l, _ in edits))
+    full, full_cache = forward(w, X)
+    assert np.array_equal(out, full)
+    for j in range(1, arch.num_layers + 1):
+        assert np.array_equal(cache.a[j], full_cache.a[j])
+        assert np.array_equal(cache.z[j], full_cache.z[j])
