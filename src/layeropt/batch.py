@@ -23,9 +23,9 @@ from .linalg import SeededRng, frobenius_norm
 # `batch.sigmoid`.
 from .network import (ForwardCache, NetworkWeights, _propagate, forward,
                       forward_partial, sigmoid)  # noqa: F401
-from .objective import (ObjectiveConfig, _block_grad, _loss, backprop_deltas,
-                        block_gradient, full_gradient, gradient_norm,
-                        objective_value, weights_squared_norm)
+from .objective import (ObjectiveConfig, _all_blocks, _block_grad, _loss,
+                        backprop_deltas, block_gradient, gradient_norm,
+                        value_and_gradient, weights_squared_norm)
 from .solvers import (ArmijoParams, LbfgsParams, LinesearchError,
                       armijo_linesearch, lbfgs_minimize, lbfgs_minimize_block)
 
@@ -120,9 +120,9 @@ def _block_eval(weights, cache, Y, cfg, l, base_sq):
         sq = base_sq - old_sq + float(np.dot(Wl.ravel(), Wl.ravel()))
         trial = ForwardCache(a=list(cache.a), z=list(cache.z))
         outputs = _propagate(weights, z_prev, l, trial, override=Wl)
-        # backprop reads only a[l..L-1] and the outputs; freeing the trial's
-        # hidden z first keeps it from holding them beside every delta
-        trial.z[l:-1] = [None] * (len(trial.z) - 1 - l)
+        # backprop reads only z[l..L]; freeing the trial's a[l..L] first keeps
+        # it from holding them beside every delta
+        trial.a[l:] = [None] * (len(trial.a) - l)
         delta = backprop_deltas(weights, trial, Y, l)[l]
         return _loss(outputs, Y, cfg, sq, cfg.rho), \
             _block_grad(z_prev, delta, Wl, cfg, cfg.rho)
@@ -152,7 +152,7 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
     cycle = 0
 
     while reason is None:
-        gnorm = gradient_norm(full_gradient(weights, X, Y, cfg))
+        gnorm = gradient_norm(_all_blocks(weights, cache, Y, cfg, cfg.rho))
         if gnorm <= stop.grad_norm_tol:
             reason = "grad_norm"
             break
@@ -179,13 +179,18 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
 
             # Armijo reference point along the block steepest-descent direction.
             slope = -bnorm * bnorm
+            trial = []  # (w_l - a*g_l, f) of the latest trial
+
+            def phi(a):
+                w_a = w_l - a * g_l
+                trial[:] = (w_a, value(w_a))
+                return trial[1]
+
             try:
-                alpha = armijo_linesearch(lambda a: value(w_l - a * g_l), f_cur,
-                                          slope, acceptance.armijo)
+                armijo_linesearch(phi, f_cur, slope, acceptance.armijo)
             except LinesearchError:
                 continue
-            w_armijo = w_l - alpha * g_l
-            f_armijo = value(w_armijo)
+            w_armijo, f_armijo = trial  # the search stops on the accepted trial
 
             res = lbfgs_minimize_block(
                 value_and_grad, w_l,
@@ -219,7 +224,7 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
         eps *= lbfgs.accuracy_shrink
         cycle += 1
 
-    gnorm = gradient_norm(full_gradient(weights, X, Y, cfg))
+    gnorm = gradient_norm(_all_blocks(weights, cache, Y, cfg, cfg.rho))
     return OptimizerRun(algorithm="B2LD", seed=seed, final_weights=weights,
                         trajectory=traj, final_objective=f_cur,
                         final_grad_norm=gnorm,
@@ -239,8 +244,7 @@ def lbfgs_baseline_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
 
     def fg(vec):
         weights.set_from_flat(vec)
-        grads = full_gradient(weights, X, Y, cfg)
-        f, _ = objective_value(weights, X, Y, cfg)
+        f, grads = value_and_gradient(weights, X, Y, cfg)
         return f, np.concatenate([g.ravel() for g in grads])
 
     max_iters = stop.max_inner_iters if stop.max_inner_iters is not None \

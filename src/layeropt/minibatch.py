@@ -17,9 +17,9 @@ import numpy as np
 from .batch import OptimizerRun, StoppingCriteria
 from .linalg import SeededRng, frobenius_norm
 from .network import NetworkWeights, forward, forward_partial
-from .objective import (ObjectiveConfig, full_gradient, gradient_norm,
+from .objective import (ObjectiveConfig, gradient_norm,
                         minibatch_all_gradients, minibatch_block_gradient,
-                        objective_value)
+                        value_and_gradient)
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,8 @@ def _run_epochs(algorithm, step, weights0, X, Y, cfg, partition, rule, params,
                 stop, seed):
     """The epoch loop both minibatch methods share: visit the minibatches in
     the rule's order, take `step` on each from a fresh forward pass, then
-    shrink the stepsize. Each step moves every block once."""
+    shrink the stepsize. Each step moves every block once. The final objective
+    and gradient norm come from one forward pass over all rows."""
     weights = weights0.copy()
     start = time.monotonic()
     deadline = None if stop.time_limit_seconds is None \
@@ -150,8 +151,8 @@ def _run_epochs(algorithm, step, weights0, X, Y, cfg, partition, rule, params,
                 break
         epoch += 1
 
-    gnorm = gradient_norm(full_gradient(weights, X, Y, cfg))
-    f, _ = objective_value(weights, X, Y, cfg)
+    f, grads = value_and_gradient(weights, X, Y, cfg)
+    gnorm = gradient_norm(grads)
     return OptimizerRun(algorithm=algorithm, seed=seed, final_weights=weights,
                         trajectory=[f], final_objective=f, final_grad_norm=gnorm,
                         elapsed_seconds=time.monotonic() - start,

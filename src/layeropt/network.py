@@ -22,13 +22,17 @@ class Activation(enum.Enum):
 
 
 def sigmoid(a):
-    """Numerically stable logistic function, safe for |a| up to ~1e3."""
+    """Numerically stable logistic function, safe for |a| up to ~1e3.
+
+    With e = exp(-|a|) this is 1/(1+e) for a >= 0 and e/(1+e) below, the
+    same two expressions as 1/(1+exp(-a)) and exp(a)/(1+exp(a)), in one pass
+    with no exponential that can overflow. -|a| is taken as min(a, -a), which
+    also keeps the sign of a NaN input."""
     a = np.asarray(a, dtype=np.float64)
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
+    e = np.exp(np.minimum(a, -a))
+    out = np.where(a >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out if out.ndim else float(out)
 
 
@@ -37,10 +41,12 @@ def sigmoid_prime(a):
     return s * (1.0 - s)
 
 
+# Per activation: the function of the pre-activation a, and its derivative
+# written in the output z = g(a), which the forward cache already holds.
 _ACT = {
-    Activation.SIGMOID: (sigmoid, sigmoid_prime),
+    Activation.SIGMOID: (sigmoid, lambda z: z * (1.0 - z)),
     Activation.LINEAR: (lambda a: np.asarray(a, dtype=np.float64),
-                        lambda a: np.ones_like(np.asarray(a, dtype=np.float64))),
+                        lambda z: np.ones_like(np.asarray(z, dtype=np.float64))),
 }
 
 
@@ -244,5 +250,6 @@ def _propagate(weights: NetworkWeights, z, start: int, cache: ForwardCache = Non
 
 
 def hidden_activation_prime(arch: Architecture):
-    """Derivative of the hidden activation, as a callable on pre-activations."""
+    """Derivative of the hidden activation, as a callable on the layer output
+    z = g(a): z * (1 - z) for the sigmoid, ones for the linear activation."""
     return _ACT[arch.activation][1]

@@ -82,7 +82,8 @@ def backprop_deltas(weights: NetworkWeights, cache: ForwardCache, Y, down_to: in
 
     Returns {l: delta_l} for l in down_to..L only; layers below down_to are
     never touched, which is what makes per-block gradients cheaper than the
-    full gradient.
+    full gradient. Reads the cached outputs z[down_to..L] only: the activation
+    derivative is taken from z, so the pre-activations are not needed.
     """
     L = weights.num_layers
     gprime = hidden_activation_prime(weights.arch)
@@ -90,7 +91,7 @@ def backprop_deltas(weights: NetworkWeights, cache: ForwardCache, Y, down_to: in
     delta = cache.z[L] - Y  # linear output layer: g'(a_L) = 1
     deltas[L] = delta
     for l in range(L - 1, down_to - 1, -1):
-        delta = (delta @ weights.block(l + 1).T) * gprime(cache.a[l])
+        delta = (delta @ weights.block(l + 1).T) * gprime(cache.z[l])
         deltas[l] = delta
     return deltas
 
@@ -122,6 +123,14 @@ def full_gradient(weights: NetworkWeights, X, Y, cfg: ObjectiveConfig):
     """Per-block gradients of the objective, as a list indexed l-1."""
     _, cache = forward(weights, X)
     return _all_blocks(weights, cache, Y, cfg, cfg.rho)
+
+
+def value_and_gradient(weights: NetworkWeights, X, Y, cfg: ObjectiveConfig):
+    """(objective, per-block gradients as in `full_gradient`) from one
+    forward pass."""
+    _, cache = forward(weights, X)
+    return (_loss(cache.outputs, Y, cfg, weights_squared_norm(weights), cfg.rho),
+            _all_blocks(weights, cache, Y, cfg, cfg.rho))
 
 
 def gradient_norm(grads) -> float:

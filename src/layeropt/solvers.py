@@ -69,9 +69,11 @@ def lbfgs_minimize(fun_grad, x0: np.ndarray, params: LbfgsParams,
                    f_tol: float = None) -> LbfgsResult:
     """Two-loop-recursion L-BFGS with Armijo backtracking on flat vectors.
 
-    fun_grad(x) -> (f, g). Stops at ||g|| <= grad_tol or after max_iters
-    accepted steps; every accepted step satisfies the Armijo condition, so the
-    reported objective sequence is non-increasing. Curvature pairs with
+    fun_grad(x) -> (f, g), called once at x0 and once per Armijo trial; the
+    accepted step is the last trial, whose gradient serves the next
+    iteration. Stops at ||g|| <= grad_tol or after max_iters accepted steps;
+    every accepted step satisfies the Armijo condition, so the reported
+    objective sequence is non-increasing. Curvature pairs with
     s'y <= 1e-10 ||s|| ||y|| are skipped to avoid division breakdown. The
     wall-clock deadline, if given, is checked every `check_cadence` iterations.
     """
@@ -97,16 +99,21 @@ def lbfgs_minimize(fun_grad, x0: np.ndarray, params: LbfgsParams,
             d = -g
             slope = -gnorm * gnorm
 
+        trial = []  # (x + a*d, f, g) of the latest trial
+
+        def phi(a):
+            x_a = x + a * d
+            trial[:] = (x_a, *fun_grad(x_a))
+            return trial[1]
+
         try:
-            alpha = armijo_linesearch(lambda a: fun_grad(x + a * d)[0], f, slope,
-                                      params.armijo)
+            armijo_linesearch(phi, f, slope, params.armijo)
         except LinesearchError:
             degraded = True
             reason = "linesearch_failure"
             break
 
-        x_new = x + alpha * d
-        f_new, g_new = fun_grad(x_new)
+        x_new, f_new, g_new = trial  # the search stops on the accepted trial
         s = x_new - x
         y = g_new - g
         sy = float(np.dot(s, y))

@@ -1,8 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import layeropt.batch as batch
+import layeropt.objective as objective
+from conftest import count_callback_calls, counted
 from layeropt.batch import (AcceptanceParams, BlockSelectionRule,
                             StoppingCriteria, _block_eval, accept_trial,
                             b2ld_run, lbfgs_baseline_run)
@@ -151,6 +156,54 @@ class TestB2ld:
         for kind in ("forward", "backward"):
             r = run_b2ld(w, X, Y, cfg, max_cycles=5, rule_kind=kind)
             assert r.final_objective < f0
+
+
+def count_forward_passes(monkeypatch, tally):
+    """Count full forward passes, whether the drivers run them directly or
+    through `objective`."""
+    for module in (batch, objective):
+        monkeypatch.setattr(module, "forward",
+                            counted(module.forward, tally, "forward"))
+
+
+class TestEvaluationCounts:
+    def test_b2ld_runs_one_forward_pass(self, monkeypatch):
+        """The per-cycle and final gradient norms come from B2LD's own cache,
+        which forward_partial keeps current."""
+        w, X, Y, cfg = make_problem([6, 4, 3, 1], 4, 40, seed=2)
+        tally = Counter()
+        count_forward_passes(monkeypatch, tally)
+        r = run_b2ld(w, X, Y, cfg, max_cycles=4, grad_tol=0.0, f_tol=-np.inf)
+        assert r.stop_reason == "max_cycles"
+        assert tally["forward"] == 1
+
+    def test_b2ld_armijo_point_is_the_last_trial(self, monkeypatch):
+        """The block value closure runs once per Armijo trial and never again
+        for the accepted reference point."""
+        w, X, Y, cfg = make_problem([6, 4, 3, 1], 4, 40, seed=2)
+        tally = Counter()
+        count_callback_calls(monkeypatch, batch, "armijo_linesearch", tally,
+                             "phi")
+        block_eval = batch._block_eval
+
+        def counting_block_eval(*args):
+            value, value_and_grad = block_eval(*args)
+            return counted(value, tally, "value"), value_and_grad
+        monkeypatch.setattr(batch, "_block_eval", counting_block_eval)
+        r = run_b2ld(w, X, Y, cfg, max_cycles=4, grad_tol=0.0, f_tol=-np.inf)
+        assert sum(r.layer_update_counts) > 0
+        assert tally["value"] == tally["phi"] > 0
+
+    def test_lbfgs_runs_one_forward_pass_per_evaluation(self, monkeypatch):
+        w, X, Y, cfg = make_problem([6, 4, 1], 4, 40, seed=10)
+        tally = Counter()
+        count_forward_passes(monkeypatch, tally)
+        count_callback_calls(monkeypatch, batch, "lbfgs_minimize", tally,
+                             "fun_grad")
+        stop = StoppingCriteria(time_limit_seconds=None, max_inner_iters=20)
+        r = lbfgs_baseline_run(w, X, Y, cfg, LbfgsParams(), stop)
+        assert r.inner_iterations > 0
+        assert tally["forward"] == tally["fun_grad"] > r.inner_iterations
 
 
 class TestLbfgsBaseline:

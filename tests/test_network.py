@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from layeropt.linalg import SeededRng
-from layeropt.network import (Architecture, NetworkWeights, StaleCacheError,
-                              forward, forward_partial, init_weights,
+from layeropt.network import (Activation, Architecture, NetworkWeights,
+                              StaleCacheError, forward, forward_partial,
+                              hidden_activation_prime, init_weights,
                               parse_architecture, sigmoid, sigmoid_prime)
 
 
@@ -62,6 +64,46 @@ class TestSigmoid:
         for a in (-2.0, 0.3, 5.0):
             fd = (sigmoid(a + h) - sigmoid(a - h)) / (2 * h)
             assert sigmoid_prime(a) == pytest.approx(fd, rel=1e-7)
+
+
+def gather_scatter_sigmoid(a):
+    """The two-branch sigmoid `sigmoid` replaced: 1/(1+exp(-a)) on the
+    nonnegative entries and exp(a)/(1+exp(a)) on the rest, each gathered by a
+    boolean mask and scattered back. Kept as the reference."""
+    a = np.asarray(a, dtype=np.float64)
+    out = np.empty_like(a)
+    pos = a >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    ea = np.exp(a[~pos])
+    out[~pos] = ea / (1.0 + ea)
+    return out if out.ndim else float(out)
+
+
+SIGMOID_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 745.0,
+                          -745.0, 1e3, -1e3, np.inf, -np.inf, np.nan, -np.nan])
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2),
+                  elements=st.floats(allow_nan=True, allow_infinity=True)
+                  | st.sampled_from(list(SIGMOID_EDGES))))
+@example(SIGMOID_EDGES)
+@example(SIGMOID_EDGES.reshape(2, 7))
+@example(np.array(-0.0))
+@example(np.array(np.nan))
+def test_sigmoid_bitwise_equals_gather_scatter_form(a):
+    """`sigmoid` equals the gather/scatter form bit for bit, NaN signs
+    included, and returns a float exactly where the reference does. The
+    derivative taken from the output equals `sigmoid_prime` bit for bit."""
+    got, ref = sigmoid(a), gather_scatter_sigmoid(a)
+    assert type(got) is type(ref)
+    assert np.array_equal(bits(got), bits(ref))
+    gprime = hidden_activation_prime(Architecture(1, (1,), Activation.SIGMOID))
+    assert np.array_equal(bits(gprime(got)), bits(sigmoid_prime(a)))
 
 
 class TestInitWeights:

@@ -1,6 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import layeropt.solvers as solvers
+from conftest import count_callback_calls, counted
 from layeropt.solvers import (ArmijoParams, LbfgsParams, LinesearchError,
                               SingularSystemError, armijo_linesearch,
                               lbfgs_minimize, lbfgs_minimize_block,
@@ -92,6 +96,19 @@ class TestLbfgs:
         fg, x_star = self.quadratic(10, 2)
         res = lbfgs_minimize(fg, np.zeros(10),
                              LbfgsParams(grad_tol=1e-10, max_iters=200))
+        assert np.abs(res.x - x_star).max() <= 1e-8
+
+    def test_evaluates_start_and_each_armijo_trial_once(self, monkeypatch):
+        """The accepted step is the last Armijo trial, whose (f, g) is kept:
+        no point is evaluated twice."""
+        fg, x_star = self.quadratic(10, 2)
+        tally = Counter()
+        count_callback_calls(monkeypatch, solvers, "armijo_linesearch", tally,
+                             "trials")
+        res = lbfgs_minimize(counted(fg, tally, "fun_grad"), np.zeros(10),
+                             LbfgsParams(grad_tol=1e-10, max_iters=200))
+        assert res.iterations > 0 and tally["trials"] >= res.iterations
+        assert tally["fun_grad"] == 1 + tally["trials"]
         assert np.abs(res.x - x_star).max() <= 1e-8
 
     def test_monotone_objective_history(self):

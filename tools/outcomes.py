@@ -1,0 +1,114 @@
+"""Outcome digests of B2LD, LBFGS, BLInG and IG: the bitwise check for a
+change that should not move any result.
+
+    python3 tools/outcomes.py outcomes.json
+
+layeropt is imported from the ``src/`` beside this file's directory, so the
+script runs the tree it sits in. It writes one record per run, every float as
+``float.hex()``, for two sets:
+
+- ``deep``: the criterion-10 instance (a ``10-[2x20]-1`` teacher, 2000
+  samples, noise 0.05, data seed 99, an 80/20 split, min-max scaling, a
+  ``10-[10x50]-1`` student) at init seeds 0 and 1, all four methods, with
+  tolerances that never stop a run: 40 inner iterations for B2LD and LBFGS,
+  10 epochs of batch 128 for BLInG and IG;
+- ``demo``: the 40-run cross product of the demo experiment, with its
+  config written out below.
+
+Each record holds the init and final-weight digests, the final objective and
+gradient norm, the trajectory, the stop reason, the update counts, the inner
+iterations and the test MSE. To check a change, run the script in a copy of
+the parent commit and in the change, and compare the two files with ``cmp``.
+BLAS is pinned to one thread, so the records do not depend on its threading.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from layeropt.batch import StoppingCriteria  # noqa: E402
+from layeropt.harness import (ALGORITHMS, DatasetSpec, prepare_dataset,  # noqa: E402
+                              resolve_architecture, run_single)
+from layeropt.linalg import SeededRng  # noqa: E402
+from layeropt.network import init_weights  # noqa: E402
+
+DEEP = {
+    "dataset": DatasetSpec(name="criterion10", teacher_arch="10-[2x20]-1",
+                           samples=2000, noise_sd=0.05, data_seed=99,
+                           test_fraction=0.2),
+    "architectures": ["10-[10x50]-1"],
+    "seeds": [0, 1],
+    "stopping": StoppingCriteria(grad_norm_tol=0.0, f_tol=float("-inf"),
+                                 time_limit_seconds=None, max_inner_iters=40,
+                                 max_epochs=10),
+    "batch_size": 128,
+}
+
+DEMO = {
+    "dataset": DatasetSpec(name="teacher8", teacher_arch="8-[2x16]-1",
+                           samples=800, noise_sd=0.02, data_seed=7,
+                           test_fraction=0.2),
+    "architectures": ["[2x20]", "[4x20]"],
+    "seeds": [0, 1, 2, 3, 4],
+    "stopping": StoppingCriteria(grad_norm_tol=0.0, f_tol=0.0,
+                                 time_limit_seconds=None, max_cycles=10,
+                                 max_epochs=30, max_inner_iters=100),
+    "batch_size": 64,
+}
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def records(name, spec):
+    train, test = prepare_dataset(spec["dataset"])
+    for arch_text in spec["architectures"]:
+        arch = resolve_architecture(arch_text, train.num_features,
+                                    train.num_targets)
+        for seed in spec["seeds"]:
+            weights0 = init_weights(arch, SeededRng(seed))
+            for algorithm in ALGORITHMS:
+                run, test_mse = run_single(algorithm, weights0, train, test,
+                                           spec["stopping"],
+                                           batch_size=spec["batch_size"],
+                                           seed=seed)
+                yield {
+                    "set": name, "architecture": arch_text,
+                    "algorithm": algorithm, "seed": seed,
+                    "init_digest": weights0.digest(),
+                    "final_digest": run.final_weights.digest(),
+                    "final_objective": float(run.final_objective).hex(),
+                    "final_grad_norm": float(run.final_grad_norm).hex(),
+                    "trajectory": _hex(run.trajectory),
+                    "stop_reason": run.stop_reason,
+                    "layer_update_counts": list(run.layer_update_counts),
+                    "inner_iterations": run.inner_iterations,
+                    "test_mse": float(test_mse).hex(),
+                }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", help="JSON file to write")
+    args = parser.parse_args(argv)
+    start = time.monotonic()
+    out = [rec for name, spec in (("deep", DEEP), ("demo", DEMO))
+           for rec in records(name, spec)]
+    with open(args.out, "w") as fh:
+        json.dump(out, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"{len(out)} records in {time.monotonic() - start:.1f} s -> {args.out}")
+
+
+if __name__ == "__main__":
+    main()
