@@ -104,30 +104,32 @@ class OptimizerRun:
     inner_iterations: int = 0
 
 
-def _block_eval(weights, cache, Y, cfg, l, base_sq):
+def _block_eval(weights, cache, trial, Y, cfg, l, base_sq):
     """Closures evaluating f and (f, grad) as functions of block l alone,
-    propagating only layers >= l from the cached prefix. No shared state is
-    mutated, so these are safe inside linesearches."""
+    propagating only layers >= l from the cached prefix into the `trial`
+    cache, a `cache.sibling()`; `cache`'s outputs are never written. Also
+    returns (f, grad) at the current block, the inner solve's start point,
+    from `cache` with the closures' own formulas, so that it equals
+    value_and_grad(weights.block(l)) bit for bit."""
     z_prev = cache.z[l - 1]
-    old_sq = float(np.dot(weights.block(l).ravel(), weights.block(l).ravel()))
+    w_l = weights.block(l)
+    old_sq = float(np.dot(w_l.ravel(), w_l.ravel()))
+
+    def sq_norm(Wl):
+        return base_sq - old_sq + float(np.dot(Wl.ravel(), Wl.ravel()))
 
     def value(Wl):
-        sq = base_sq - old_sq + float(np.dot(Wl.ravel(), Wl.ravel()))
-        outputs = _propagate(weights, z_prev, l, override=Wl)
-        return _loss(outputs, Y, cfg, sq, cfg.rho)
+        outputs = _propagate(weights, z_prev, l, trial, override=Wl)
+        return _loss(outputs, Y, cfg, sq_norm(Wl), cfg.rho)
 
     def value_and_grad(Wl):
-        sq = base_sq - old_sq + float(np.dot(Wl.ravel(), Wl.ravel()))
-        trial = ForwardCache(a=list(cache.a), z=list(cache.z))
-        outputs = _propagate(weights, z_prev, l, trial, override=Wl)
-        # backprop reads only z[l..L]; freeing the trial's a[l..L] first keeps
-        # it from holding them beside every delta
-        trial.a[l:] = [None] * (len(trial.a) - l)
+        f = value(Wl)
         delta = backprop_deltas(weights, trial, Y, l)[l]
-        return _loss(outputs, Y, cfg, sq, cfg.rho), \
-            _block_grad(z_prev, delta, Wl, cfg, cfg.rho)
+        return f, _block_grad(z_prev, delta, Wl, cfg, cfg.rho)
 
-    return value, value_and_grad
+    start = (_loss(cache.outputs, Y, cfg, sq_norm(w_l), cfg.rho),
+             block_gradient(weights, Y, cfg, l, cache))
+    return value, value_and_grad, start
 
 
 def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
@@ -142,6 +144,7 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
         else start + stop.time_limit_seconds
 
     _, cache = forward(weights, X)
+    trial_cache = cache.sibling()
     f_cur = _loss(cache.outputs, Y, cfg, weights_squared_norm(weights), cfg.rho)
     traj = [f_cur]
     counts = [0] * L
@@ -165,16 +168,15 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
 
         any_update = False
         for l in rule.cycle(L, cycle):
-            g_l = block_gradient(weights, Y, cfg, l, cache)
+            value, value_and_grad, (f_l, g_l) = _block_eval(
+                weights, cache, trial_cache, Y, cfg, l,
+                weights_squared_norm(weights))
             bnorm = frobenius_norm(g_l)
             # Skip blocks whose gradient or last relative decrease is already
             # below tolerance; skipped blocks still advance the cycle but are
             # not counted as updates.
             if bnorm <= stop.grad_norm_tol or last_rel_dec[l - 1] <= stop.f_tol:
                 continue
-
-            value, value_and_grad = _block_eval(weights, cache, Y, cfg, l,
-                                                weights_squared_norm(weights))
             w_l = weights.block(l)
 
             # Armijo reference point along the block steepest-descent direction.
@@ -195,7 +197,7 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
             res = lbfgs_minimize_block(
                 value_and_grad, w_l,
                 replace(lbfgs, grad_tol=eps), deadline=deadline,
-                check_cadence=stop.check_cadence)
+                check_cadence=stop.check_cadence, start_fg=(f_l, g_l))
             inner_total += max(res.iterations, 1)
 
             disp = frobenius_norm(res.x - w_l)
@@ -241,10 +243,11 @@ def lbfgs_baseline_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
     start = time.monotonic()
     deadline = None if stop.time_limit_seconds is None \
         else start + stop.time_limit_seconds
+    cache = ForwardCache.for_rows(weights.arch, X.shape[0])
 
     def fg(vec):
         weights.set_from_flat(vec)
-        f, grads = value_and_gradient(weights, X, Y, cfg)
+        f, grads = value_and_gradient(weights, X, Y, cfg, cache)
         return f, np.concatenate([g.ravel() for g in grads])
 
     max_iters = stop.max_inner_iters if stop.max_inner_iters is not None \

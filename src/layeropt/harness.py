@@ -117,6 +117,12 @@ class ExperimentReport:
                   and r.algorithm == algorithm and not r.error]
         return [getattr(r, metric) for r in sorted(picked, key=lambda r: r.seed)]
 
+    def by_seed(self, dataset, architecture, algorithm, metric="final_objective"):
+        """{seed: metric value} over the error-free rows."""
+        return {r.seed: getattr(r, metric) for r in self.rows
+                if r.dataset == dataset and r.architecture == architecture
+                and r.algorithm == algorithm and not r.error}
+
     def best(self, dataset, architecture, algorithm, metric="final_objective"):
         vals = self.values(dataset, architecture, algorithm, metric)
         return min(vals) if vals else None
@@ -321,12 +327,23 @@ def emit_report(report: ExperimentReport, out_dir, threshold: float = 0.05):
         for ds, arch in report.keys():
             for i, a in enumerate(algos):
                 for b in algos[i + 1:]:
-                    va = report.values(ds, arch, a)
-                    vb = report.values(ds, arch, b)
-                    if va and vb and len(va) == len(vb):
-                        w, d_, t = tally_wins(va, vb, threshold)
-                        fh.write(f"  {ds} {arch} {a} vs {b}: "
-                                 f"[{w}; {d_}; {t}]\n")
+                    # pair by seed: a seed counts only when both methods
+                    # have an error-free row for it
+                    seeds = {r.seed for r in report.rows
+                             if r.dataset == ds and r.architecture == arch
+                             and r.algorithm in (a, b)}
+                    if not seeds:
+                        continue
+                    va = report.by_seed(ds, arch, a)
+                    vb = report.by_seed(ds, arch, b)
+                    shared = sorted(va.keys() & vb.keys())
+                    w, d_, t = tally_wins([va[s] for s in shared],
+                                          [vb[s] for s in shared], threshold)
+                    dropped = len(seeds) - len(shared)
+                    note = f" ({dropped} of {len(seeds)} seeds dropped: " \
+                        "error rows)" if dropped else ""
+                    fh.write(f"  {ds} {arch} {a} vs {b}: "
+                             f"[{w}; {d_}; {t}]{note}\n")
         fh.write("\nPer-layer update counts (best run per dataset/arch/algorithm)\n")
         for ds, arch in report.keys():
             for algo in report.algorithms():

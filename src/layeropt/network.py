@@ -21,19 +21,33 @@ class Activation(enum.Enum):
     LINEAR = "linear"
 
 
-def sigmoid(a):
+def sigmoid(a, out=None):
     """Numerically stable logistic function, safe for |a| up to ~1e3.
 
     With e = exp(-|a|) this is 1/(1+e) for a >= 0 and e/(1+e) below, the
     same two expressions as 1/(1+exp(-a)) and exp(a)/(1+exp(a)), in one pass
     with no exponential that can overflow. -|a| is taken as min(a, -a), which
-    also keeps the sign of a NaN input."""
+    also keeps the sign of a NaN input. The numerator, 1 or e, is picked as
+    max(e, [a >= 0]): e lies in [0, 1], and a NaN e wins the max. Every step
+    is a plain element-wise ufunc; a masked select costs more than all of
+    them.
+
+    Without `out`, `a` is left as it is and a new array (a float for 0-d
+    input) is returned. With `out`, the result is written into it and `a`,
+    which must then be a writable float64 array of the same shape, is
+    overwritten with the numerator: no temporary as large as `a` is
+    allocated."""
     a = np.asarray(a, dtype=np.float64)
-    e = np.exp(np.minimum(a, -a))
-    out = np.where(a >= 0, 1.0, e)
-    e += 1.0
-    out /= e
-    return out if out.ndim else float(out)
+    fresh = out is None
+    out, num = (np.empty_like(a), np.empty_like(a)) if fresh else (out, a)
+    np.negative(a, out=out)
+    np.minimum(a, out, out=out)         # -|a|
+    np.greater_equal(a, 0.0, out=num)   # 1.0 where a >= 0, else 0.0
+    np.exp(out, out=out)                # e
+    np.maximum(out, num, out=num)       # np.where(a >= 0, 1.0, e)
+    out += 1.0
+    np.divide(num, out, out=out)
+    return float(out) if fresh and not out.ndim else out
 
 
 def sigmoid_prime(a):
@@ -41,12 +55,21 @@ def sigmoid_prime(a):
     return s * (1.0 - s)
 
 
+def _sigmoid_slope(z, out=None):
+    """sigmoid'(a) written in the output z = sigmoid(a): (1 - z) * z, into
+    `out` when one is given."""
+    out = np.subtract(1.0, z, out=out)
+    out *= z
+    return out
+
+
 # Per activation: the function of the pre-activation a, and its derivative
-# written in the output z = g(a), which the forward cache already holds.
+# written in the output z = g(a), which the forward cache already holds. Both
+# take an optional `out` to write into.
 _ACT = {
-    Activation.SIGMOID: (sigmoid, lambda z: z * (1.0 - z)),
-    Activation.LINEAR: (lambda a: np.asarray(a, dtype=np.float64),
-                        lambda z: np.ones_like(np.asarray(z, dtype=np.float64))),
+    Activation.SIGMOID: (sigmoid, _sigmoid_slope),
+    Activation.LINEAR: (lambda a, out=None: np.positive(a, out=out),
+                        lambda z, out=None: np.positive(np.ones_like(z), out=out)),
 }
 
 
@@ -180,30 +203,68 @@ class StaleCacheError(RuntimeError):
 
 @dataclass
 class ForwardCache:
-    """Per-layer pre-activations `a` and outputs `z` for one input batch.
+    """Per-layer outputs `z` for one input batch, with the buffers that
+    forward and backward passes over those rows reuse.
 
-    z[0] is the input batch; a[l] and z[l] (1-based) are the pre-activation
-    and output of layer l. `versions` records the weight-block versions the
-    entries were computed from.
+    z[0] is the input batch and z[l] (1-based) the output of layer l.
+    scratch[l] holds hidden layer l's pre-activation while a forward pass
+    runs and its activation derivative while backprop runs, so neither is
+    kept, and hidden layers of equal width share one scratch array; deltas[l]
+    receives the backpropagated error at layer l. `versions` records the
+    weight-block versions z was computed from.
+
+    Passes write into these buffers in place: a cache handed to `forward`,
+    `forward_partial` or `objective.backprop_deltas` is overwritten, and
+    `outputs` and the returned deltas are views of it, not copies. Copy what
+    must outlive the next pass. Reusing one cache keeps a run from
+    allocating fresh rows x width arrays on every evaluation.
     """
 
-    a: list = field(default_factory=list)   # a[0] unused placeholder
     z: list = field(default_factory=list)
+    scratch: list = field(default_factory=list)   # None at 0 and at L
+    deltas: list = field(default_factory=list)    # None at 0
     versions: tuple = ()
+
+    @classmethod
+    def for_rows(cls, arch: Architecture, rows: int) -> "ForwardCache":
+        """Unfilled buffers for a batch of `rows` samples through `arch`."""
+        widths = arch.layer_widths
+        scratch = {n: np.empty((rows, n)) for n in widths[:-1]}
+        return cls(z=[None] + [np.empty((rows, n)) for n in widths],
+                   scratch=[None] + [scratch[n] for n in widths[:-1]] + [None],
+                   deltas=[None] + [np.empty((rows, n)) for n in widths])
+
+    def sibling(self) -> "ForwardCache":
+        """A cache with its own outputs z[1..L] that shares this one's input,
+        scratch and delta buffers: a pass through either may overwrite the
+        other's scratch and deltas, but never its outputs."""
+        return ForwardCache(z=self.z[:1] + [np.empty_like(b) for b in self.z[1:]],
+                            scratch=self.scratch, deltas=self.deltas)
 
     @property
     def outputs(self) -> np.ndarray:
         return self.z[-1]
 
 
-def forward(weights: NetworkWeights, inputs: np.ndarray):
-    """Full forward pass; returns (outputs, cache)."""
+def forward(weights: NetworkWeights, inputs: np.ndarray, cache: ForwardCache = None):
+    """Full forward pass; returns (outputs, cache).
+
+    Without a cache, one is allocated for the rows of `inputs`. A cache that
+    is given must come from `ForwardCache.for_rows` (or an earlier `forward`)
+    for as many rows and the same architecture; it is overwritten in place
+    and returned, and the outputs are its z[L]."""
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.shape[1] != weights.arch.input_dim:
+    arch = weights.arch
+    if inputs.shape[1] != arch.input_dim:
         raise ShapeMismatchError("forward inputs", inputs.shape,
-                                 (inputs.shape[0], weights.arch.input_dim))
-    cache = ForwardCache(a=[None] * (weights.num_layers + 1),
-                         z=[None] * (weights.num_layers + 1))
+                                 (inputs.shape[0], arch.input_dim))
+    if cache is None:
+        cache = ForwardCache.for_rows(arch, inputs.shape[0])
+    else:
+        got = [b.shape for b in cache.z[1:]]
+        want = [(inputs.shape[0], n) for n in arch.layer_widths]
+        if got != want:
+            raise ShapeMismatchError("forward cache", got, want)
     cache.z[0] = inputs
     _propagate(weights, inputs, 1, cache)
     cache.versions = weights.versions()
@@ -211,7 +272,7 @@ def forward(weights: NetworkWeights, inputs: np.ndarray):
 
 
 def forward_partial(weights: NetworkWeights, cache: ForwardCache, from_layer: int):
-    """Recompute a/z only for layers >= from_layer, reusing the cached prefix.
+    """Recompute z only for layers >= from_layer, reusing the cached prefix.
 
     Layers below from_layer must still match the weight versions the cache
     was built from; otherwise the cached prefix is silently wrong and a
@@ -230,26 +291,25 @@ def forward_partial(weights: NetworkWeights, cache: ForwardCache, from_layer: in
     return cache.outputs, cache
 
 
-def _propagate(weights: NetworkWeights, z, start: int, cache: ForwardCache = None,
+def _propagate(weights: NetworkWeights, z, start: int, cache: ForwardCache,
                override: np.ndarray = None):
     """The layer loop: carry z, the output of layer start-1, through layers
-    start..L and return the network outputs. Block `start` is read from
-    `override` when one is given. With a cache, every visited layer's a and z
-    are stored into it; without one, nothing per layer is kept."""
+    start..L, writing each layer's output into cache.z, and return the
+    network outputs. Block `start` is read from `override` when one is given.
+    Hidden pre-activations pass through cache.scratch and are not kept."""
     L = weights.num_layers
     g, _ = _ACT[weights.arch.activation]
     for l in range(start, L + 1):
-        a = z @ (override if l == start and override is not None
-                 else weights.block(l))
-        if cache is not None:
-            cache.a[l] = a
-        z = a if l == L else g(a)
-        if cache is not None:
-            cache.z[l] = z
+        W = override if l == start and override is not None else weights.block(l)
+        if l == L:
+            z = np.matmul(z, W, out=cache.z[L])
+        else:
+            z = g(np.matmul(z, W, out=cache.scratch[l]), out=cache.z[l])
     return z
 
 
 def hidden_activation_prime(arch: Architecture):
     """Derivative of the hidden activation, as a callable on the layer output
-    z = g(a): z * (1 - z) for the sigmoid, ones for the linear activation."""
+    z = g(a) with an optional `out`: (1 - z) * z for the sigmoid, ones for the
+    linear activation."""
     return _ACT[arch.activation][1]

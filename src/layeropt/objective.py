@@ -83,15 +83,18 @@ def backprop_deltas(weights: NetworkWeights, cache: ForwardCache, Y, down_to: in
     Returns {l: delta_l} for l in down_to..L only; layers below down_to are
     never touched, which is what makes per-block gradients cheaper than the
     full gradient. Reads the cached outputs z[down_to..L] only: the activation
-    derivative is taken from z, so the pre-activations are not needed.
+    derivative is taken from z, so the pre-activations are not needed. The
+    deltas are written into cache.deltas (the derivative passes through
+    cache.scratch), so they hold only until the next backprop on the cache.
     """
     L = weights.num_layers
-    gprime = hidden_activation_prime(weights.arch)
-    deltas = {}
-    delta = cache.z[L] - Y  # linear output layer: g'(a_L) = 1
-    deltas[L] = delta
+    slope = hidden_activation_prime(weights.arch)
+    # linear output layer: g'(a_L) = 1
+    deltas = {L: np.subtract(cache.z[L], Y, out=cache.deltas[L])}
     for l in range(L - 1, down_to - 1, -1):
-        delta = (delta @ weights.block(l + 1).T) * gprime(cache.z[l])
+        delta = np.matmul(deltas[l + 1], weights.block(l + 1).T,
+                          out=cache.deltas[l])
+        delta *= slope(cache.z[l], out=cache.scratch[l])
         deltas[l] = delta
     return deltas
 
@@ -125,10 +128,12 @@ def full_gradient(weights: NetworkWeights, X, Y, cfg: ObjectiveConfig):
     return _all_blocks(weights, cache, Y, cfg, cfg.rho)
 
 
-def value_and_gradient(weights: NetworkWeights, X, Y, cfg: ObjectiveConfig):
+def value_and_gradient(weights: NetworkWeights, X, Y, cfg: ObjectiveConfig,
+                       cache: ForwardCache = None):
     """(objective, per-block gradients as in `full_gradient`) from one
-    forward pass."""
-    _, cache = forward(weights, X)
+    forward pass. A cache for the rows of X, when given, is reused in place
+    (see `forward`)."""
+    _, cache = forward(weights, X, cache)
     return (_loss(cache.outputs, Y, cfg, weights_squared_norm(weights), cfg.rho),
             _all_blocks(weights, cache, Y, cfg, cfg.rho))
 

@@ -66,10 +66,11 @@ class LbfgsResult:
 
 def lbfgs_minimize(fun_grad, x0: np.ndarray, params: LbfgsParams,
                    deadline: float = None, check_cadence: int = 30,
-                   f_tol: float = None) -> LbfgsResult:
+                   f_tol: float = None, start_fg=None) -> LbfgsResult:
     """Two-loop-recursion L-BFGS with Armijo backtracking on flat vectors.
 
-    fun_grad(x) -> (f, g), called once at x0 and once per Armijo trial; the
+    fun_grad(x) -> (f, g), called once at x0, unless the caller already holds
+    that pair and passes it as `start_fg`, and once per Armijo trial; the
     accepted step is the last trial, whose gradient serves the next
     iteration. Stops at ||g|| <= grad_tol or after max_iters accepted steps;
     every accepted step satisfies the Armijo condition, so the reported
@@ -78,7 +79,7 @@ def lbfgs_minimize(fun_grad, x0: np.ndarray, params: LbfgsParams,
     wall-clock deadline, if given, is checked every `check_cadence` iterations.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
-    f, g = fun_grad(x)
+    f, g = fun_grad(x) if start_fg is None else start_fg
     history = [f]
     s_list, y_list, rho_list = [], [], []
     it = 0
@@ -156,17 +157,22 @@ def _two_loop(g, s_list, y_list, rho_list):
 
 
 def lbfgs_minimize_block(block_fun_grad, start: np.ndarray, params: LbfgsParams,
-                         deadline: float = None, check_cadence: int = 30) -> LbfgsResult:
+                         deadline: float = None, check_cadence: int = 30,
+                         start_fg=None) -> LbfgsResult:
     """L-BFGS over one weight block; handles evaluate f and its block gradient
-    with all other blocks frozen. Result x keeps the block's matrix shape."""
+    with all other blocks frozen. `start_fg`, when given, is (f, block
+    gradient) at `start`. Result x keeps the block's matrix shape."""
     shape = start.shape
+    if start_fg is not None:
+        start_fg = (start_fg[0], start_fg[1].ravel())
 
     def fg(vec):
         f, g = block_fun_grad(vec.reshape(shape))
         return f, g.ravel()
 
     res = lbfgs_minimize(fg, np.asarray(start, dtype=np.float64).ravel(), params,
-                         deadline=deadline, check_cadence=check_cadence)
+                         deadline=deadline, check_cadence=check_cadence,
+                         start_fg=start_fg)
     res.x = res.x.reshape(shape)
     return res
 

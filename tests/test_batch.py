@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import layeropt.batch as batch
 import layeropt.objective as objective
+import layeropt.solvers as solvers
 from conftest import count_callback_calls, counted
 from layeropt.batch import (AcceptanceParams, BlockSelectionRule,
                             StoppingCriteria, _block_eval, accept_trial,
@@ -187,12 +189,29 @@ class TestEvaluationCounts:
         block_eval = batch._block_eval
 
         def counting_block_eval(*args):
-            value, value_and_grad = block_eval(*args)
-            return counted(value, tally, "value"), value_and_grad
+            value, value_and_grad, start = block_eval(*args)
+            return counted(value, tally, "value"), value_and_grad, start
         monkeypatch.setattr(batch, "_block_eval", counting_block_eval)
         r = run_b2ld(w, X, Y, cfg, max_cycles=4, grad_tol=0.0, f_tol=-np.inf)
         assert sum(r.layer_update_counts) > 0
         assert tally["value"] == tally["phi"] > 0
+
+    def test_b2ld_inner_solve_evaluates_only_its_armijo_trials(self,
+                                                              monkeypatch):
+        """Each inner solve starts from the (f, block gradient) B2LD already
+        holds: its objective-and-gradient closure runs once per Armijo trial
+        of the solve and never at the start point."""
+        w, X, Y, cfg = make_problem([6, 4, 3, 1], 4, 40, seed=2)
+        tally = Counter()
+        count_callback_calls(monkeypatch, batch, "lbfgs_minimize_block", tally,
+                             "fun_grad")
+        # the inner solves' line searches; B2LD's own Armijo reference step
+        # calls batch.armijo_linesearch, which this leaves alone
+        count_callback_calls(monkeypatch, solvers, "armijo_linesearch", tally,
+                             "trials")
+        r = run_b2ld(w, X, Y, cfg, max_cycles=4, grad_tol=0.0, f_tol=-np.inf)
+        assert r.inner_iterations > 0
+        assert tally["fun_grad"] == tally["trials"] > 0
 
     def test_lbfgs_runs_one_forward_pass_per_evaluation(self, monkeypatch):
         w, X, Y, cfg = make_problem([6, 4, 1], 4, 40, seed=10)
@@ -204,6 +223,55 @@ class TestEvaluationCounts:
         r = lbfgs_baseline_run(w, X, Y, cfg, LbfgsParams(), stop)
         assert r.inner_iterations > 0
         assert tally["forward"] == tally["fun_grad"] > r.inner_iterations
+
+
+def warm_peak_bytes(fn):
+    """Peak bytes allocated (numpy buffers included) by a second call of fn."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestEvaluationBuffers:
+    """An objective evaluation on the batch path reuses its run's buffers:
+    at peak it allocates less than one rows x width layer array."""
+
+    def problem(self):
+        w, X, Y, cfg = make_problem([40, 40, 40, 1], 6, 500, seed=3)
+        return w, X, Y, cfg, X.shape[0] * 40 * 8
+
+    def test_lbfgs_evaluation(self, monkeypatch):
+        w, X, Y, cfg, layer_bytes = self.problem()
+        seen = []
+        real = batch.lbfgs_minimize
+
+        def capture(fun_grad, x0, *args, **kwargs):
+            seen.append((fun_grad, x0))
+            return real(fun_grad, x0, *args, **kwargs)
+        monkeypatch.setattr(batch, "lbfgs_minimize", capture)
+        lbfgs_baseline_run(w, X, Y, cfg, LbfgsParams(), StoppingCriteria(
+            time_limit_seconds=None, max_inner_iters=1))
+        fg, x0 = seen[0]
+        assert warm_peak_bytes(lambda: fg(x0)) < layer_bytes
+
+    def test_b2ld_block_trial(self, monkeypatch):
+        w, X, Y, cfg, layer_bytes = self.problem()
+        seen = []
+        real = batch._block_eval
+
+        def capture(*args):
+            seen.append(real(*args))
+            return seen[-1]
+        monkeypatch.setattr(batch, "_block_eval", capture)
+        run_b2ld(w, X, Y, cfg, max_cycles=1)
+        for value, value_and_grad, (_, g) in seen[:2]:  # blocks 4 and 3
+            W = -0.5 * g
+            assert warm_peak_bytes(lambda: value(W)) < layer_bytes
+            assert warm_peak_bytes(lambda: value_and_grad(W)) < layer_bytes
 
 
 class TestLbfgsBaseline:
@@ -255,13 +323,20 @@ def test_block_eval_matches_objective_after_set_block(case):
     """B2LD's block closures agree with the full objective and block_gradient
     at the point reached by set_block(l, W). The gradient and, without a
     regularizer, the value are bitwise equal; with one, the closures update
-    ||w||^2 by difference, so the value agrees to rounding of that sum."""
+    ||w||^2 by difference, so the value agrees to rounding of that sum. The
+    start pair equals the closure at the current block bit for bit, and the
+    closures leave the main cache's outputs as they were."""
     w, X, Y, cfg, l, W = case
     _, cache = forward(w, X)
+    outputs = [z.copy() for z in cache.z]
     base_sq = weights_squared_norm(w)
-    value, value_and_grad = _block_eval(w, cache, Y, cfg, l, base_sq)
+    value, value_and_grad, (f_start, g_start) = _block_eval(
+        w, cache, cache.sibling(), Y, cfg, l, base_sq)
+    f_here, g_here = value_and_grad(w.block(l).copy())
+    assert f_start == f_here and np.array_equal(g_start, g_here)
     f_value = value(W)
     f_pair, grad = value_and_grad(W)
+    assert all(np.array_equal(a, b) for a, b in zip(cache.z, outputs))
 
     w.set_block(l, W)
     f_ref, _ = objective_value(w, X, Y, cfg)

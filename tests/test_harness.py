@@ -1,7 +1,11 @@
 import json
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import layeropt.harness as harness
 from layeropt.batch import StoppingCriteria
@@ -239,6 +243,45 @@ class TestReportCells:
         got = back.rows[0]
         assert (got.architecture, got.seed, got.init_digest) == ("[1x4]", 3, "abc")
         assert got.error == "ValueError: line one line two  line three"
+
+
+def tally_row(algorithm, seed, value, failed):
+    nan = float("nan")
+    return RunRow(dataset="toy", architecture="[1x4]", algorithm=algorithm,
+                  seed=seed, final_objective=nan if failed else value,
+                  grad_norm=nan, test_mse=nan, elapsed_seconds=0.0,
+                  stop_reason="error" if failed else "max_cycles",
+                  layer_update_counts=[], init_digest="abc",
+                  error="RuntimeError: boom" if failed else "")
+
+
+# per seed: (B2LD value, LBFGS value, B2LD failed, LBFGS failed)
+SEED_CASES = st.lists(st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+                                st.booleans(), st.booleans()),
+                      min_size=1, max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEED_CASES)
+# B2LD fails on seed 1 and LBFGS on seed 2: pairing the surviving rows by
+# position would compare B2LD's seed 2 with LBFGS's seed 1
+@example([(1.0, 2.0, False, False), (1.0, 1.0, True, False),
+          (1.0, 1.0, False, True), (2.0, 1.0, False, False)])
+def test_tally_pairs_rows_by_seed_and_counts_dropped_seeds(cases):
+    rows = [tally_row(algo, seed, value, failed)
+            for seed, (va, vb, fa, fb) in enumerate(cases)
+            for algo, value, failed in (("B2LD", va, fa), ("LBFGS", vb, fb))]
+    shared = [(va, vb) for va, vb, fa, fb in cases if not fa and not fb]
+    want = tally_wins([p[0] for p in shared], [p[1] for p in shared])
+    with tempfile.TemporaryDirectory() as out:
+        _, summary = emit_report(ExperimentReport(rows=rows), out)
+        with open(summary) as fh:
+            text = fh.read()
+    line = re.search(r"toy \[1x4\] B2LD vs LBFGS: (.*)", text).group(1)
+    dropped = len(cases) - len(shared)
+    note = f" ({dropped} of {len(cases)} seeds dropped: error rows)" \
+        if dropped else ""
+    assert line == f"[{want[0]}; {want[1]}; {want[2]}]{note}"
 
 
 class TestRunSingle:

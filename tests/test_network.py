@@ -4,9 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from layeropt.linalg import SeededRng
-from layeropt.network import (Activation, Architecture, NetworkWeights,
-                              StaleCacheError, forward, forward_partial,
+from layeropt.linalg import SeededRng, ShapeMismatchError
+from layeropt.network import (Activation, Architecture, ForwardCache,
+                              NetworkWeights, StaleCacheError, forward,
+                              forward_partial,
                               hidden_activation_prime, init_weights,
                               parse_architecture, sigmoid, sigmoid_prime)
 
@@ -98,12 +99,24 @@ def bits(x):
 def test_sigmoid_bitwise_equals_gather_scatter_form(a):
     """`sigmoid` equals the gather/scatter form bit for bit, NaN signs
     included, and returns a float exactly where the reference does. The
-    derivative taken from the output equals `sigmoid_prime` bit for bit."""
+    derivative taken from the output equals `sigmoid_prime` bit for bit.
+    Both also hold when they write into `out`, the forward pass's in-place
+    form, which returns `out` and leaves the input untouched without it."""
+    a_before = np.array(a, dtype=np.float64)
     got, ref = sigmoid(a), gather_scatter_sigmoid(a)
     assert type(got) is type(ref)
     assert np.array_equal(bits(got), bits(ref))
+    assert np.array_equal(bits(a), bits(a_before))
     gprime = hidden_activation_prime(Architecture(1, (1,), Activation.SIGMOID))
     assert np.array_equal(bits(gprime(got)), bits(sigmoid_prime(a)))
+
+    scratch = a_before.copy()
+    out = np.empty_like(scratch)
+    assert sigmoid(scratch, out=out) is out
+    assert np.array_equal(bits(out), bits(ref))
+    slope = np.empty_like(out)
+    assert gprime(out, out=slope) is slope
+    assert np.array_equal(bits(slope), bits(sigmoid_prime(a)))
 
 
 class TestInitWeights:
@@ -160,6 +173,27 @@ class TestForward:
         with pytest.raises(Exception):
             forward(w, np.ones((2, 4)))
 
+    def test_given_cache_keeps_its_buffers_and_equals_a_fresh_pass(self):
+        arch, w, X = random_net([7, 5, 6, 2], seed=13, input_dim=3, P=9)
+        cache = ForwardCache.for_rows(arch, X.shape[0])
+        buffers = [list(cache.z[1:]), list(cache.scratch), list(cache.deltas)]
+        for _ in range(2):
+            w.set_block(2, 1.5 * w.block(2))
+            out, got = forward(w, X, cache)
+            _, fresh = forward(w, X)
+            assert got is cache and out is cache.z[-1]
+            assert all(a is b for a, b in zip(cache.z[1:], buffers[0]))
+            assert all(a is b for a, b in zip(cache.scratch, buffers[1]))
+            assert all(a is b for a, b in zip(cache.deltas, buffers[2]))
+            assert cache.versions == w.versions()
+            for j in range(arch.num_layers + 1):
+                assert np.array_equal(bits(cache.z[j]), bits(fresh.z[j]))
+
+    def test_cache_for_other_rows_is_rejected(self):
+        arch, w, X = random_net([4, 1], seed=1, input_dim=3, P=5)
+        with pytest.raises(ShapeMismatchError, match="forward cache"):
+            forward(w, X, ForwardCache.for_rows(arch, 6))
+
 
 class TestForwardPartial:
     @pytest.mark.parametrize("widths,input_dim", [
@@ -175,7 +209,6 @@ class TestForwardPartial:
             out_full, full_cache = forward(w, X)
             assert np.array_equal(out_partial, out_full)
             for j in range(l, arch.num_layers + 1):
-                assert np.array_equal(cache.a[j], full_cache.a[j])
                 assert np.array_equal(cache.z[j], full_cache.z[j])
 
     def test_from_layer_one_is_full_recompute(self):
@@ -229,5 +262,4 @@ def test_forward_partial_matches_forward_after_block_edits(case):
     full, full_cache = forward(w, X)
     assert np.array_equal(out, full)
     for j in range(1, arch.num_layers + 1):
-        assert np.array_equal(cache.a[j], full_cache.a[j])
         assert np.array_equal(cache.z[j], full_cache.z[j])

@@ -1,0 +1,74 @@
+"""Warm-run wall time and minor page faults of B2LD, LBFGS, BLInG and IG.
+
+    python3 tools/faults.py
+
+Like ``outcomes.py``, it imports layeropt from the ``src/`` beside this
+file's directory, so it measures the tree it sits in. Each method runs on the
+criterion-10 instance with ``outcomes.py``'s budgets (40 inner iterations for
+B2LD and LBFGS, 10 epochs of batch 128 for BLInG and IG), at init seed 0, in
+a fresh process: one warm-up run, then one measured run. For that run it
+prints the wall time and ``ru_minflt`` from ``getrusage``, the minor page
+faults: pages the process touched afresh, for example after the allocator
+handed freed memory back to the kernel. They show memory churn that the
+wall time alone hides. BLAS is pinned to one thread.
+"""
+
+import argparse
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+# outcomes pins BLAS before numpy is first imported and puts src/ on the path
+from outcomes import DEEP  # noqa: E402
+
+from layeropt.harness import (ALGORITHMS, prepare_dataset,  # noqa: E402
+                              resolve_architecture, run_single)
+from layeropt.linalg import SeededRng  # noqa: E402
+from layeropt.network import init_weights  # noqa: E402
+
+SEED = 0
+
+
+def measure(method):
+    """(seconds, minor faults) of the second of two identical runs."""
+    train, test = prepare_dataset(DEEP["dataset"])
+    arch = resolve_architecture(DEEP["architectures"][0], train.num_features,
+                                train.num_targets)
+    weights0 = init_weights(arch, SeededRng(SEED))
+
+    def run():
+        run_single(method, weights0, train, test, DEEP["stopping"],
+                   batch_size=DEEP["batch_size"], seed=SEED)
+
+    run()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = time.perf_counter()
+    run()
+    seconds = time.perf_counter() - start
+    return seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--method", choices=ALGORITHMS,
+                        help="measure this method in this process and print "
+                             "one tab-separated line")
+    args = parser.parse_args(argv)
+    if args.method:
+        seconds, faults = measure(args.method)
+        print(f"{args.method}\t{seconds:.3f}\t{faults}")
+        return
+    print(f"{'method':<8}{'warm_run_s':>12}{'minor_faults':>14}")
+    for method in ALGORITHMS:
+        line = subprocess.run([sys.executable, __file__, "--method", method],
+                              capture_output=True, text=True, check=True).stdout
+        name, seconds, faults = line.split()
+        print(f"{name:<8}{seconds:>12}{faults:>14}")
+
+
+if __name__ == "__main__":
+    main()
