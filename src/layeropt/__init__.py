@@ -13,8 +13,7 @@ from .network import (Architecture, NetworkWeights, ForwardCache, Activation,
                       forward, forward_partial, init_weights,
                       parse_architecture, sigmoid, sigmoid_prime)
 from .objective import (ObjectiveConfig, block_gradient, default_rho,
-                        full_gradient, gradient_norm,
-                        minibatch_value_and_block_gradient, objective_value)
+                        full_gradient, gradient_norm, objective_value)
 from .solvers import (ArmijoParams, LbfgsParams, armijo_linesearch,
                       lbfgs_minimize, lbfgs_minimize_block, llsq_last_layer)
 from .batch import (AcceptanceParams, BlockSelectionRule, OptimizerRun,

@@ -25,7 +25,7 @@ from .network import (ForwardCache, NetworkWeights, _propagate, forward,
                       forward_partial, sigmoid)  # noqa: F401
 from .objective import (ObjectiveConfig, _all_blocks, _block_grad, _loss,
                         backprop_deltas, block_gradient, gradient_norm,
-                        value_and_gradient, weights_squared_norm)
+                        weights_squared_norm)
 from .solvers import (ArmijoParams, LbfgsParams, LinesearchError,
                       armijo_linesearch, lbfgs_minimize, lbfgs_minimize_block)
 
@@ -105,31 +105,48 @@ class OptimizerRun:
 
 
 def _block_eval(weights, cache, trial, Y, cfg, l, base_sq):
-    """Closures evaluating f and (f, grad) as functions of block l alone,
-    propagating only layers >= l from the cached prefix into the `trial`
-    cache, a `cache.sibling()`; `cache`'s outputs are never written. Also
-    returns (f, grad) at the current block, the inner solve's start point,
-    from `cache` with the closures' own formulas, so that it equals
-    value_and_grad(weights.block(l)) bit for bit."""
+    """Closures on block l alone, the other blocks frozen: (value, evaluate,
+    start, commit). value(Wl) is f with block l set to Wl, propagated from
+    the cached prefix into the `trial` cache, a `cache.sibling()`, never into
+    `cache`. evaluate(Wl) follows `lbfgs_minimize`'s trial contract. start is
+    (f, block gradient) at the current block, from `cache` with the closures'
+    own formulas, so that it equals evaluate's pair there bit for bit.
+    commit(Wl) sets block l to Wl and brings `cache` up to date: when Wl is,
+    bit for bit, the block the latest trial propagated, `cache` takes over
+    the trial cache's outputs of layers >= l by swapping buffers; any other
+    block is propagated."""
     z_prev = cache.z[l - 1]
     w_l = weights.block(l)
     old_sq = float(np.dot(w_l.ravel(), w_l.ravel()))
+    last = []  # a copy of the block the latest trial propagated
 
     def sq_norm(Wl):
         return base_sq - old_sq + float(np.dot(Wl.ravel(), Wl.ravel()))
 
     def value(Wl):
         outputs = _propagate(weights, z_prev, l, trial, override=Wl)
+        last[:] = [Wl.copy()]
         return _loss(outputs, Y, cfg, sq_norm(Wl), cfg.rho)
 
-    def value_and_grad(Wl):
-        f = value(Wl)
-        delta = backprop_deltas(weights, trial, Y, l)[l]
-        return f, _block_grad(z_prev, delta, Wl, cfg, cfg.rho)
+    def evaluate(Wl):
+        def grad():
+            delta = backprop_deltas(weights, trial, Y, l)[l]
+            return _block_grad(z_prev, delta, Wl, cfg, cfg.rho)
+        return value(Wl), grad
+
+    def commit(Wl):
+        weights.set_block(l, Wl)
+        # bytes, not ==: -0.0 == 0.0 and NaN != NaN
+        if last and last[0].tobytes() == weights.block(l).tobytes():
+            cache.z[l:], trial.z[l:] = trial.z[l:], cache.z[l:]
+            cache.versions = weights.versions()
+            last.clear()
+        else:
+            forward_partial(weights, cache, l)
 
     start = (_loss(cache.outputs, Y, cfg, sq_norm(w_l), cfg.rho),
              block_gradient(weights, Y, cfg, l, cache))
-    return value, value_and_grad, start
+    return value, evaluate, start, commit
 
 
 def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
@@ -156,6 +173,9 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
 
     while reason is None:
         gnorm = gradient_norm(_all_blocks(weights, cache, Y, cfg, cfg.rho))
+        if not (math.isfinite(f_cur) and math.isfinite(gnorm)):
+            reason = "non_finite"
+            break
         if gnorm <= stop.grad_norm_tol:
             reason = "grad_norm"
             break
@@ -168,10 +188,13 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
 
         any_update = False
         for l in rule.cycle(L, cycle):
-            value, value_and_grad, (f_l, g_l) = _block_eval(
+            value, evaluate, (f_l, g_l), commit = _block_eval(
                 weights, cache, trial_cache, Y, cfg, l,
                 weights_squared_norm(weights))
             bnorm = frobenius_norm(g_l)
+            if not math.isfinite(bnorm):
+                reason = "non_finite"
+                break
             # Skip blocks whose gradient or last relative decrease is already
             # below tolerance; skipped blocks still advance the cycle but are
             # not counted as updates.
@@ -195,7 +218,7 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
             w_armijo, f_armijo = trial  # the search stops on the accepted trial
 
             res = lbfgs_minimize_block(
-                value_and_grad, w_l,
+                evaluate, w_l,
                 replace(lbfgs, grad_tol=eps), deadline=deadline,
                 check_cadence=stop.check_cadence, start_fg=(f_l, g_l))
             inner_total += max(res.iterations, 1)
@@ -206,8 +229,7 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
             else:
                 chosen, f_new = w_armijo, f_armijo
 
-            weights.set_block(l, chosen)
-            forward_partial(weights, cache, l)
+            commit(chosen)
             last_rel_dec[l - 1] = (f_cur - f_new) / max(f_cur, 1.0)
             f_cur = f_new
             traj.append(f_cur)
@@ -245,15 +267,17 @@ def lbfgs_baseline_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
         else start + stop.time_limit_seconds
     cache = ForwardCache.for_rows(weights.arch, X.shape[0])
 
-    def fg(vec):
+    def trial(vec):
         weights.set_from_flat(vec)
-        f, grads = value_and_gradient(weights, X, Y, cfg, cache)
-        return f, np.concatenate([g.ravel() for g in grads])
+        forward(weights, X, cache)
+        f = _loss(cache.outputs, Y, cfg, weights_squared_norm(weights), cfg.rho)
+        return f, lambda: np.concatenate(
+            [g.ravel() for g in _all_blocks(weights, cache, Y, cfg, cfg.rho)])
 
     max_iters = stop.max_inner_iters if stop.max_inner_iters is not None \
         else lbfgs.max_iters
     params = replace(lbfgs, grad_tol=stop.grad_norm_tol, max_iters=max_iters)
-    res = lbfgs_minimize(fg, weights0.flatten(), params, deadline=deadline,
+    res = lbfgs_minimize(trial, weights0.flatten(), params, deadline=deadline,
                          check_cadence=stop.check_cadence, f_tol=stop.f_tol)
     weights.set_from_flat(res.x)
     reason = {"grad_tol": "grad_norm", "max_iters": "iteration_budget"}.get(

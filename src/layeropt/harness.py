@@ -237,6 +237,17 @@ def run_single(algorithm: str, weights0, train: Dataset, test: Dataset,
     return run, tmse
 
 
+def _error_row(task, exc, digest=""):
+    """The report row of a task that raised `exc`."""
+    ds_name, arch_text, algorithm, seed = task[:4]
+    return RunRow(dataset=ds_name, architecture=arch_text, algorithm=algorithm,
+                  seed=seed, final_objective=float("nan"),
+                  grad_norm=float("nan"), test_mse=float("nan"),
+                  elapsed_seconds=0.0, stop_reason="error",
+                  layer_update_counts=[], init_digest=digest,
+                  error=f"{type(exc).__name__}: {exc}")
+
+
 def _execute_task(task):
     (ds_name, arch_text, algorithm, seed, train, test, stop, rho, batch_size) = task
     digest = ""
@@ -256,18 +267,24 @@ def _execute_task(task):
                       layer_update_counts=list(run.layer_update_counts),
                       init_digest=digest)
     except Exception as exc:  # failures become rows, the experiment continues
-        return RunRow(dataset=ds_name, architecture=arch_text,
-                      algorithm=algorithm, seed=seed,
-                      final_objective=float("nan"), grad_norm=float("nan"),
-                      test_mse=float("nan"), elapsed_seconds=0.0,
-                      stop_reason="error", layer_update_counts=[],
-                      init_digest=digest, error=f"{type(exc).__name__}: {exc}")
+        return _error_row(task, exc, digest)
+
+
+def _pool_row(future, task):
+    """The row a pool future resolved to, or an error row naming what it
+    raised instead: a worker that dies fails its own future and every one
+    still pending with BrokenProcessPool."""
+    try:
+        return future.result()
+    except Exception as exc:
+        return _error_row(task, exc)
 
 
 def run_experiment(config: ExperimentConfig, workers: int = None) -> ExperimentReport:
     """Cross product of datasets x architectures x algorithms x seeds, one row
     each; runs execute on a bounded worker pool (seed determinism does not
-    depend on scheduling)."""
+    depend on scheduling). A task that fails, or whose worker dies, becomes
+    an error row; the rows of the other tasks are kept."""
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV, os.cpu_count() or 1))
     tasks = []
@@ -281,7 +298,8 @@ def run_experiment(config: ExperimentConfig, workers: int = None) -> ExperimentR
                                   config.batch_size))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_execute_task, tasks))
+            futures = [pool.submit(_execute_task, t) for t in tasks]
+            rows = [_pool_row(f, t) for f, t in zip(futures, tasks)]
     else:
         rows = [_execute_task(t) for t in tasks]
     return ExperimentReport(rows=rows)
@@ -307,14 +325,14 @@ def emit_report(report: ExperimentReport, out_dir, threshold: float = 0.05):
     histograms). Tabs are used because architecture strings contain commas."""
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "report.tsv")
-    with open(csv_path, "w") as fh:
+    with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(CSV_COLUMNS) + "\n")
         for r in report.rows:
             d = asdict(r)
             fh.write("\t".join(_fmt(d[c]) for c in CSV_COLUMNS) + "\n")
 
     summary_path = os.path.join(out_dir, "summary.txt")
-    with open(summary_path, "w") as fh:
+    with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write("Best final objective over seeds\n")
         for ds, arch in report.keys():
             for algo in report.algorithms():
@@ -360,7 +378,7 @@ def emit_report(report: ExperimentReport, out_dir, threshold: float = 0.05):
 def load_report(csv_path) -> ExperimentReport:
     """Reload an emitted report; numeric fields round-trip bitwise."""
     rows = []
-    with open(csv_path) as fh:
+    with open(csv_path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if tuple(header) != CSV_COLUMNS:
             raise ValueError(f"unexpected report header {header}")

@@ -9,6 +9,7 @@ performs a single simultaneous update of all blocks per minibatch with the
 same stepsize schedule and normalization.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -104,27 +105,38 @@ def clamped_scale(direction_norm: float, clamp_lo: float, clamp_hi: float) -> fl
 
 def _bling_step(weights, cache, Yb, cfg, params, alpha):
     """One clamped normalized step per block, output-to-input, each block's
-    gradient taken after the blocks above it have moved."""
+    gradient taken after the blocks above it have moved. Returns False, and
+    moves no further block, at the first gradient norm that is not finite."""
     for l in range(weights.num_layers, 0, -1):
         d = minibatch_block_gradient(weights, cache, Yb, cfg, l)
-        div = clamped_scale(frobenius_norm(d), params.clamp_lo, params.clamp_hi)
+        norm = frobenius_norm(d)
+        if not math.isfinite(norm):
+            return False
+        div = clamped_scale(norm, params.clamp_lo, params.clamp_hi)
         weights.set_block(l, weights.block(l) - (alpha / div) * d)
         forward_partial(weights, cache, l)
+    return True
 
 
 def _ig_step(weights, cache, Yb, cfg, params, alpha):
-    """One simultaneous step of every block, clamped on the full direction."""
+    """One simultaneous step of every block, clamped on the full direction.
+    Returns False, moving nothing, when the direction's norm is not finite."""
     grads = minibatch_all_gradients(weights, cache, Yb, cfg)
-    div = clamped_scale(gradient_norm(grads), params.clamp_lo, params.clamp_hi)
+    norm = gradient_norm(grads)
+    if not math.isfinite(norm):
+        return False
+    div = clamped_scale(norm, params.clamp_lo, params.clamp_hi)
     for l, d in enumerate(grads, start=1):
         weights.set_block(l, weights.block(l) - (alpha / div) * d)
+    return True
 
 
 def _run_epochs(algorithm, step, weights0, X, Y, cfg, partition, rule, params,
                 stop, seed):
     """The epoch loop both minibatch methods share: visit the minibatches in
     the rule's order, take `step` on each from a fresh forward pass, then
-    shrink the stepsize. Each step moves every block once. The final objective
+    shrink the stepsize. Each step moves every block once, or reports a
+    non-finite gradient norm, which stops the run. The final objective
     and gradient norm come from one forward pass over all rows."""
     weights = weights0.copy()
     start = time.monotonic()
@@ -143,7 +155,9 @@ def _run_epochs(algorithm, step, weights0, X, Y, cfg, partition, rule, params,
             batch = partition.batches[h]
             Xb, Yb = X[batch], Y[batch]
             _, cache = forward(weights, Xb)
-            step(weights, cache, Yb, cfg, params, alpha)
+            if not step(weights, cache, Yb, cfg, params, alpha):
+                reason = "non_finite"
+                break
             alpha = stepsize_update(alpha, params.eps_dim)
             k += 1
             if deadline is not None and time.monotonic() > deadline:

@@ -49,6 +49,8 @@ def _squared_error(outputs, Y) -> float:
 def _share(cfg: ObjectiveConfig, rows: int) -> float:
     """Regularizer coefficient of the component over `rows` samples, |B| rho / P.
     The full objective uses rho itself, also when a minibatch holds every row."""
+    if rows < 1:
+        raise ValueError("a minibatch needs at least one row")
     return rows * cfg.rho / cfg.sample_count
 
 
@@ -153,24 +155,6 @@ def minibatch_block_gradient(weights: NetworkWeights, cache: ForwardCache, Yb,
                              cfg: ObjectiveConfig, l: int) -> np.ndarray:
     """Gradient of f_B w.r.t. block l, from a cache over the minibatch rows."""
     return _one_block(weights, cache, Yb, cfg, l, _share(cfg, Yb.shape[0]))
-
-
-def minibatch_value_and_block_gradient(weights: NetworkWeights, batch, X, Y,
-                                       cfg: ObjectiveConfig, l: int,
-                                       cache: ForwardCache = None):
-    """(f_B, grad of f_B w.r.t. block l) for the sample index set `batch`.
-
-    A cache over the batch rows may be supplied; otherwise one forward pass
-    over the batch is performed.
-    """
-    batch = np.asarray(batch, dtype=np.intp)
-    if batch.size == 0:
-        raise ValueError("minibatch index set must be nonempty")
-    Yb = Y[batch]
-    if cache is None:
-        _, cache = forward(weights, X[batch])
-    return (minibatch_value(weights, cache, Yb, cfg),
-            minibatch_block_gradient(weights, cache, Yb, cfg, l))
 
 
 def minibatch_all_gradients(weights: NetworkWeights, cache: ForwardCache, Yb,

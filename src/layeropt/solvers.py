@@ -64,22 +64,28 @@ class LbfgsResult:
     stop_reason: str = "grad_tol"
 
 
-def lbfgs_minimize(fun_grad, x0: np.ndarray, params: LbfgsParams,
+def lbfgs_minimize(trial, x0: np.ndarray, params: LbfgsParams,
                    deadline: float = None, check_cadence: int = 30,
                    f_tol: float = None, start_fg=None) -> LbfgsResult:
-    """Two-loop-recursion L-BFGS with Armijo backtracking on flat vectors.
+    """Two-loop-recursion L-BFGS with value-only Armijo trials on flat vectors.
 
-    fun_grad(x) -> (f, g), called once at x0, unless the caller already holds
-    that pair and passes it as `start_fg`, and once per Armijo trial; the
-    accepted step is the last trial, whose gradient serves the next
-    iteration. Stops at ||g|| <= grad_tol or after max_iters accepted steps;
-    every accepted step satisfies the Armijo condition, so the reported
+    trial(x) -> (f, grad): f at x, and a callable grad() that returns the
+    gradient at that x for as long as no other trial has run. trial runs at
+    x0, unless the caller passes the pair it holds there as `start_fg`, and
+    once per Armijo trial; grad runs only at x0 and at each accepted step,
+    the last trial of its search. Stops at ||g|| <= grad_tol, after
+    max_iters accepted steps, or ("non_finite") when f or ||g|| is NaN or
+    inf. Every accepted step satisfies the Armijo condition, so the
     objective sequence is non-increasing. Curvature pairs with
     s'y <= 1e-10 ||s|| ||y|| are skipped to avoid division breakdown. The
     wall-clock deadline, if given, is checked every `check_cadence` iterations.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
-    f, g = fun_grad(x) if start_fg is None else start_fg
+    if start_fg is None:
+        f, grad = trial(x)
+        g = grad()
+    else:
+        f, g = start_fg
     history = [f]
     s_list, y_list, rho_list = [], [], []
     it = 0
@@ -87,6 +93,9 @@ def lbfgs_minimize(fun_grad, x0: np.ndarray, params: LbfgsParams,
     reason = "max_iters"
     while it < params.max_iters:
         gnorm = math.sqrt(float(np.dot(g, g)))
+        if not (math.isfinite(f) and math.isfinite(gnorm)):
+            reason = "non_finite"
+            break
         if gnorm <= params.grad_tol:
             reason = "grad_tol"
             break
@@ -100,12 +109,12 @@ def lbfgs_minimize(fun_grad, x0: np.ndarray, params: LbfgsParams,
             d = -g
             slope = -gnorm * gnorm
 
-        trial = []  # (x + a*d, f, g) of the latest trial
+        last = []  # (x + a*d, f, grad) of the latest trial
 
         def phi(a):
             x_a = x + a * d
-            trial[:] = (x_a, *fun_grad(x_a))
-            return trial[1]
+            last[:] = (x_a, *trial(x_a))
+            return last[1]
 
         try:
             armijo_linesearch(phi, f, slope, params.armijo)
@@ -114,7 +123,8 @@ def lbfgs_minimize(fun_grad, x0: np.ndarray, params: LbfgsParams,
             reason = "linesearch_failure"
             break
 
-        x_new, f_new, g_new = trial  # the search stops on the accepted trial
+        x_new, f_new, grad = last  # the search stops on the accepted trial
+        g_new = grad()
         s = x_new - x
         y = g_new - g
         sy = float(np.dot(s, y))
@@ -156,22 +166,23 @@ def _two_loop(g, s_list, y_list, rho_list):
     return -q
 
 
-def lbfgs_minimize_block(block_fun_grad, start: np.ndarray, params: LbfgsParams,
+def lbfgs_minimize_block(block_trial, start: np.ndarray, params: LbfgsParams,
                          deadline: float = None, check_cadence: int = 30,
                          start_fg=None) -> LbfgsResult:
-    """L-BFGS over one weight block; handles evaluate f and its block gradient
-    with all other blocks frozen. `start_fg`, when given, is (f, block
-    gradient) at `start`. Result x keeps the block's matrix shape."""
+    """L-BFGS over one weight block. block_trial(W) -> (f, grad) follows
+    `lbfgs_minimize`'s trial contract with all other blocks frozen, and grad()
+    returns the block gradient in W's shape. `start_fg`, when given, is
+    (f, block gradient) at `start`. Result x keeps the block's matrix shape."""
     shape = start.shape
     if start_fg is not None:
         start_fg = (start_fg[0], start_fg[1].ravel())
 
-    def fg(vec):
-        f, g = block_fun_grad(vec.reshape(shape))
-        return f, g.ravel()
+    def trial(vec):
+        f, grad = block_trial(vec.reshape(shape))
+        return f, lambda: grad().ravel()
 
-    res = lbfgs_minimize(fg, np.asarray(start, dtype=np.float64).ravel(), params,
-                         deadline=deadline, check_cadence=check_cadence,
+    res = lbfgs_minimize(trial, np.asarray(start, dtype=np.float64).ravel(),
+                         params, deadline=deadline, check_cadence=check_cadence,
                          start_fg=start_fg)
     res.x = res.x.reshape(shape)
     return res

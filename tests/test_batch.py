@@ -18,7 +18,7 @@ from layeropt.network import Architecture, forward, init_weights
 from layeropt.objective import (ObjectiveConfig, block_gradient,
                                 full_gradient, gradient_norm, objective_value,
                                 weights_squared_norm)
-from layeropt.solvers import LbfgsParams, llsq_last_layer
+from layeropt.solvers import ArmijoParams, LbfgsParams, llsq_last_layer
 
 
 def make_problem(widths, input_dim, P, seed, rho=1e-3):
@@ -82,11 +82,11 @@ class TestAcceptance:
 
 
 def run_b2ld(w, X, Y, cfg, max_cycles=20, rule_kind="backward", seed=0,
-             grad_tol=1e-3, f_tol=1e-4):
+             grad_tol=1e-3, f_tol=1e-4, acceptance=AcceptanceParams()):
     rule = BlockSelectionRule(rule_kind, seed=seed)
     stop = StoppingCriteria(grad_norm_tol=grad_tol, f_tol=f_tol,
                             max_cycles=max_cycles, time_limit_seconds=None)
-    return b2ld_run(w, X, Y, cfg, rule, AcceptanceParams(),
+    return b2ld_run(w, X, Y, cfg, rule, acceptance,
                     LbfgsParams(grad_tol=0.1, max_iters=30), stop, seed=seed)
 
 
@@ -189,8 +189,8 @@ class TestEvaluationCounts:
         block_eval = batch._block_eval
 
         def counting_block_eval(*args):
-            value, value_and_grad, start = block_eval(*args)
-            return counted(value, tally, "value"), value_and_grad, start
+            value, evaluate, start, commit = block_eval(*args)
+            return counted(value, tally, "value"), evaluate, start, commit
         monkeypatch.setattr(batch, "_block_eval", counting_block_eval)
         r = run_b2ld(w, X, Y, cfg, max_cycles=4, grad_tol=0.0, f_tol=-np.inf)
         assert sum(r.layer_update_counts) > 0
@@ -199,30 +199,87 @@ class TestEvaluationCounts:
     def test_b2ld_inner_solve_evaluates_only_its_armijo_trials(self,
                                                               monkeypatch):
         """Each inner solve starts from the (f, block gradient) B2LD already
-        holds: its objective-and-gradient closure runs once per Armijo trial
-        of the solve and never at the start point."""
+        holds: its trial closure runs once per Armijo trial of the solve and
+        never at the start point."""
         w, X, Y, cfg = make_problem([6, 4, 3, 1], 4, 40, seed=2)
         tally = Counter()
         count_callback_calls(monkeypatch, batch, "lbfgs_minimize_block", tally,
-                             "fun_grad")
+                             "trial")
         # the inner solves' line searches; B2LD's own Armijo reference step
         # calls batch.armijo_linesearch, which this leaves alone
         count_callback_calls(monkeypatch, solvers, "armijo_linesearch", tally,
                              "trials")
         r = run_b2ld(w, X, Y, cfg, max_cycles=4, grad_tol=0.0, f_tol=-np.inf)
         assert r.inner_iterations > 0
-        assert tally["fun_grad"] == tally["trials"] > 0
+        assert tally["trial"] == tally["trials"] > 0
 
     def test_lbfgs_runs_one_forward_pass_per_evaluation(self, monkeypatch):
         w, X, Y, cfg = make_problem([6, 4, 1], 4, 40, seed=10)
         tally = Counter()
         count_forward_passes(monkeypatch, tally)
         count_callback_calls(monkeypatch, batch, "lbfgs_minimize", tally,
-                             "fun_grad")
+                             "trial")
         stop = StoppingCriteria(time_limit_seconds=None, max_inner_iters=20)
         r = lbfgs_baseline_run(w, X, Y, cfg, LbfgsParams(), stop)
         assert r.inner_iterations > 0
-        assert tally["forward"] == tally["fun_grad"] > r.inner_iterations
+        assert tally["forward"] == tally["trial"] > r.inner_iterations
+
+    def test_lbfgs_backpropagates_only_accepted_trials(self, monkeypatch):
+        """Armijo trials are value-only: backprop runs at the start point and
+        once per accepted step, while the trial closure runs at the start
+        point and once per Armijo trial."""
+        w, X, Y, cfg = make_problem([6, 4, 3, 1], 4, 40, seed=2)
+        tally = Counter()
+        monkeypatch.setattr(objective, "backprop_deltas", counted(
+            objective.backprop_deltas, tally, "backprop"))
+        count_callback_calls(monkeypatch, batch, "lbfgs_minimize", tally,
+                             "trial")
+        count_callback_calls(monkeypatch, solvers, "armijo_linesearch", tally,
+                             "armijo_trials")
+        stop = StoppingCriteria(grad_norm_tol=0.0, f_tol=-np.inf,
+                                time_limit_seconds=None, max_inner_iters=20)
+        r = lbfgs_baseline_run(w, X, Y, cfg, LbfgsParams(), stop)
+        assert r.stop_reason == "iteration_budget"
+        assert tally["backprop"] == 1 + r.inner_iterations
+        assert tally["trial"] == 1 + tally["armijo_trials"]
+        # some trial was rejected, so skipping its gradient saved work
+        assert tally["armijo_trials"] > r.inner_iterations
+
+    def test_b2ld_propagates_only_commits_that_differ_from_the_last_trial(
+            self, monkeypatch):
+        """A commit takes over the trial cache's outputs when its block is,
+        bit for bit, the block the latest trial propagated; forward_partial
+        runs for the other commits only. A forcing coefficient of 0.1 makes
+        B2LD reject some inner L-BFGS results for the Armijo point, which
+        exercises both paths."""
+        w, X, Y, cfg = make_problem([3, 2], 2, 10, seed=0)
+        tally = Counter()
+        last = []  # the block the latest trial propagated
+        propagate = batch._propagate
+
+        def recording_propagate(weights, z, start, cache, override=None):
+            if override is not None:
+                last[:] = [override.copy()]
+            return propagate(weights, z, start, cache, override)
+        monkeypatch.setattr(batch, "_propagate", recording_propagate)
+        monkeypatch.setattr(batch, "forward_partial", counted(
+            batch.forward_partial, tally, "forward_partial"))
+        block_eval = batch._block_eval
+
+        def classifying_block_eval(*args):
+            value, evaluate, start, commit = block_eval(*args)
+
+            def classified_commit(Wl):
+                same = Wl.tobytes() == last[0].tobytes()
+                tally["same" if same else "differs"] += 1
+                return commit(Wl)
+            return value, evaluate, start, classified_commit
+        monkeypatch.setattr(batch, "_block_eval", classifying_block_eval)
+        r = run_b2ld(w, X, Y, cfg, max_cycles=6, acceptance=AcceptanceParams(
+            armijo=ArmijoParams(gamma=0.1)))
+        assert tally["same"] + tally["differs"] == sum(r.layer_update_counts)
+        assert tally["same"] > 0 and tally["differs"] > 0
+        assert tally["forward_partial"] == tally["differs"]
 
 
 def warm_peak_bytes(fn):
@@ -249,14 +306,14 @@ class TestEvaluationBuffers:
         seen = []
         real = batch.lbfgs_minimize
 
-        def capture(fun_grad, x0, *args, **kwargs):
-            seen.append((fun_grad, x0))
-            return real(fun_grad, x0, *args, **kwargs)
+        def capture(trial, x0, *args, **kwargs):
+            seen.append((trial, x0))
+            return real(trial, x0, *args, **kwargs)
         monkeypatch.setattr(batch, "lbfgs_minimize", capture)
         lbfgs_baseline_run(w, X, Y, cfg, LbfgsParams(), StoppingCriteria(
             time_limit_seconds=None, max_inner_iters=1))
-        fg, x0 = seen[0]
-        assert warm_peak_bytes(lambda: fg(x0)) < layer_bytes
+        trial, x0 = seen[0]
+        assert warm_peak_bytes(lambda: trial(x0)[1]()) < layer_bytes
 
     def test_b2ld_block_trial(self, monkeypatch):
         w, X, Y, cfg, layer_bytes = self.problem()
@@ -268,10 +325,10 @@ class TestEvaluationBuffers:
             return seen[-1]
         monkeypatch.setattr(batch, "_block_eval", capture)
         run_b2ld(w, X, Y, cfg, max_cycles=1)
-        for value, value_and_grad, (_, g) in seen[:2]:  # blocks 4 and 3
+        for value, evaluate, (_, g), _ in seen[:2]:  # blocks 4 and 3
             W = -0.5 * g
             assert warm_peak_bytes(lambda: value(W)) < layer_bytes
-            assert warm_peak_bytes(lambda: value_and_grad(W)) < layer_bytes
+            assert warm_peak_bytes(lambda: evaluate(W)[1]()) < layer_bytes
 
 
 class TestLbfgsBaseline:
@@ -330,12 +387,13 @@ def test_block_eval_matches_objective_after_set_block(case):
     _, cache = forward(w, X)
     outputs = [z.copy() for z in cache.z]
     base_sq = weights_squared_norm(w)
-    value, value_and_grad, (f_start, g_start) = _block_eval(
+    value, evaluate, (f_start, g_start), _ = _block_eval(
         w, cache, cache.sibling(), Y, cfg, l, base_sq)
-    f_here, g_here = value_and_grad(w.block(l).copy())
-    assert f_start == f_here and np.array_equal(g_start, g_here)
+    f_here, grad_here = evaluate(w.block(l).copy())
+    assert f_start == f_here and np.array_equal(g_start, grad_here())
     f_value = value(W)
-    f_pair, grad = value_and_grad(W)
+    f_pair, grad = evaluate(W)
+    grad = grad()
     assert all(np.array_equal(a, b) for a, b in zip(cache.z, outputs))
 
     w.set_block(l, W)
@@ -348,3 +406,89 @@ def test_block_eval_matches_objective_after_set_block(case):
     else:
         sq_scale = cfg.rho * (base_sq + float(np.sum(W * W)))
         assert f_value == pytest.approx(f_ref, rel=1e-12, abs=1e-13 * sq_scale)
+
+
+def check_commits(w, X, Y, cfg, gamma, rule_kind="backward", seed=0):
+    """Run B2LD and, after every commit, compare the main cache with a fresh
+    forward pass bit for bit. Returns how many commits took over the trial
+    cache's outputs ("adopted") and how many propagated ("propagated")."""
+    paths = Counter()
+    real_block_eval = batch._block_eval
+    real_forward_partial = batch.forward_partial
+
+    def checking_block_eval(weights, cache, trial, *args):
+        value, evaluate, start, commit = real_block_eval(weights, cache, trial,
+                                                         *args)
+
+        def checked_commit(Wl):
+            before = paths["forward_partial"]
+            commit(Wl)
+            paths["propagated" if paths["forward_partial"] > before
+                  else "adopted"] += 1
+            _, fresh = forward(weights, cache.z[0])
+            assert [z.tobytes() for z in cache.z[1:]] == \
+                [z.tobytes() for z in fresh.z[1:]]
+            assert cache.versions == weights.versions()
+        return value, evaluate, start, checked_commit
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(batch, "_block_eval", checking_block_eval)
+        mp.setattr(batch, "forward_partial", counted(
+            real_forward_partial, paths, "forward_partial"))
+        r = run_b2ld(w, X, Y, cfg, max_cycles=4, rule_kind=rule_kind,
+                     seed=seed, acceptance=AcceptanceParams(
+                         armijo=ArmijoParams(gamma=gamma)))
+    assert paths["adopted"] + paths["propagated"] == \
+        sum(r.layer_update_counts)
+    return paths
+
+
+@st.composite
+def b2ld_problem(draw):
+    """A small problem, a block order and an Armijo coefficient; 0.1 and 0.3
+    make the forcing condition reject inner L-BFGS results often."""
+    widths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    w, X, Y, cfg = make_problem(widths, draw(st.integers(1, 4)),
+                                draw(st.integers(1, 12)),
+                                draw(st.integers(0, 2**16)),
+                                rho=draw(st.sampled_from([0.0, 1e-3])))
+    return (w, X, Y, cfg, draw(st.sampled_from([1e-4, 0.1, 0.3])),
+            draw(st.sampled_from(["backward", "forward", "random"])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(b2ld_problem())
+def test_every_b2ld_commit_leaves_the_cache_equal_to_a_fresh_forward(case):
+    w, X, Y, cfg, gamma, rule_kind = case
+    check_commits(w, X, Y, cfg, gamma, rule_kind)
+
+
+def test_commit_check_covers_adoption_and_propagation():
+    w, X, Y, cfg = make_problem([3, 2], 2, 10, seed=0)
+    paths = check_commits(w, X, Y, cfg, gamma=0.1)
+    assert paths["adopted"] > 0 and paths["propagated"] > 0
+
+
+class TestNonFinite:
+    """One infinite weight makes f infinite; both batch drivers stop with
+    reason "non_finite" instead of raising on a NaN slope."""
+
+    def problem(self):
+        w, X, Y, cfg = make_problem([4, 4, 1], 3, 20, seed=13)
+        W = w.block(1).copy()
+        W[0, 0] = np.inf
+        w.set_block(1, W)
+        return w, X, Y, cfg
+
+    def test_b2ld(self):
+        r = run_b2ld(*self.problem(), max_cycles=5)
+        assert r.stop_reason == "non_finite"
+        assert r.layer_update_counts == [0, 0, 0]
+        assert r.final_objective == np.inf
+
+    def test_lbfgs(self):
+        stop = StoppingCriteria(time_limit_seconds=None, max_inner_iters=10)
+        r = lbfgs_baseline_run(*self.problem(), LbfgsParams(), stop)
+        assert r.stop_reason == "non_finite"
+        assert r.inner_iterations == 0
+        assert r.final_objective == np.inf

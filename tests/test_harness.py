@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import struct
 import tempfile
 
 import numpy as np
@@ -218,6 +220,30 @@ class TestRunExperiment:
         assert all(r.error for r in report.rows)
         assert all(r.stop_reason == "error" for r in report.rows)
 
+    def test_worker_crash_becomes_error_rows(self, monkeypatch, tmp_path):
+        """A worker that dies fails its task and the tasks still in flight
+        with BrokenProcessPool; those become error rows, the finished rows
+        are kept, and the report round-trips through report.tsv."""
+        monkeypatch.setattr(harness, "_execute_task", _die_on_last_task)
+        cfg = small_experiment()
+        cfg.architectures = ["[1x4]"]
+        report = run_experiment(cfg, workers=2)
+        assert [(r.algorithm, r.seed) for r in report.rows] == \
+            [(a, s) for s in cfg.seeds for a in cfg.algorithms]
+        failed = [r for r in report.rows if r.error]
+        assert report.rows[-1] in failed
+        assert len(failed) < len(report.rows)
+        for r in failed:
+            assert r.error.startswith("BrokenProcessPool: ")
+            assert r.stop_reason == "error" and np.isnan(r.final_objective)
+        tsv, _ = emit_report(report, tmp_path / "out")
+        back = load_report(tsv)
+        assert len(back.rows) == len(report.rows)
+        for a, b in zip(report.rows, back.rows):
+            assert (a.algorithm, a.seed, a.error, a.stop_reason) == \
+                (b.algorithm, b.seed, b.error, b.stop_reason)
+            assert bits(a.final_objective) == bits(b.final_objective)
+
     def test_parallel_matches_serial(self):
         cfg = small_experiment()
         cfg.architectures = ["[1x4]"]
@@ -243,6 +269,55 @@ class TestReportCells:
         got = back.rows[0]
         assert (got.architecture, got.seed, got.init_digest) == ("[1x4]", 3, "abc")
         assert got.error == "ValueError: line one line two  line three"
+
+
+_EXECUTE_TASK = harness._execute_task
+
+
+def _die_on_last_task(task):
+    """Stands in for `_execute_task` in forked pool workers: the worker that
+    draws IG on seed 2, the last task of `small_experiment`, exits at once,
+    as a crashed process would."""
+    if task[2] == "IG" and task[3] == 2:
+        os._exit(3)
+    return _EXECUTE_TASK(task)
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+# any text, and the cell breakers _fmt blanks; floats of every kind, the NaN
+# the report writes among them
+TEXT = st.text(max_size=12) | st.sampled_from(
+    ["a\tb", "x\r\ny\rz\n", "\t\n", "\u00fc\u2028\x85\x0b\x1c\u00e9"])
+FLOATS = st.floats(allow_nan=False) | st.just(float("nan"))
+ROWS = st.lists(st.builds(
+    RunRow, dataset=TEXT, architecture=TEXT, algorithm=TEXT,
+    seed=st.integers(), final_objective=FLOATS, grad_norm=FLOATS,
+    test_mse=FLOATS, elapsed_seconds=FLOATS, stop_reason=TEXT,
+    layer_update_counts=st.lists(st.integers(), max_size=4),
+    init_digest=TEXT, error=TEXT), max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ROWS)
+def test_report_round_trips_any_text_and_float(rows):
+    """emit_report then load_report gives back every row: text cells as
+    _fmt blanked them, floats (NaN and infinities too) bit for bit."""
+    with tempfile.TemporaryDirectory() as out:
+        tsv, _ = emit_report(ExperimentReport(rows=rows), out)
+        back = load_report(tsv).rows
+    assert len(back) == len(rows)
+    for a, b in zip(rows, back):
+        for name in ("dataset", "architecture", "algorithm", "stop_reason",
+                     "init_digest", "error"):
+            assert getattr(b, name) == harness._fmt(getattr(a, name)), name
+        for name in ("final_objective", "grad_norm", "test_mse",
+                     "elapsed_seconds"):
+            assert bits(getattr(b, name)) == bits(getattr(a, name)), name
+        assert (b.seed, b.layer_update_counts) == \
+            (a.seed, a.layer_update_counts)
 
 
 def tally_row(algorithm, seed, value, failed):

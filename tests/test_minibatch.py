@@ -49,8 +49,12 @@ class TestPartition:
             make_partition(5, 6)
 
     def test_empty_batch_rejected(self):
+        """A minibatch component needs at least one row; Partition is where
+        an empty batch is turned away, and so is a partition of no batches."""
         with pytest.raises(ValueError):
             Partition(batches=(np.arange(3), np.arange(0)))
+        with pytest.raises(ValueError):
+            Partition(batches=())
 
 
 class TestSelectionRules:
@@ -269,3 +273,28 @@ class TestIg:
         ri = ig_run(w, X, Y, cfg, part, rule, BlingParams(), epochs(30))
         assert rb.final_objective < f0
         assert ri.final_objective < f0
+
+
+class TestNonFinite:
+    """One infinite weight makes a gradient norm infinite; both minibatch
+    drivers stop with reason "non_finite" at that step, before it turns the
+    weights into NaN, instead of running out their epochs."""
+
+    def run(self, driver):
+        w, X, Y, cfg = make_problem([4, 4, 1], 3, 20, seed=13)
+        W = w.block(1).copy()
+        W[0, 0] = np.inf
+        w.set_block(1, W)
+        rule = MinibatchSelectionRule("incremental")
+        r = driver(w, X, Y, cfg, make_partition(20, 5), rule, BlingParams(),
+                   epochs(3))
+        assert r.stop_reason == "non_finite"
+        assert r.inner_iterations == 0
+        assert not np.isnan(r.final_weights.flatten()).any()
+        assert r.final_weights.block(1)[0, 0] == np.inf
+
+    def test_bling(self):
+        self.run(bling_run)
+
+    def test_ig(self):
+        self.run(ig_run)

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layeropt.linalg import SeededRng
 from layeropt.network import (Architecture, NetworkWeights, StaleCacheError,
                               forward, init_weights, sigmoid, sigmoid_prime)
 from layeropt.objective import (ObjectiveConfig, backprop_deltas,
                                 block_gradient, default_rho, full_gradient,
-                                gradient_norm, minibatch_value_and_block_gradient,
-                                objective_value)
+                                gradient_norm, minibatch_block_gradient,
+                                minibatch_value, objective_value)
 
 
 def make_instance(widths, input_dim, P, seed, rho=1e-3):
@@ -138,31 +140,69 @@ class TestFullGradient:
         assert gradient_norm(full_gradient(w, X, Y, cfg)) == 0.0
 
 
+@st.composite
+def partitioned_instance(draw):
+    """A small instance and an arbitrary partition of its rows: a seeded
+    shuffle cut at arbitrary points into nonempty batches."""
+    widths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    P = draw(st.integers(1, 12))
+    w, X, Y, cfg = make_instance(widths, draw(st.integers(1, 4)), P,
+                                 draw(st.integers(0, 2**16)),
+                                 rho=draw(st.sampled_from([0.0, 1e-3, 0.37])))
+    order = draw(st.permutations(range(P)))
+    cuts = sorted(draw(st.sets(st.integers(1, P - 1), max_size=P - 1))) \
+        if P > 1 else []
+    batches = [np.array(order[i:j], dtype=np.intp)
+               for i, j in zip([0] + cuts, cuts + [P])]
+    return w, X, Y, cfg, batches
+
+
+def components(w, X, Y, cfg, batch, l):
+    """(f_B, grad of f_B w.r.t. block l) from a cache over the batch rows."""
+    _, cache = forward(w, X[batch])
+    return (minibatch_value(w, cache, Y[batch], cfg),
+            minibatch_block_gradient(w, cache, Y[batch], cfg, l))
+
+
 class TestMinibatchComponents:
-    def test_trivial_partition_equals_full(self):
-        w, X, Y, cfg = make_instance([4, 2, 1], 3, 9, seed=12, rho=0.01)
+    @settings(max_examples=60, deadline=None)
+    @given(partitioned_instance())
+    def test_trivial_partition_equals_full(self, case):
+        """The component over every row is f, and its block gradients are
+        the full block gradients."""
+        w, X, Y, cfg, _ = case
         f_full, _ = objective_value(w, X, Y, cfg)
         _, cache = forward(w, X)
-        for l in range(1, 4):
-            fh, gh = minibatch_value_and_block_gradient(
-                w, np.arange(9), X, Y, cfg, l)
+        everything = np.arange(X.shape[0])
+        for l in range(1, w.num_layers + 1):
+            fh, gh = components(w, X, Y, cfg, everything, l)
             assert fh == pytest.approx(f_full, rel=1e-12)
-            assert np.allclose(gh, block_gradient(w, Y, cfg, l, cache),
-                               rtol=1e-12)
+            full = block_gradient(w, Y, cfg, l, cache)
+            scale = max(1.0, float(np.abs(full).max()))
+            assert np.allclose(gh, full, rtol=1e-12, atol=1e-14 * scale)
 
-    def test_partition_sum_identity(self):
-        w, X, Y, cfg = make_instance([4, 2], 3, 11, seed=13, rho=0.02)
+    @settings(max_examples=60, deadline=None)
+    @given(partitioned_instance())
+    def test_partition_sum_identity(self, case):
+        """The components of any partition sum to f, and their block
+        gradients to the full block gradient."""
+        w, X, Y, cfg, batches = case
         f_full, _ = objective_value(w, X, Y, cfg)
-        parts = [np.arange(0, 4), np.arange(4, 7), np.arange(7, 11)]
-        total = sum(minibatch_value_and_block_gradient(w, b, X, Y, cfg, 1)[0]
-                    for b in parts)
-        assert total == pytest.approx(f_full, rel=1e-12)
+        _, cache = forward(w, X)
+        for l in range(1, w.num_layers + 1):
+            parts = [components(w, X, Y, cfg, b, l) for b in batches]
+            assert sum(f for f, _ in parts) == pytest.approx(f_full,
+                                                             rel=1e-12)
+            full = block_gradient(w, Y, cfg, l, cache)
+            scale = max(1.0, float(np.abs(full).max()))
+            assert np.allclose(sum(g for _, g in parts), full,
+                               rtol=1e-12, atol=1e-14 * scale)
 
     def test_single_sample_hand_loop(self):
         w, X, Y, _ = make_instance([3, 1], 2, 5, seed=14)
         cfg = ObjectiveConfig(rho=0.0, sample_count=5)
         p = 2
-        _, gh = minibatch_value_and_block_gradient(w, [p], X, Y, cfg, 2)
+        _, gh = components(w, X, Y, cfg, [p], 2)
         # by hand: (2/P) z_1' delta_2 for the single sample, linear output
         z1 = sigmoid(X[p:p + 1] @ w.block(1))
         out = z1 @ w.block(2)
@@ -172,8 +212,12 @@ class TestMinibatchComponents:
 
     def test_empty_batch_rejected(self):
         w, X, Y, cfg = make_instance([3, 1], 2, 5, seed=15)
+        empty = np.array([], dtype=np.intp)
+        _, cache = forward(w, X[empty])
         with pytest.raises(ValueError):
-            minibatch_value_and_block_gradient(w, [], X, Y, cfg, 1)
+            minibatch_value(w, cache, Y[empty], cfg)
+        with pytest.raises(ValueError):
+            minibatch_block_gradient(w, cache, Y[empty], cfg, 1)
 
 
 def test_gradient_consistency_random_instances():

@@ -81,55 +81,111 @@ class TestLbfgs:
         A = M @ M.T + n * np.eye(n)
         b = rng.normal(size=n)
 
-        def fg(x):
-            return 0.5 * float(x @ A @ x) - float(b @ x), A @ x - b
+        def trial(x):
+            return 0.5 * float(x @ A @ x) - float(b @ x), lambda: A @ x - b
 
-        return fg, np.linalg.solve(A, b)
+        return trial, np.linalg.solve(A, b)
 
     def test_stationary_start_returns_immediately(self):
-        fg, x_star = self.quadratic(6, 1)
-        res = lbfgs_minimize(fg, x_star, LbfgsParams(grad_tol=1e-8))
+        trial, x_star = self.quadratic(6, 1)
+        res = lbfgs_minimize(trial, x_star, LbfgsParams(grad_tol=1e-8))
         assert res.iterations == 0
         assert np.array_equal(res.x, x_star)
 
     def test_matches_closed_form_on_quadratic(self):
-        fg, x_star = self.quadratic(10, 2)
-        res = lbfgs_minimize(fg, np.zeros(10),
+        trial, x_star = self.quadratic(10, 2)
+        res = lbfgs_minimize(trial, np.zeros(10),
                              LbfgsParams(grad_tol=1e-10, max_iters=200))
         assert np.abs(res.x - x_star).max() <= 1e-8
 
     def test_evaluates_start_and_each_armijo_trial_once(self, monkeypatch):
-        """The accepted step is the last Armijo trial, whose (f, g) is kept:
-        no point is evaluated twice."""
-        fg, x_star = self.quadratic(10, 2)
+        """The accepted step is the last Armijo trial, whose f is kept and
+        whose gradient is taken: no point is evaluated twice, and a gradient
+        is computed only at the start and at accepted steps, each before the
+        next trial."""
+        quadratic, x_star = self.quadratic(10, 2)
         tally = Counter()
         count_callback_calls(monkeypatch, solvers, "armijo_linesearch", tally,
                              "trials")
-        res = lbfgs_minimize(counted(fg, tally, "fun_grad"), np.zeros(10),
+
+        def trial(x):
+            tally["trial"] += 1
+            f, grad = quadratic(x)
+            made = tally["trial"]
+
+            def checked_grad():
+                assert tally["trial"] == made, "gradient of a superseded trial"
+                tally["grad"] += 1
+                return grad()
+            return f, checked_grad
+
+        res = lbfgs_minimize(trial, np.zeros(10),
                              LbfgsParams(grad_tol=1e-10, max_iters=200))
-        assert res.iterations > 0 and tally["trials"] >= res.iterations
-        assert tally["fun_grad"] == 1 + tally["trials"]
+        assert res.iterations > 0 and tally["trials"] > res.iterations
+        assert tally["trial"] == 1 + tally["trials"]
+        assert tally["grad"] == 1 + res.iterations
         assert np.abs(res.x - x_star).max() <= 1e-8
 
+    def test_start_fg_skips_the_start_evaluation(self, monkeypatch):
+        """Given the start pair, the solve calls its trial only for Armijo
+        trials and reaches the same points as a solve that evaluates the
+        start itself."""
+        quadratic, _ = self.quadratic(6, 3)
+        params = LbfgsParams(grad_tol=1e-10, max_iters=200)
+        plain = lbfgs_minimize(quadratic, np.ones(6), params)
+        tally = Counter()
+        count_callback_calls(monkeypatch, solvers, "armijo_linesearch", tally,
+                             "trials")
+        f0, grad0 = quadratic(np.ones(6))
+        res = lbfgs_minimize(counted(quadratic, tally, "trial"), np.ones(6),
+                             params, start_fg=(f0, grad0()))
+        assert np.array_equal(res.x, plain.x)
+        assert res.f_history == plain.f_history
+        assert tally["trial"] == tally["trials"] > 0
+
+    def test_non_finite_gradient_stops_at_the_last_finite_point(self):
+        """A trial whose gradient is NaN ends the solve with reason
+        "non_finite"; the reported point is that accepted trial, whose f is
+        finite, and the objective history still never rises."""
+        quadratic, _ = self.quadratic(6, 4)
+        tally = Counter()
+
+        def trial(x):
+            f, grad = quadratic(x)
+            tally["trial"] += 1
+            poisoned = tally["trial"] > 3
+            return f, (lambda: np.full(6, np.nan)) if poisoned else grad
+
+        res = lbfgs_minimize(trial, np.ones(6), LbfgsParams(max_iters=50))
+        assert res.stop_reason == "non_finite"
+        assert 0 < res.iterations < 50 and np.isnan(res.grad_norm)
+        assert np.isfinite(res.f) and res.f == res.f_history[-1]
+        assert all(b <= a for a, b in zip(res.f_history, res.f_history[1:]))
+
+    def test_non_finite_start_stops_at_once(self):
+        res = lbfgs_minimize(lambda x: (np.inf, lambda: np.zeros_like(x)),
+                             np.ones(3), LbfgsParams())
+        assert res.stop_reason == "non_finite" and res.iterations == 0
+
     def test_monotone_objective_history(self):
-        fg, _ = self.quadratic(8, 3)
-        res = lbfgs_minimize(fg, np.ones(8), LbfgsParams(max_iters=50))
+        trial, _ = self.quadratic(8, 3)
+        res = lbfgs_minimize(trial, np.ones(8), LbfgsParams(max_iters=50))
         assert all(b <= a for a, b in zip(res.f_history, res.f_history[1:]))
 
     def test_f_never_increases_from_start(self):
-        fg, _ = self.quadratic(5, 4)
-        f0 = fg(np.ones(5))[0]
-        res = lbfgs_minimize(fg, np.ones(5), LbfgsParams(max_iters=3))
+        trial, _ = self.quadratic(5, 4)
+        f0 = trial(np.ones(5))[0]
+        res = lbfgs_minimize(trial, np.ones(5), LbfgsParams(max_iters=3))
         assert res.f <= f0
 
     def test_block_wrapper_keeps_shape(self):
-        fg, x_star = self.quadratic(6, 5)
+        trial, x_star = self.quadratic(6, 5)
 
-        def block_fg(W):
-            f, g = fg(W.ravel())
-            return f, g.reshape(W.shape)
+        def block_trial(W):
+            f, grad = trial(W.ravel())
+            return f, lambda: grad().reshape(W.shape)
 
-        res = lbfgs_minimize_block(block_fg, np.zeros((2, 3)),
+        res = lbfgs_minimize_block(block_trial, np.zeros((2, 3)),
                                    LbfgsParams(grad_tol=1e-10, max_iters=200))
         assert res.x.shape == (2, 3)
         assert np.abs(res.x.ravel() - x_star).max() <= 1e-8
@@ -142,15 +198,14 @@ class TestLbfgs:
         rho = 0.01
         w_star = llsq_last_layer(Z, Y, rho, P)
 
-        def block_fg(W):
+        def block_trial(W):
             resid = Z @ W - Y
             f = float(np.sum(resid ** 2)) / P + rho * float(np.sum(W ** 2))
-            g = (2.0 / P) * (Z.T @ resid) + 2 * rho * W
-            return f, g
+            return f, lambda: (2.0 / P) * (Z.T @ resid) + 2 * rho * W
 
-        res = lbfgs_minimize_block(block_fg, np.zeros((n_hidden, m)),
+        res = lbfgs_minimize_block(block_trial, np.zeros((n_hidden, m)),
                                    LbfgsParams(grad_tol=1e-12, max_iters=500))
-        f_opt = block_fg(w_star)[0]
+        f_opt = block_trial(w_star)[0]
         assert res.f == pytest.approx(f_opt, rel=1e-6)
 
 
