@@ -130,7 +130,7 @@ def _block_eval(weights, cache, trial, Y, cfg, l, base_sq):
 
     def evaluate(Wl):
         def grad():
-            delta = backprop_deltas(weights, trial, Y, l)[l]
+            delta = backprop_deltas(weights, trial, Y, l)
             return _block_grad(z_prev, delta, Wl, cfg, cfg.rho)
         return value(Wl), grad
 

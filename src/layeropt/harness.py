@@ -84,6 +84,11 @@ class ExperimentConfig:
                 output_path=raw.get("output_path", "report"))
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
+        if cfg.rho is not None:
+            try:
+                ObjectiveConfig(rho=cfg.rho, sample_count=1)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad rho {cfg.rho!r}: {exc}") from exc
         unknown = set(cfg.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ConfigError(f"unknown algorithms {sorted(unknown)}")

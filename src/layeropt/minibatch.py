@@ -17,7 +17,7 @@ import numpy as np
 
 from .batch import OptimizerRun, StoppingCriteria
 from .linalg import SeededRng, frobenius_norm
-from .network import NetworkWeights, forward, forward_partial
+from .network import ForwardCache, NetworkWeights, forward, forward_partial
 from .objective import (ObjectiveConfig, gradient_norm,
                         minibatch_all_gradients, minibatch_block_gradient,
                         value_and_gradient)
@@ -136,12 +136,17 @@ def _run_epochs(algorithm, step, weights0, X, Y, cfg, partition, rule, params,
     """The epoch loop both minibatch methods share: visit the minibatches in
     the rule's order, take `step` on each from a fresh forward pass, then
     shrink the stepsize. Each step moves every block once, or reports a
-    non-finite gradient norm, which stops the run. The final objective
-    and gradient norm come from one forward pass over all rows."""
+    non-finite gradient norm, which stops the run. Each minibatch's rows are
+    gathered once per run, and its forward passes write into the run's one
+    cache for its size. The final objective and gradient norm come from one
+    forward pass over all rows."""
     weights = weights0.copy()
     start = time.monotonic()
     deadline = None if stop.time_limit_seconds is None \
         else start + stop.time_limit_seconds
+    gathered = [(X[batch], Y[batch]) for batch in partition.batches]
+    caches = {n: ForwardCache.for_rows(weights.arch, n)
+              for n in {len(batch) for batch in partition.batches}}
     alpha = params.alpha0
     k = 0
     reason = None
@@ -152,9 +157,8 @@ def _run_epochs(algorithm, step, weights0, X, Y, cfg, partition, rule, params,
             reason = "max_epochs"
             break
         for h in rule.epoch_order(partition.num_batches, epoch):
-            batch = partition.batches[h]
-            Xb, Yb = X[batch], Y[batch]
-            _, cache = forward(weights, Xb)
+            Xb, Yb = gathered[h]
+            _, cache = forward(weights, Xb, caches[Xb.shape[0]])
             if not step(weights, cache, Yb, cfg, params, alpha):
                 reason = "non_finite"
                 break

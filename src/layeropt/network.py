@@ -209,15 +209,22 @@ class ForwardCache:
     z[0] is the input batch and z[l] (1-based) the output of layer l.
     scratch[l] holds hidden layer l's pre-activation while a forward pass
     runs and its activation derivative while backprop runs, so neither is
-    kept, and hidden layers of equal width share one scratch array; deltas[l]
-    receives the backpropagated error at layer l. `versions` records the
-    weight-block versions z was computed from.
+    kept, and hidden layers of equal width share one scratch array. deltas[l]
+    receives the backpropagated error at layer l. Each width has at most two
+    delta buffers, taken by layer parity: deltas[l] and deltas[l+1] never
+    share one, while deltas[l] and deltas[l+2] do when the widths are
+    equal. A backward sweep uses a delta only to form the next delta down
+    and its own block gradient, so delta_l holds only until the sweep
+    writes the layer two below it. `versions` records the weight-block
+    versions z was computed from.
 
     Passes write into these buffers in place: a cache handed to `forward`,
     `forward_partial` or `objective.backprop_deltas` is overwritten, and
-    `outputs` and the returned deltas are views of it, not copies. Copy what
-    must outlive the next pass. Reusing one cache keeps a run from
-    allocating fresh rows x width arrays on every evaluation.
+    `outputs` and the deltas are views of it, not copies. Copy what must
+    outlive the next pass. Reusing one cache keeps a run from allocating
+    fresh rows x width arrays on every evaluation. For the `10-[10x50]-1`
+    student that is 13 arrays of rows x 50: ten outputs, one scratch and
+    two deltas.
     """
 
     z: list = field(default_factory=list)
@@ -230,9 +237,11 @@ class ForwardCache:
         """Unfilled buffers for a batch of `rows` samples through `arch`."""
         widths = arch.layer_widths
         scratch = {n: np.empty((rows, n)) for n in widths[:-1]}
+        parity = [(n, l % 2) for l, n in enumerate(widths, start=1)]
+        deltas = {key: np.empty((rows, key[0])) for key in dict.fromkeys(parity)}
         return cls(z=[None] + [np.empty((rows, n)) for n in widths],
                    scratch=[None] + [scratch[n] for n in widths[:-1]] + [None],
-                   deltas=[None] + [np.empty((rows, n)) for n in widths])
+                   deltas=[None] + [deltas[key] for key in parity])
 
     def sibling(self) -> "ForwardCache":
         """A cache with its own outputs z[1..L] that shares this one's input,

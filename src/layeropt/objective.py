@@ -25,8 +25,8 @@ class ObjectiveConfig:
     sample_count: int
 
     def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
+        if not (math.isfinite(self.rho) and self.rho >= 0):
+            raise ValueError(f"rho must be finite and nonnegative, got {self.rho!r}")
         if self.sample_count < 1:
             raise ValueError("sample_count must be positive")
 
@@ -79,37 +79,48 @@ def mse_value(weights: NetworkWeights, X, Y) -> float:
     return _squared_error(outputs, Y) / X.shape[0]
 
 
-def backprop_deltas(weights: NetworkWeights, cache: ForwardCache, Y, down_to: int):
-    """Propagate the error backward from the output layer down to `down_to`.
+def backprop_deltas(weights: NetworkWeights, cache: ForwardCache, Y, down_to: int,
+                    consume=None):
+    """Propagate the error backward from the output layer down to `down_to`
+    and return the delta at `down_to`.
 
-    Returns {l: delta_l} for l in down_to..L only; layers below down_to are
-    never touched, which is what makes per-block gradients cheaper than the
-    full gradient. Reads the cached outputs z[down_to..L] only: the activation
-    derivative is taken from z, so the pre-activations are not needed. The
-    deltas are written into cache.deltas (the derivative passes through
-    cache.scratch), so they hold only until the next backprop on the cache.
+    Deltas are formed for l = L down to down_to only; layers below down_to
+    are never touched, which is what makes per-block gradients cheaper than
+    the full gradient. Reads the cached outputs z[down_to..L] only: the
+    activation derivative is taken from z, so the pre-activations are not
+    needed. Each delta is written into cache.deltas[l] (the derivative passes
+    through cache.scratch), whose buffers alternate by layer parity: delta_l
+    holds only until the sweep writes the layer two below it, and the
+    returned delta until the next backprop on the cache. `consume(l,
+    delta_l)`, when given, is called as soon as delta_l exists, which is
+    where a full sweep forms each block gradient.
     """
     L = weights.num_layers
     slope = hidden_activation_prime(weights.arch)
-    # linear output layer: g'(a_L) = 1
-    deltas = {L: np.subtract(cache.z[L], Y, out=cache.deltas[L])}
-    for l in range(L - 1, down_to - 1, -1):
-        delta = np.matmul(deltas[l + 1], weights.block(l + 1).T,
-                          out=cache.deltas[l])
-        delta *= slope(cache.z[l], out=cache.scratch[l])
-        deltas[l] = delta
-    return deltas
+    for l in range(L, down_to - 1, -1):
+        if l == L:  # linear output layer: g'(a_L) = 1
+            delta = np.subtract(cache.z[L], Y, out=cache.deltas[L])
+        else:
+            delta = np.matmul(delta, weights.block(l + 1).T, out=cache.deltas[l])
+            delta *= slope(cache.z[l], out=cache.scratch[l])
+        if consume is not None:
+            consume(l, delta)
+    return delta
 
 
 def _one_block(weights, cache, Y, cfg, l, reg):
-    delta = backprop_deltas(weights, cache, Y, l)[l]
+    delta = backprop_deltas(weights, cache, Y, l)
     return _block_grad(cache.z[l - 1], delta, weights.block(l), cfg, reg)
 
 
 def _all_blocks(weights, cache, Y, cfg, reg):
-    deltas = backprop_deltas(weights, cache, Y, 1)
-    return [_block_grad(cache.z[l - 1], deltas[l], weights.block(l), cfg, reg)
-            for l in range(1, weights.num_layers + 1)]
+    grads = [None] * weights.num_layers
+
+    def consume(l, delta):
+        grads[l - 1] = _block_grad(cache.z[l - 1], delta, weights.block(l),
+                                   cfg, reg)
+    backprop_deltas(weights, cache, Y, 1, consume)
+    return grads
 
 
 def block_gradient(weights: NetworkWeights, Y, cfg: ObjectiveConfig, l: int,

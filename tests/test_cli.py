@@ -60,6 +60,11 @@ class TestTrain:
         assert f"algorithm        {algorithm}" in out
         assert "final objective" in out and "stop reason" in out
 
+    @pytest.mark.parametrize("rho", ["nan", "inf"])
+    def test_non_finite_rho_exits_1(self, rho, capsys):
+        assert self.run_synth_train("B2LD", ["--rho", rho]) == 1
+        assert "rho" in capsys.readouterr().err
+
     def test_file_dataset(self, tmp_path, capsys):
         p = tmp_path / "d.csv"
         rng = np.random.default_rng(0)

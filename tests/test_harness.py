@@ -99,6 +99,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("rho", [float("nan"), float("inf"),
+                                     float("-inf"), -1.0, "0.1"])
+    def test_bad_rho_rejected_up_front(self, rho):
+        raw = self.minimal()
+        raw["rho"] = rho
+        with pytest.raises(ConfigError, match="rho"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_nan_rho_in_json_file_rejected(self, tmp_path):
+        p = tmp_path / "exp.json"
+        p.write_text(json.dumps(self.minimal())[:-1] + ', "rho": NaN}')
+        with pytest.raises(ConfigError, match="rho"):
+            ExperimentConfig.from_json_file(p)
+
 
 class TestResolveArchitecture:
     def test_hidden_only_adapts_to_dims(self):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import layeropt.minibatch as minibatch
 from layeropt.batch import StoppingCriteria
 from layeropt.linalg import SeededRng
 from layeropt.minibatch import (BlingParams, MinibatchSelectionRule, Partition,
                                 bling_run, clamped_scale, ig_run,
                                 make_partition, stepsize_update)
-from layeropt.network import Architecture, forward, forward_partial, init_weights
+from layeropt.network import (Architecture, ForwardCache, forward,
+                              forward_partial, init_weights)
 from layeropt.objective import (ObjectiveConfig, minibatch_all_gradients,
                                 minibatch_block_gradient, objective_value)
 
@@ -273,6 +275,31 @@ class TestIg:
         ri = ig_run(w, X, Y, cfg, part, rule, BlingParams(), epochs(30))
         assert rb.final_objective < f0
         assert ri.final_objective < f0
+
+
+class TestRunBuffers:
+    @pytest.mark.parametrize("driver", [bling_run, ig_run])
+    def test_rows_gathered_and_caches_allocated_once_per_run(self, driver,
+                                                             monkeypatch):
+        """A run allocates one cache per distinct minibatch size and one for
+        the final full-data evaluation, however many epochs it takes, and
+        every visit of a minibatch propagates the same gathered rows."""
+        w, X, Y, cfg = make_problem([4, 3, 1], 3, 20, seed=7)
+        part = make_partition(20, 8)  # sizes 8, 8, 4
+        allocated, inputs = [], []
+        for_rows = ForwardCache.for_rows
+        monkeypatch.setattr(ForwardCache, "for_rows", classmethod(
+            lambda cls, arch, rows: allocated.append(rows) or for_rows(arch, rows)))
+
+        def recording_forward(weights, X, cache=None):
+            inputs.append(X)
+            return forward(weights, X, cache)
+        monkeypatch.setattr(minibatch, "forward", recording_forward)
+        r = driver(w, X, Y, cfg, part, MinibatchSelectionRule("incremental"),
+                   BlingParams(), epochs(3))
+        assert r.inner_iterations == 9
+        assert sorted(allocated) == [4, 8, 20]
+        assert all(inputs[i] is inputs[i % 3] for i in range(9))
 
 
 class TestNonFinite:

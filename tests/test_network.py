@@ -189,6 +189,37 @@ class TestForward:
             for j in range(arch.num_layers + 1):
                 assert np.array_equal(bits(cache.z[j]), bits(fresh.z[j]))
 
+    @pytest.mark.parametrize("widths", [
+        [3, 3, 3, 1], [4, 2, 4, 2, 1], [5], [2, 2], [50] * 10 + [1]])
+    def test_two_delta_buffers_per_width_by_layer_parity(self, widths):
+        """Layer l's delta buffer is keyed by (width, l mod 2): adjacent
+        layers never share one, and a width holds at most two."""
+        cache = ForwardCache.for_rows(Architecture(3, tuple(widths)), 7)
+        deltas = cache.deltas
+        assert deltas[0] is None
+        for l, n in enumerate(widths, start=1):
+            assert deltas[l].shape == (7, n)
+            if l > 1:
+                assert not np.shares_memory(deltas[l], deltas[l - 1])
+            if l > 2 and widths[l - 3] == n:
+                assert deltas[l] is deltas[l - 2]
+        for n in set(widths):
+            parities = {l % 2 for l, m in enumerate(widths, start=1) if m == n}
+            held = {id(d) for d, m in zip(deltas[1:], widths) if m == n}
+            assert len(held) == len(parities)
+
+    def test_student_cache_holds_13_arrays_of_rows_by_50(self):
+        """The 10-[10x50]-1 student's cache holds ten outputs, one scratch
+        and two deltas of rows x 50; B2LD's trial sibling adds ten outputs."""
+        cache = ForwardCache.for_rows(parse_architecture("10-[10x50]-1"), 9)
+
+        def wide(*caches):
+            held = {id(a): a for c in caches
+                    for a in c.z[1:] + c.scratch + c.deltas if a is not None}
+            return sum(a.shape == (9, 50) for a in held.values())
+        assert wide(cache) == 13
+        assert wide(cache, cache.sibling()) == 23
+
     def test_cache_for_other_rows_is_rejected(self):
         arch, w, X = random_net([4, 1], seed=1, input_dim=3, P=5)
         with pytest.raises(ShapeMismatchError, match="forward cache"):

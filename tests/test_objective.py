@@ -3,13 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layeropt.batch import _block_eval
 from layeropt.linalg import SeededRng
-from layeropt.network import (Architecture, NetworkWeights, StaleCacheError,
-                              forward, init_weights, sigmoid, sigmoid_prime)
+from layeropt.network import (Architecture, ForwardCache, NetworkWeights,
+                              StaleCacheError, forward, init_weights, sigmoid,
+                              sigmoid_prime)
 from layeropt.objective import (ObjectiveConfig, backprop_deltas,
                                 block_gradient, default_rho, full_gradient,
-                                gradient_norm, minibatch_block_gradient,
-                                minibatch_value, objective_value)
+                                gradient_norm, minibatch_all_gradients,
+                                minibatch_block_gradient, minibatch_value,
+                                objective_value, value_and_gradient,
+                                weights_squared_norm)
 
 
 def make_instance(widths, input_dim, P, seed, rho=1e-3):
@@ -111,27 +115,90 @@ class TestBlockGradient:
             block_gradient(w, Y, cfg, 1, cache)
 
     def test_delta_recursion_stops_at_block(self):
+        """A sweep down to block l forms the deltas of layers L..l, in that
+        order, and touches nothing below l: with the outputs, weight blocks
+        and delta buffers of the layers below l filled with NaN, it returns
+        the bits of a clean sweep and those buffers stay NaN."""
         w, X, Y, cfg = make_instance([3, 3, 3, 1], 2, 5, seed=8)
         _, cache = forward(w, X)
-        for l in range(1, 5):
-            deltas = backprop_deltas(w, cache, Y, l)
-            assert set(deltas.keys()) == set(range(l, 5))
+        L = w.num_layers
+        for l in range(1, L + 1):
+            want = backprop_deltas(w, cache, Y, l).tobytes()
+            poisoned_w = w.copy()
+            for j in range(1, l + 1):
+                poisoned_w.set_block(j, np.full(w.arch.block_shape(j), np.nan))
+            below = [np.full_like(d, np.nan) for d in cache.deltas[1:l]]
+            poisoned = ForwardCache(
+                z=[np.full_like(z, np.nan) for z in cache.z[:l]] + cache.z[l:],
+                scratch=cache.scratch,
+                deltas=[None] + below + cache.deltas[l:])
+            seen = []
+            got = backprop_deltas(poisoned_w, poisoned, Y, l,
+                                  lambda j, delta: seen.append(j))
+            assert seen == list(range(L, l - 1, -1))
+            assert got is poisoned.deltas[l] and got.tobytes() == want
+            assert all(np.isnan(d).all() for d in below)
 
     def test_output_delta_is_raw_residual(self):
         w, X, Y, cfg = make_instance([3, 2], 2, 5, seed=9)
         _, cache = forward(w, X)
-        deltas = backprop_deltas(w, cache, Y, 2)
-        assert np.array_equal(deltas[2], cache.outputs - Y)
+        delta = backprop_deltas(w, cache, Y, 2)
+        assert np.array_equal(delta, cache.outputs - Y)
+
+    @pytest.mark.parametrize("rho", [np.nan, np.inf, -np.inf, -1e-3])
+    def test_non_finite_or_negative_rho_rejected(self, rho):
+        with pytest.raises(ValueError, match="rho"):
+            ObjectiveConfig(rho=rho, sample_count=5)
+
+
+@st.composite
+def layered_instance(draw):
+    """1 to 5 layers: fixed cases with equal adjacent widths, where a sweep
+    reuses each delta buffer two layers down, and with unequal ones, plus
+    arbitrary widths."""
+    widths = draw(st.one_of(
+        st.sampled_from([[3, 3, 3, 1], [4, 2, 4, 2, 1], [3, 3, 3, 3, 3]]),
+        st.lists(st.integers(1, 4), min_size=1, max_size=5)))
+    P = draw(st.integers(1, 9))
+    return make_instance(widths, draw(st.integers(1, 4)), P,
+                         draw(st.integers(0, 2**16)),
+                         rho=draw(st.sampled_from([0.0, 1e-3, 0.37])))
+
+
+def same_bits(grads, want):
+    return [g.tobytes() for g in grads] == [g.tobytes() for g in want]
 
 
 class TestFullGradient:
-    def test_equals_stacked_block_calls_bitwise(self):
-        w, X, Y, cfg = make_instance([4, 3, 2], 3, 7, seed=10)
-        grads = full_gradient(w, X, Y, cfg)
+    @settings(max_examples=60, deadline=None)
+    @given(layered_instance())
+    def test_equals_stacked_block_calls_bitwise(self, case):
+        """Every full sweep forms its block gradients as its deltas appear;
+        each equals the per-block call bit for bit: full_gradient,
+        value_and_gradient with and without a cache, minibatch_all_gradients
+        on a subset of the rows, and the gradient of B2LD's block closure."""
+        w, X, Y, cfg = case
+        L = w.num_layers
         _, cache = forward(w, X)
-        for l in range(1, 4):
-            assert np.array_equal(grads[l - 1],
-                                  block_gradient(w, Y, cfg, l, cache))
+        per_block = [block_gradient(w, Y, cfg, l, cache) for l in range(1, L + 1)]
+        assert same_bits(full_gradient(w, X, Y, cfg), per_block)
+        assert same_bits(value_and_gradient(w, X, Y, cfg)[1], per_block)
+        given_cache = ForwardCache.for_rows(w.arch, X.shape[0])
+        assert same_bits(value_and_gradient(w, X, Y, cfg, given_cache)[1],
+                         per_block)
+
+        rows = slice(0, max(1, X.shape[0] // 2))
+        _, mb = forward(w, X[rows])
+        mb_blocks = [minibatch_block_gradient(w, mb, Y[rows], cfg, l)
+                     for l in range(1, L + 1)]
+        assert same_bits(minibatch_all_gradients(w, mb, Y[rows], cfg), mb_blocks)
+
+        base_sq = weights_squared_norm(w)
+        for l in range(1, L + 1):
+            _, evaluate, (_, g_start), _ = _block_eval(
+                w, cache, cache.sibling(), Y, cfg, l, base_sq)
+            _, grad = evaluate(w.block(l).copy())
+            assert same_bits([g_start, grad()], [per_block[l - 1]] * 2)
 
     def test_zero_norm_at_perfect_fit(self):
         w, X, _, _ = make_instance([4, 1], 3, 6, seed=11)

@@ -1,4 +1,5 @@
-"""Warm-run wall time and minor page faults of B2LD, LBFGS, BLInG and IG.
+"""Warm-run wall time, minor page faults and peak RSS of B2LD, LBFGS, BLInG
+and IG.
 
     python3 tools/faults.py
 
@@ -10,7 +11,10 @@ a fresh process: one warm-up run, then one measured run. For that run it
 prints the wall time and ``ru_minflt`` from ``getrusage``, the minor page
 faults: pages the process touched afresh, for example after the allocator
 handed freed memory back to the kernel. They show memory churn that the
-wall time alone hides. BLAS is pinned to one thread.
+wall time alone hides. It also prints the process's peak resident set
+size (``ru_maxrss``) after both runs, in MB: each method's own memory high
+mark, with the interpreter, numpy and the dataset included. BLAS is pinned to
+one thread.
 """
 
 import argparse
@@ -60,14 +64,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.method:
         seconds, faults = measure(args.method)
-        print(f"{args.method}\t{seconds:.3f}\t{faults}")
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"{args.method}\t{seconds:.3f}\t{faults}\t{peak_mb:.1f}")
         return
-    print(f"{'method':<8}{'warm_run_s':>12}{'minor_faults':>14}")
+    print(f"{'method':<8}{'warm_run_s':>12}{'minor_faults':>14}{'peak_rss_mb':>13}")
     for method in ALGORITHMS:
         line = subprocess.run([sys.executable, __file__, "--method", method],
                               capture_output=True, text=True, check=True).stdout
-        name, seconds, faults = line.split()
-        print(f"{name:<8}{seconds:>12}{faults:>14}")
+        name, seconds, faults, peak_mb = line.split()
+        print(f"{name:<8}{seconds:>12}{faults:>14}{peak_mb:>13}")
 
 
 if __name__ == "__main__":
