@@ -9,9 +9,9 @@ incremental gradient baselines, and a multi-seed benchmark harness.
 """
 
 from .linalg import SeededRng, frobenius_norm
-from .network import (Architecture, NetworkWeights, ForwardCache, Activation,
-                      forward, forward_partial, init_weights,
-                      parse_architecture, sigmoid, sigmoid_prime)
+from .network import (Architecture, NetworkWeights, ForwardCache, forward,
+                      forward_partial, init_weights, parse_architecture,
+                      sigmoid, sigmoid_prime)
 from .objective import (ObjectiveConfig, block_gradient, default_rho,
                         full_gradient, gradient_norm, objective_value)
 from .solvers import (ArmijoParams, LbfgsParams, armijo_linesearch,

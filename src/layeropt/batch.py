@@ -1,7 +1,7 @@
 """Batch layer-block descent drivers.
 
-Each outer cycle visits every weight block once (forward, backward, or
-seeded-random order). A visited block is updated by an inner L-BFGS solve on
+Each outer cycle visits every weight block once, in backward order from the
+output layer down. A visited block is updated by an inner L-BFGS solve on
 that block alone, accepted only if the trial point is (1) no worse than the
 point reached by an Armijo step along the block steepest-descent direction and
 (2) achieves sufficient decrease measured by the quadratic forcing term
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import SeededRng, frobenius_norm
+from .linalg import frobenius_norm
 # `sigmoid` is not called here; bench/tests/test_bench.py looks it up as
 # `batch.sigmoid`.
 from .network import (ForwardCache, NetworkWeights, _propagate, forward,
@@ -31,27 +31,17 @@ from .solvers import (ArmijoParams, LbfgsParams, LinesearchError,
 
 
 class BlockSelectionRule:
-    """Cyclic block orderings: forward (1..L), backward (L..1), or a fresh
-    seeded permutation per cycle."""
+    """The cyclic block order: backward, L..1."""
 
-    FORWARD = "forward"
     BACKWARD = "backward"
-    RANDOM = "random"
 
-    def __init__(self, kind: str, seed: int = 0):
-        if kind not in (self.FORWARD, self.BACKWARD, self.RANDOM):
+    def __init__(self, kind: str):
+        if kind != self.BACKWARD:
             raise ValueError(f"unknown selection rule {kind!r}")
-        self.kind = kind
-        self.seed = seed
 
-    def cycle(self, num_layers: int, cycle_index: int):
+    def cycle(self, num_layers: int):
         """Block visit order for one cycle; every block appears exactly once."""
-        if self.kind == self.FORWARD:
-            return list(range(1, num_layers + 1))
-        if self.kind == self.BACKWARD:
-            return list(range(num_layers, 0, -1))
-        rng = SeededRng(self.seed).child(cycle_index)
-        return [int(i) + 1 for i in rng.permutation(num_layers)]
+        return list(range(num_layers, 0, -1))
 
 
 @dataclass(frozen=True)
@@ -81,7 +71,6 @@ class StoppingCriteria:
     grad_norm_tol: float = 1e-3
     f_tol: float = 1e-4
     time_limit_seconds: float = 150.0
-    check_cadence: int = 30
     # Hardware-neutral caps used instead of wall clock in deterministic runs.
     max_cycles: int = None
     max_epochs: int = None
@@ -149,6 +138,7 @@ def _block_eval(weights, cache, trial, Y, cfg, l, base_sq):
     return value, evaluate, start, commit
 
 
+# `rule` has one order; bench/tests/test_bench.py still passes it.
 def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
              rule: BlockSelectionRule, acceptance: AcceptanceParams,
              lbfgs: LbfgsParams, stop: StoppingCriteria,
@@ -187,7 +177,7 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
             break
 
         any_update = False
-        for l in rule.cycle(L, cycle):
+        for l in rule.cycle(L):
             value, evaluate, (f_l, g_l), commit = _block_eval(
                 weights, cache, trial_cache, Y, cfg, l,
                 weights_squared_norm(weights))
@@ -220,7 +210,7 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
             res = lbfgs_minimize_block(
                 evaluate, w_l,
                 replace(lbfgs, grad_tol=eps), deadline=deadline,
-                check_cadence=stop.check_cadence, start_fg=(f_l, g_l))
+                start_fg=(f_l, g_l))
             inner_total += max(res.iterations, 1)
 
             disp = frobenius_norm(res.x - w_l)
@@ -278,7 +268,7 @@ def lbfgs_baseline_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
         else lbfgs.max_iters
     params = replace(lbfgs, grad_tol=stop.grad_norm_tol, max_iters=max_iters)
     res = lbfgs_minimize(trial, weights0.flatten(), params, deadline=deadline,
-                         check_cadence=stop.check_cadence, f_tol=stop.f_tol)
+                         f_tol=stop.f_tol)
     weights.set_from_flat(res.x)
     reason = {"grad_tol": "grad_norm", "max_iters": "iteration_budget"}.get(
         res.stop_reason, res.stop_reason)

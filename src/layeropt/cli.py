@@ -17,9 +17,7 @@ import sys
 import numpy as np
 
 from .batch import StoppingCriteria
-from .data import (ParseError, load_delimited, save_dataset,
-                   synth_teacher_dataset, train_test_split,
-                   fit_apply_normalization)
+from .data import ParseError, save_dataset, synth_teacher_dataset
 from .harness import (ConfigError, ExperimentConfig, emit_report,
                       prepare_dataset, resolve_architecture, run_experiment,
                       run_single, DatasetSpec)
@@ -47,17 +45,13 @@ def _stopping_from(args) -> StoppingCriteria:
 
 
 def cmd_train(args) -> int:
-    if args.data:
-        ds = load_delimited(args.data, args.target_columns, args.delimiter,
-                            args.has_header)
-        train, test = train_test_split(ds, args.test_fraction, args.seed)
-        train, test, _ = fit_apply_normalization(train, test)
-    else:
-        spec = DatasetSpec(name="synthetic", kind="synthetic",
-                           teacher_arch=args.teacher or args.arch,
-                           samples=args.samples, noise_sd=args.noise_sd,
-                           data_seed=args.seed)
-        train, test = prepare_dataset(spec)
+    spec = DatasetSpec(name="train", kind="file" if args.data else "synthetic",
+                       path=args.data or "", target_columns=args.target_columns,
+                       delimiter=args.delimiter, has_header=args.has_header,
+                       teacher_arch=args.teacher or args.arch,
+                       samples=args.samples, noise_sd=args.noise_sd,
+                       data_seed=args.seed, test_fraction=args.test_fraction)
+    train, test = prepare_dataset(spec)
 
     arch = resolve_architecture(args.arch, train.num_features,
                                 train.num_targets)
@@ -78,7 +72,8 @@ def cmd_train(args) -> int:
 def cmd_benchmark(args) -> int:
     config = ExperimentConfig.from_json_file(args.config)
     report = run_experiment(config, workers=args.workers)
-    csv_path, summary_path = emit_report(report, args.out)
+    csv_path, summary_path = emit_report(report,
+                                         args.out or config.output_path)
     print(f"wrote {csv_path}")
     print(f"wrote {summary_path}")
     failures = [r for r in report.rows if r.error]
@@ -170,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("benchmark", help="full experiment from a JSON config")
     p.add_argument("config", help="JSON experiment config file")
-    p.add_argument("--out", default="report", help="output directory")
+    p.add_argument("--out", help="output directory (default: the config's "
+                   "output_path)")
     p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_benchmark)
 

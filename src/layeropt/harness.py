@@ -10,7 +10,7 @@ at least 5% better than the other, else the pair is a tie).
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 from .batch import (AcceptanceParams, BlockSelectionRule, StoppingCriteria,
                     b2ld_run, lbfgs_baseline_run)
@@ -71,6 +71,9 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(raw) -> "ExperimentConfig":
         try:
+            unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
+            if unknown:
+                raise ConfigError(f"unknown config keys {sorted(unknown)}")
             datasets = [DatasetSpec(**d) for d in raw["datasets"]]
             stopping = StoppingCriteria(**raw.get("stopping", {}))
             cfg = ExperimentConfig(

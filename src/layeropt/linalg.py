@@ -47,9 +47,6 @@ class SeededRng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def integers(self, low, high):
-        return int(self._gen.integers(low, high))
-
     def child(self, tag: int) -> "SeededRng":
         """Derive an independent stream for a sub-task, reproducible per (seed, tag)."""
         return SeededRng((self.seed * 0x9E3779B97F4A7C15 + tag) % (1 << 63))

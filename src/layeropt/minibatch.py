@@ -56,26 +56,16 @@ def make_partition(P: int, batch_size: int, seed: int = 0,
 
 
 class MinibatchSelectionRule:
-    """Order in which minibatches are visited each epoch."""
+    """The order minibatches are visited in: incremental, 0..H-1 every epoch."""
 
-    INCREMENTAL = "incremental"          # fixed order, unchanged across epochs
-    STOCHASTIC = "stochastic"            # independent draws with replacement
-    RANDOM_WITHOUT_REPLACEMENT = "random_without_replacement"
+    INCREMENTAL = "incremental"
 
-    def __init__(self, kind: str, seed: int = 0):
-        if kind not in (self.INCREMENTAL, self.STOCHASTIC,
-                        self.RANDOM_WITHOUT_REPLACEMENT):
+    def __init__(self, kind: str):
+        if kind != self.INCREMENTAL:
             raise ValueError(f"unknown minibatch rule {kind!r}")
-        self.kind = kind
-        self.seed = seed
 
-    def epoch_order(self, H: int, epoch: int):
-        if self.kind == self.INCREMENTAL:
-            return list(range(H))
-        rng = SeededRng(self.seed).child(epoch)
-        if self.kind == self.RANDOM_WITHOUT_REPLACEMENT:
-            return [int(i) for i in rng.permutation(H)]
-        return [rng.integers(0, H) for _ in range(H)]
+    def epoch_order(self, H: int):
+        return list(range(H))
 
 
 @dataclass(frozen=True)
@@ -156,7 +146,7 @@ def _run_epochs(algorithm, step, weights0, X, Y, cfg, partition, rule, params,
         if stop.max_epochs is not None and epoch >= stop.max_epochs:
             reason = "max_epochs"
             break
-        for h in rule.epoch_order(partition.num_batches, epoch):
+        for h in rule.epoch_order(partition.num_batches):
             Xb, Yb = gathered[h]
             _, cache = forward(weights, Xb, caches[Xb.shape[0]])
             if not step(weights, cache, Yb, cfg, params, alpha):
@@ -179,6 +169,7 @@ def _run_epochs(algorithm, step, weights0, X, Y, cfg, partition, rule, params,
                         inner_iterations=k)
 
 
+# `rule` has one order; bench/tests/test_bench.py still passes it.
 def bling_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
               partition: Partition, rule: MinibatchSelectionRule,
               params: BlingParams, stop: StoppingCriteria,
@@ -190,6 +181,7 @@ def bling_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
                        rule, params, stop, seed)
 
 
+# `rule` has one order; bench/tests/test_bench.py still passes it.
 def ig_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
            partition: Partition, rule: MinibatchSelectionRule,
            params: BlingParams, stop: StoppingCriteria,

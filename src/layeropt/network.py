@@ -16,9 +16,9 @@ import numpy as np
 from .linalg import SeededRng, ShapeMismatchError
 
 
+# One member: hidden layers are sigmoid; bench/tests/test_bench.py reads it.
 class Activation(enum.Enum):
     SIGMOID = "sigmoid"
-    LINEAR = "linear"
 
 
 def sigmoid(a, out=None):
@@ -63,14 +63,8 @@ def _sigmoid_slope(z, out=None):
     return out
 
 
-# Per activation: the function of the pre-activation a, and its derivative
-# written in the output z = g(a), which the forward cache already holds. Both
-# take an optional `out` to write into.
-_ACT = {
-    Activation.SIGMOID: (sigmoid, _sigmoid_slope),
-    Activation.LINEAR: (lambda a, out=None: np.positive(a, out=out),
-                        lambda z, out=None: np.positive(np.ones_like(z), out=out)),
-}
+# Not read here; bench/tests/test_bench.py looks it up.
+_ACT = {Activation.SIGMOID: (sigmoid, _sigmoid_slope)}
 
 
 @dataclass(frozen=True)
@@ -79,7 +73,6 @@ class Architecture:
 
     input_dim: int
     layer_widths: tuple  # N_1..N_L, last entry is the output dim
-    activation: Activation = Activation.SIGMOID
 
     def __post_init__(self):
         if self.input_dim < 1:
@@ -109,7 +102,7 @@ class Architecture:
 _ARCH_RE = re.compile(r"^(\d+)-\[([0-9x,\s]+)\]-(\d+)$")
 
 
-def parse_architecture(text: str, activation: Activation = Activation.SIGMOID) -> Architecture:
+def parse_architecture(text: str) -> Architecture:
     """Parse "d-[LxN]-m" or "d-[N1,N2,...]-m" into an Architecture.
 
     "13-[10x50]-1" means 13 inputs, 10 hidden layers of 50 neurons, 1 output;
@@ -124,7 +117,7 @@ def parse_architecture(text: str, activation: Activation = Activation.SIGMOID) -
         widths = [int(N)] * int(L)
     else:
         widths = [int(tok) for tok in hidden.split(",") if tok]
-    return Architecture(d, tuple(widths + [out]), activation)
+    return Architecture(d, tuple(widths + [out]))
 
 
 class NetworkWeights:
@@ -307,18 +300,11 @@ def _propagate(weights: NetworkWeights, z, start: int, cache: ForwardCache,
     network outputs. Block `start` is read from `override` when one is given.
     Hidden pre-activations pass through cache.scratch and are not kept."""
     L = weights.num_layers
-    g, _ = _ACT[weights.arch.activation]
     for l in range(start, L + 1):
         W = override if l == start and override is not None else weights.block(l)
         if l == L:
             z = np.matmul(z, W, out=cache.z[L])
         else:
-            z = g(np.matmul(z, W, out=cache.scratch[l]), out=cache.z[l])
+            z = sigmoid(np.matmul(z, W, out=cache.scratch[l]), out=cache.z[l])
     return z
 
-
-def hidden_activation_prime(arch: Architecture):
-    """Derivative of the hidden activation, as a callable on the layer output
-    z = g(a) with an optional `out`: (1 - z) * z for the sigmoid, ones for the
-    linear activation."""
-    return _ACT[arch.activation][1]

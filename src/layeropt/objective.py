@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import (ForwardCache, NetworkWeights, StaleCacheError, forward,
-                      hidden_activation_prime)
+from .network import (ForwardCache, NetworkWeights, StaleCacheError,
+                      _sigmoid_slope, forward)
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def backprop_deltas(weights: NetworkWeights, cache: ForwardCache, Y, down_to: in
     Deltas are formed for l = L down to down_to only; layers below down_to
     are never touched, which is what makes per-block gradients cheaper than
     the full gradient. Reads the cached outputs z[down_to..L] only: the
-    activation derivative is taken from z, so the pre-activations are not
+    sigmoid's derivative is taken from z, so the pre-activations are not
     needed. Each delta is written into cache.deltas[l] (the derivative passes
     through cache.scratch), whose buffers alternate by layer parity: delta_l
     holds only until the sweep writes the layer two below it, and the
@@ -96,13 +96,12 @@ def backprop_deltas(weights: NetworkWeights, cache: ForwardCache, Y, down_to: in
     where a full sweep forms each block gradient.
     """
     L = weights.num_layers
-    slope = hidden_activation_prime(weights.arch)
     for l in range(L, down_to - 1, -1):
         if l == L:  # linear output layer: g'(a_L) = 1
             delta = np.subtract(cache.z[L], Y, out=cache.deltas[L])
         else:
             delta = np.matmul(delta, weights.block(l + 1).T, out=cache.deltas[l])
-            delta *= slope(cache.z[l], out=cache.scratch[l])
+            delta *= _sigmoid_slope(cache.z[l], out=cache.scratch[l])
         if consume is not None:
             consume(l, delta)
     return delta

@@ -65,8 +65,8 @@ class LbfgsResult:
 
 
 def lbfgs_minimize(trial, x0: np.ndarray, params: LbfgsParams,
-                   deadline: float = None, check_cadence: int = 30,
-                   f_tol: float = None, start_fg=None) -> LbfgsResult:
+                   deadline: float = None, f_tol: float = None,
+                   start_fg=None) -> LbfgsResult:
     """Two-loop-recursion L-BFGS with value-only Armijo trials on flat vectors.
 
     trial(x) -> (f, grad): f at x, and a callable grad() that returns the
@@ -78,7 +78,7 @@ def lbfgs_minimize(trial, x0: np.ndarray, params: LbfgsParams,
     inf. Every accepted step satisfies the Armijo condition, so the
     objective sequence is non-increasing. Curvature pairs with
     s'y <= 1e-10 ||s|| ||y|| are skipped to avoid division breakdown. The
-    wall-clock deadline, if given, is checked every `check_cadence` iterations.
+    wall-clock deadline, if given, is checked before every iteration.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     if start_fg is None:
@@ -99,7 +99,7 @@ def lbfgs_minimize(trial, x0: np.ndarray, params: LbfgsParams,
         if gnorm <= params.grad_tol:
             reason = "grad_tol"
             break
-        if deadline is not None and it % check_cadence == 0 and time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             reason = "time_limit"
             break
 
@@ -167,8 +167,7 @@ def _two_loop(g, s_list, y_list, rho_list):
 
 
 def lbfgs_minimize_block(block_trial, start: np.ndarray, params: LbfgsParams,
-                         deadline: float = None, check_cadence: int = 30,
-                         start_fg=None) -> LbfgsResult:
+                         deadline: float = None, start_fg=None) -> LbfgsResult:
     """L-BFGS over one weight block. block_trial(W) -> (f, grad) follows
     `lbfgs_minimize`'s trial contract with all other blocks frozen, and grad()
     returns the block gradient in W's shape. `start_fg`, when given, is
@@ -182,8 +181,7 @@ def lbfgs_minimize_block(block_trial, start: np.ndarray, params: LbfgsParams,
         return f, lambda: grad().ravel()
 
     res = lbfgs_minimize(trial, np.asarray(start, dtype=np.float64).ravel(),
-                         params, deadline=deadline, check_cadence=check_cadence,
-                         start_fg=start_fg)
+                         params, deadline=deadline, start_fg=start_fg)
     res.x = res.x.reshape(shape)
     return res
 

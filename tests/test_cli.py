@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import layeropt.cli as cli
 from layeropt.cli import main
+from layeropt.harness import run_single
 from layeropt.data import load_dataset
 
 
@@ -65,6 +67,22 @@ class TestTrain:
         assert self.run_synth_train("B2LD", ["--rho", rho]) == 1
         assert "rho" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fraction,train_rows", [("0.2", 80), ("0.5", 50)])
+    def test_synthetic_data_honours_test_fraction(self, fraction, train_rows,
+                                                   monkeypatch):
+        sizes = []
+
+        def recording_run_single(algorithm, weights0, train, test, *args,
+                                 **kwargs):
+            sizes.append((train.num_samples, test.num_samples))
+            return run_single(algorithm, weights0, train, test, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_single", recording_run_single)
+        assert main(["train", "--arch", "[1x4]", "--algorithm", "IG",
+                     "--samples", "100", "--teacher", "3-[1x4]-1",
+                     "--test-fraction", fraction, "--max-epochs", "1"]) == 0
+        assert sizes == [(train_rows, 100 - train_rows)]
+
     def test_file_dataset(self, tmp_path, capsys):
         p = tmp_path / "d.csv"
         rng = np.random.default_rng(0)
@@ -108,6 +126,18 @@ class TestBenchmark:
         assert "wrote" in capsys.readouterr().out
         lines = (out_dir / "report.tsv").read_text().strip().splitlines()
         assert len(lines) == 1 + 2 * 2  # header + algorithms x seeds
+
+    def test_out_defaults_to_config_output_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = {"datasets": [{"name": "toy", "kind": "synthetic",
+                             "teacher_arch": "3-[1x4]-1", "samples": 40}],
+               "architectures": ["[1x4]"], "algorithms": ["IG"],
+               "seeds": [0], "stopping": {"max_epochs": 1},
+               "output_path": "from_config"}
+        (tmp_path / "exp.json").write_text(json.dumps(cfg))
+        assert main(["benchmark", "exp.json", "--workers", "1"]) == 0
+        assert (tmp_path / "from_config" / "report.tsv").exists()
+        assert not (tmp_path / "report").exists()
 
     def test_bad_config_exits_1(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

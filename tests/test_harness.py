@@ -99,6 +99,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(raw)
 
+    def test_unknown_top_level_keys_rejected(self):
+        raw = self.minimal()
+        raw["seed"] = [7]
+        raw["algoritms"] = ["B2LD"]
+        with pytest.raises(ConfigError, match=r"\['algoritms', 'seed'\]"):
+            ExperimentConfig.from_dict(raw)
+
     @pytest.mark.parametrize("rho", [float("nan"), float("inf"),
                                      float("-inf"), -1.0, "0.1"])
     def test_bad_rho_rejected_up_front(self, rho):

@@ -62,23 +62,13 @@ class TestPartition:
 class TestSelectionRules:
     def test_incremental_fixed_across_epochs(self):
         rule = MinibatchSelectionRule("incremental")
-        assert rule.epoch_order(4, 0) == rule.epoch_order(4, 9) == [0, 1, 2, 3]
-
-    def test_without_replacement_is_permutation(self):
-        rule = MinibatchSelectionRule("random_without_replacement", seed=2)
-        orders = [rule.epoch_order(6, e) for e in range(8)]
-        for o in orders:
-            assert sorted(o) == list(range(6))
-        assert len({tuple(o) for o in orders}) > 1
-
-    def test_stochastic_draws_in_range(self):
-        rule = MinibatchSelectionRule("stochastic", seed=5)
-        order = rule.epoch_order(4, 0)
-        assert len(order) == 4 and all(0 <= h < 4 for h in order)
+        assert rule.epoch_order(4) == [0, 1, 2, 3]
 
     def test_unknown_rule_rejected(self):
-        with pytest.raises(ValueError):
-            MinibatchSelectionRule("alphabetical")
+        for kind in ("alphabetical", "stochastic",
+                     "random_without_replacement"):
+            with pytest.raises(ValueError):
+                MinibatchSelectionRule(kind)
 
 
 class TestStepsize:
@@ -174,16 +164,8 @@ class TestBling:
     def test_epoch_coverage_incremental(self):
         part = make_partition(17, 5)
         rule = MinibatchSelectionRule("incremental")
-        seen = np.concatenate([part.batches[h] for h in rule.epoch_order(part.num_batches, 0)])
+        seen = np.concatenate([part.batches[h] for h in rule.epoch_order(part.num_batches)])
         assert sorted(seen.tolist()) == list(range(17))
-
-    def test_epoch_coverage_without_replacement(self):
-        part = make_partition(17, 5, seed=1, shuffle=True)
-        rule = MinibatchSelectionRule("random_without_replacement", seed=9)
-        for epoch in range(3):
-            seen = np.concatenate(
-                [part.batches[h] for h in rule.epoch_order(part.num_batches, epoch)])
-            assert sorted(seen.tolist()) == list(range(17))
 
     def test_update_counts_per_epoch(self):
         w, X, Y, cfg = make_problem([4, 1], 3, 20, seed=5)

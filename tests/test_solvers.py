@@ -1,3 +1,4 @@
+import types
 from collections import Counter
 
 import numpy as np
@@ -166,6 +167,18 @@ class TestLbfgs:
         res = lbfgs_minimize(lambda x: (np.inf, lambda: np.zeros_like(x)),
                              np.ones(3), LbfgsParams())
         assert res.stop_reason == "non_finite" and res.iterations == 0
+
+    def test_deadline_checked_before_every_iteration(self, monkeypatch):
+        """A deadline that passes after the first iteration stops the solve
+        before the second."""
+        clock = iter([0.0])
+        monkeypatch.setattr(solvers, "time", types.SimpleNamespace(
+            monotonic=lambda: next(clock, 200.0)))
+        trial, _ = self.quadratic(20, 5)
+        res = lbfgs_minimize(trial, np.zeros(20),
+                             LbfgsParams(grad_tol=0.0, max_iters=40),
+                             deadline=100.0)
+        assert res.stop_reason == "time_limit" and res.iterations == 1
 
     def test_monotone_objective_history(self):
         trial, _ = self.quadratic(8, 3)
