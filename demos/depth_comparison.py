@@ -1,9 +1,9 @@
 """Run a small multi-seed experiment and inspect depth robustness.
 
 Runs the benchmark harness over a shallow and a deeper student on the same
-synthetic dataset, then prints the pairwise win/defeat/tie tallies and the
-deep/shallow best-objective ratio per algorithm. The same experiment is
-reachable from the command line:
+synthetic dataset, then prints the seed-paired win/defeat/tie tallies (the
+lines of summary.txt) and the deep/shallow best-objective ratio per
+algorithm. The same experiment is reachable from the command line:
     layeropt benchmark demos/benchmark_experiment.json --out /tmp/report
 
 Run from the repository root:
@@ -12,8 +12,7 @@ Run from the repository root:
 
 import os
 
-from layeropt import (ExperimentConfig, depth_ratio, emit_report,
-                      run_experiment, tally_wins)
+from layeropt import ExperimentConfig, depth_ratio, emit_report, run_experiment
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -24,13 +23,8 @@ def main():
     report = run_experiment(config, workers=1)
 
     print("pairwise tallies [wins; defeats; ties] on final objective, 5% rule")
-    for ds, arch in report.keys():
-        algos = report.algorithms()
-        for i, a in enumerate(algos):
-            for b in algos[i + 1:]:
-                va, vb = report.values(ds, arch, a), report.values(ds, arch, b)
-                w, d, t = tally_wins(va, vb)
-                print(f"  {ds} {arch:<8} {a:>5} vs {b:<5}: [{w}; {d}; {t}]")
+    for tally in report.tallies():
+        print(f"  {tally}")
 
     print("\ndeep/shallow best-objective ratio (lower favors the deep net)")
     ratios = depth_ratio(report, "[4x20]", "[2x20]")

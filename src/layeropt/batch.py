@@ -76,6 +76,12 @@ class StoppingCriteria:
     max_epochs: int = None
     max_inner_iters: int = None
 
+    def __post_init__(self):
+        # below 0 every run stops at once; NaN disables the deadline
+        t = self.time_limit_seconds
+        if t is not None and not t >= 0:
+            raise ValueError(f"time_limit_seconds {t!r} must be >= 0 or null")
+
 
 @dataclass
 class OptimizerRun:

@@ -7,20 +7,21 @@ Subcommands:
   synth      generate a teacher-network dataset to disk
 
 Exit codes: 0 on success, 1 on config/IO errors, and for gradcheck 1 when any
-tolerance is violated. The LAYEROPT_WORKERS environment variable overrides
-the benchmark worker-pool size.
+tolerance is violated. The defaults of `train` are those of `DatasetSpec`,
+`ExperimentConfig` and `StoppingCriteria`.
 """
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .batch import StoppingCriteria
 from .data import ParseError, save_dataset, synth_teacher_dataset
-from .harness import (ConfigError, ExperimentConfig, emit_report,
-                      prepare_dataset, resolve_architecture, run_experiment,
-                      run_single, DatasetSpec)
+from .harness import (ALGORITHMS, ConfigError, DatasetSpec, ExperimentConfig,
+                      emit_report, prepare_dataset, resolve_architecture,
+                      run_experiment, run_single)
 from .linalg import SeededRng
 from .network import init_weights, parse_architecture, forward
 from .objective import (ObjectiveConfig, block_gradient, default_rho,
@@ -28,20 +29,15 @@ from .objective import (ObjectiveConfig, block_gradient, default_rho,
 
 
 def _add_stopping_flags(p):
-    p.add_argument("--grad-tol", type=float, default=1e-3)
-    p.add_argument("--f-tol", type=float, default=1e-4)
-    p.add_argument("--time-limit", type=float, default=150.0)
-    p.add_argument("--max-cycles", type=int, default=None)
-    p.add_argument("--max-epochs", type=int, default=None)
-    p.add_argument("--max-inner-iters", type=int, default=None)
+    short = {"grad_norm_tol": "grad_tol", "time_limit_seconds": "time_limit"}
+    for f in fields(StoppingCriteria):
+        flag = "--" + short.get(f.name, f.name).replace("_", "-")
+        p.add_argument(flag, dest=f.name, type=f.type, default=f.default)
 
 
 def _stopping_from(args) -> StoppingCriteria:
-    return StoppingCriteria(grad_norm_tol=args.grad_tol, f_tol=args.f_tol,
-                            time_limit_seconds=args.time_limit,
-                            max_cycles=args.max_cycles,
-                            max_epochs=args.max_epochs,
-                            max_inner_iters=args.max_inner_iters)
+    return StoppingCriteria(**{f.name: getattr(args, f.name)
+                               for f in fields(StoppingCriteria)})
 
 
 def cmd_train(args) -> int:
@@ -145,21 +141,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="run one optimizer on one dataset")
     p.add_argument("--data", help="delimited text dataset path")
-    p.add_argument("--target-columns", type=int, nargs="+", default=[1],
+    p.add_argument("--target-columns", type=int, nargs="+",
+                   default=DatasetSpec.target_columns,
                    help="1-based target column indices")
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--delimiter", default=DatasetSpec.delimiter)
     p.add_argument("--has-header", action="store_true")
     p.add_argument("--teacher", help="teacher architecture for synthetic data")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--noise-sd", type=float, default=0.05)
-    p.add_argument("--test-fraction", type=float, default=0.2)
+    p.add_argument("--samples", type=int, default=DatasetSpec.samples)
+    p.add_argument("--noise-sd", type=float, default=DatasetSpec.noise_sd)
+    p.add_argument("--test-fraction", type=float,
+                   default=DatasetSpec.test_fraction)
     p.add_argument("--arch", required=True,
                    help='architecture, e.g. "13-[10x50]-1" or "[3x20]"')
-    p.add_argument("--algorithm", required=True,
-                   choices=["B2LD", "LBFGS", "BLInG", "IG"])
+    p.add_argument("--algorithm", required=True, choices=ALGORITHMS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=128)
+    p.add_argument("--batch-size", type=int,
+                   default=ExperimentConfig.batch_size)
     _add_stopping_flags(p)
     p.set_defaults(func=cmd_train)
 

@@ -1,8 +1,7 @@
 """Dataset ingestion, min-max normalization, splitting, synthetic teachers.
 
-Snapshot format: datasets (and the normalization record fitted on them) are
-cached as numpy ``.npz`` archives with arrays ``X``, ``Y`` and, when present,
-``x_min``/``x_max``/``y_min``/``y_max``; ``provenance`` is stored as a string.
+Snapshot format: a dataset is saved as a numpy ``.npz`` archive holding the
+two arrays ``X`` and ``Y``.
 """
 
 import math
@@ -18,7 +17,6 @@ from .network import Architecture, forward, init_weights
 class Dataset:
     X: np.ndarray   # (P, d) features, samples as rows
     Y: np.ndarray   # (P, m) targets
-    provenance: str = ""
 
     def __post_init__(self):
         self.X = np.atleast_2d(np.asarray(self.X, dtype=np.float64))
@@ -86,7 +84,7 @@ def load_delimited(path, target_columns, delimiter=",", has_header=False) -> Dat
         raise ValueError(f"target columns {targets} outside 1..{mat.shape[1]}")
     tmask = np.zeros(mat.shape[1], dtype=bool)
     tmask[[c - 1 for c in targets]] = True
-    return Dataset(X=mat[:, ~tmask], Y=mat[:, tmask], provenance=str(path))
+    return Dataset(X=mat[:, ~tmask], Y=mat[:, tmask])
 
 
 @dataclass
@@ -111,22 +109,9 @@ class NormalizationModel:
         span = np.where(span == 0.0, 1.0, span)
         return (values - lo) / span
 
-    @staticmethod
-    def _unscale(values, lo, hi):
-        span = hi - lo
-        span = np.where(span == 0.0, 1.0, span)
-        return values * span + lo
-
     def apply(self, ds: Dataset) -> Dataset:
         return Dataset(X=self._scale(ds.X, self.x_min, self.x_max),
-                       Y=self._scale(ds.Y, self.y_min, self.y_max),
-                       provenance=ds.provenance + "|minmax")
-
-    def invert_targets(self, Y: np.ndarray) -> np.ndarray:
-        return self._unscale(Y, self.y_min, self.y_max)
-
-    def invert_features(self, X: np.ndarray) -> np.ndarray:
-        return self._unscale(X, self.x_min, self.x_max)
+                       Y=self._scale(ds.Y, self.y_min, self.y_max))
 
 
 def fit_apply_normalization(train: Dataset, test: Dataset):
@@ -145,8 +130,7 @@ def train_test_split(ds: Dataset, test_fraction: float, seed: int):
     perm = SeededRng(seed).permutation(P)
     n_train = math.ceil(P * (1.0 - test_fraction))
     tr, te = perm[:n_train], perm[n_train:]
-    return (Dataset(ds.X[tr], ds.Y[tr], ds.provenance + "|train"),
-            Dataset(ds.X[te], ds.Y[te], ds.provenance + "|test"))
+    return Dataset(ds.X[tr], ds.Y[tr]), Dataset(ds.X[te], ds.Y[te])
 
 
 def synth_teacher_dataset(arch: Architecture, P: int, noise_sd: float,
@@ -159,25 +143,15 @@ def synth_teacher_dataset(arch: Architecture, P: int, noise_sd: float,
     Y, _ = forward(teacher, X)
     if noise_sd > 0:
         Y = Y + rng.child(3).normal(0.0, noise_sd, size=Y.shape)
-    return Dataset(X=X, Y=Y,
-                   provenance=f"synthetic(seed={seed},P={P},noise_sd={noise_sd})")
+    return Dataset(X=X, Y=Y)
 
 
-def save_dataset(path, ds: Dataset, norm: NormalizationModel = None):
-    """Snapshot a dataset (and optional normalization record) to ``.npz``."""
-    arrays = {"X": ds.X, "Y": ds.Y, "provenance": np.array(ds.provenance)}
-    if norm is not None:
-        arrays.update(x_min=norm.x_min, x_max=norm.x_max,
-                      y_min=norm.y_min, y_max=norm.y_max)
-    np.savez(path, **arrays)
+def save_dataset(path, ds: Dataset):
+    """Snapshot a dataset to ``.npz``."""
+    np.savez(path, X=ds.X, Y=ds.Y)
 
 
-def load_dataset(path):
-    """Load a snapshot; returns (Dataset, NormalizationModel or None)."""
+def load_dataset(path) -> Dataset:
+    """Load a snapshot written by `save_dataset`."""
     with np.load(path, allow_pickle=False) as z:
-        ds = Dataset(X=z["X"], Y=z["Y"], provenance=str(z["provenance"]))
-        norm = None
-        if "x_min" in z.files:
-            norm = NormalizationModel(x_min=z["x_min"], x_max=z["x_max"],
-                                      y_min=z["y_min"], y_max=z["y_max"])
-    return ds, norm
+        return Dataset(X=z["X"], Y=z["Y"])

@@ -9,8 +9,10 @@ at least 5% better than the other, else the pair is a tie).
 
 import json
 import os
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
+from itertools import combinations, product
 
 from .batch import (AcceptanceParams, BlockSelectionRule, StoppingCriteria,
                     b2ld_run, lbfgs_baseline_run)
@@ -25,7 +27,7 @@ from .solvers import LbfgsParams
 
 ALGORITHMS = ("B2LD", "LBFGS", "BLInG", "IG")
 
-WORKERS_ENV = "LAYEROPT_WORKERS"
+WIN_RULE = 0.05    # a value wins a pair only when at least 5% better
 
 
 class ConfigError(ValueError):
@@ -38,7 +40,7 @@ class DatasetSpec:
     kind: str = "synthetic"            # "synthetic" or "file"
     # file datasets
     path: str = ""
-    target_columns: tuple = (0,)       # 1-based
+    target_columns: tuple = (1,)       # 1-based
     delimiter: str = ","
     has_header: bool = False
     # synthetic datasets
@@ -48,7 +50,6 @@ class DatasetSpec:
     data_seed: int = 12345
     # common
     test_fraction: float = 0.2
-    normalize: bool = True
 
 
 @dataclass
@@ -74,19 +75,16 @@ class ExperimentConfig:
             unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
             if unknown:
                 raise ConfigError(f"unknown config keys {sorted(unknown)}")
-            datasets = [DatasetSpec(**d) for d in raw["datasets"]]
-            stopping = StoppingCriteria(**raw.get("stopping", {}))
-            cfg = ExperimentConfig(
-                datasets=datasets,
-                architectures=list(raw["architectures"]),
-                algorithms=list(raw.get("algorithms", ALGORITHMS)),
-                seeds=list(raw.get("seeds", range(10))),
-                stopping=stopping,
-                batch_size=int(raw.get("batch_size", 128)),
-                rho=raw.get("rho"),
-                output_path=raw.get("output_path", "report"))
-        except (KeyError, TypeError) as exc:
+            cfg = ExperimentConfig(**dict(
+                raw, datasets=[DatasetSpec(**d) for d in raw["datasets"]],
+                stopping=StoppingCriteria(**raw.get("stopping", {}))))
+        except ConfigError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
+        if not isinstance(cfg.batch_size, int) or cfg.batch_size < 1:
+            raise ConfigError(f"batch_size {cfg.batch_size!r} must be an "
+                              "integer >= 1")
         if cfg.rho is not None:
             try:
                 ObjectiveConfig(rho=cfg.rho, sample_count=1)
@@ -114,26 +112,41 @@ class RunRow:
     error: str = ""
 
 
+class Tally(namedtuple("Tally", "dataset architecture a b wins defeats ties "
+                       "seeds dropped")):
+    """Seed-paired [wins; defeats; ties] of algorithm a against b: of the
+    `seeds` either ran, `dropped` lack an error-free row of one of them."""
+
+    def __str__(self):
+        note = f" ({self.dropped} of {self.seeds} seeds dropped: error rows)" \
+            if self.dropped else ""
+        return (f"{self.dataset} {self.architecture} {self.a} vs {self.b}: "
+                f"[{self.wins}; {self.defeats}; {self.ties}]{note}")
+
+
 @dataclass
 class ExperimentReport:
     rows: list
 
+    def ok_rows(self, dataset, architecture, algorithm):
+        """The error-free rows of one algorithm on one dataset/architecture."""
+        return [r for r in self.rows
+                if r.dataset == dataset and r.architecture == architecture
+                and r.algorithm == algorithm and not r.error]
+
     def values(self, dataset, architecture, algorithm, metric="final_objective"):
         """Per-seed metric values, ordered by seed."""
-        picked = [r for r in self.rows
-                  if r.dataset == dataset and r.architecture == architecture
-                  and r.algorithm == algorithm and not r.error]
+        picked = self.ok_rows(dataset, architecture, algorithm)
         return [getattr(r, metric) for r in sorted(picked, key=lambda r: r.seed)]
 
     def by_seed(self, dataset, architecture, algorithm, metric="final_objective"):
         """{seed: metric value} over the error-free rows."""
-        return {r.seed: getattr(r, metric) for r in self.rows
-                if r.dataset == dataset and r.architecture == architecture
-                and r.algorithm == algorithm and not r.error}
+        return {r.seed: getattr(r, metric)
+                for r in self.ok_rows(dataset, architecture, algorithm)}
 
     def best(self, dataset, architecture, algorithm, metric="final_objective"):
-        vals = self.values(dataset, architecture, algorithm, metric)
-        return min(vals) if vals else None
+        return min(self.values(dataset, architecture, algorithm, metric),
+                   default=None)
 
     def keys(self):
         return sorted({(r.dataset, r.architecture) for r in self.rows})
@@ -141,8 +154,24 @@ class ExperimentReport:
     def algorithms(self):
         return sorted({r.algorithm for r in self.rows})
 
+    def tallies(self, threshold: float = WIN_RULE):
+        """A `Tally` on final objective for each pair of algorithms on each
+        dataset/architecture, pairing rows by seed: a seed counts only when
+        both methods have an error-free row for it."""
+        pairs = combinations(self.algorithms(), 2)
+        for (ds, arch), (a, b) in product(self.keys(), pairs):
+            seeds = {r.seed for r in self.rows if r.dataset == ds
+                     and r.architecture == arch and r.algorithm in (a, b)}
+            if seeds:
+                va, vb = self.by_seed(ds, arch, a), self.by_seed(ds, arch, b)
+                shared = sorted(va.keys() & vb.keys())
+                counts = tally_wins([va[s] for s in shared],
+                                    [vb[s] for s in shared], threshold)
+                yield Tally(ds, arch, a, b, *counts, len(seeds),
+                            len(seeds) - len(shared))
 
-def tally_wins(values_a, values_b, threshold: float = 0.05):
+
+def tally_wins(values_a, values_b, threshold: float = WIN_RULE):
     """(wins_a, defeats_a, ties) under the 5% rule, pairwise by seed.
 
     a wins a pair iff a <= (1-threshold)*b and the symmetric condition does
@@ -208,14 +237,13 @@ def prepare_dataset(spec: DatasetSpec):
     else:
         raise ConfigError(f"unknown dataset kind {spec.kind!r}")
     train, test = train_test_split(ds, spec.test_fraction, spec.data_seed)
-    if spec.normalize:
-        train, test, _ = fit_apply_normalization(train, test)
+    train, test, _ = fit_apply_normalization(train, test)
     return train, test
 
 
 def run_single(algorithm: str, weights0, train: Dataset, test: Dataset,
-               stop: StoppingCriteria, rho: float = None, batch_size: int = 128,
-               seed: int = 0):
+               stop: StoppingCriteria, rho: float = None,
+               batch_size: int = ExperimentConfig.batch_size, seed: int = 0):
     """Run one algorithm from the given initial weights; returns (run, test_mse)."""
     arch = weights0.arch
     if rho is None:
@@ -294,7 +322,7 @@ def run_experiment(config: ExperimentConfig, workers: int = None) -> ExperimentR
     depend on scheduling). A task that fails, or whose worker dies, becomes
     an error row; the rows of the other tasks are kept."""
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, os.cpu_count() or 1))
+        workers = os.cpu_count() or 1
     tasks = []
     for spec in config.datasets:
         train, test = prepare_dataset(spec)
@@ -313,9 +341,7 @@ def run_experiment(config: ExperimentConfig, workers: int = None) -> ExperimentR
     return ExperimentReport(rows=rows)
 
 
-CSV_COLUMNS = ("dataset", "architecture", "algorithm", "seed",
-               "final_objective", "grad_norm", "test_mse", "elapsed_seconds",
-               "stop_reason", "layer_update_counts", "init_digest", "error")
+CSV_COLUMNS = tuple(f.name for f in fields(RunRow))
 
 
 def _fmt(value):
@@ -327,7 +353,14 @@ def _fmt(value):
     return str(value).replace("\t", " ").replace("\r", " ").replace("\n", " ")
 
 
-def emit_report(report: ExperimentReport, out_dir, threshold: float = 0.05):
+def _parse(cell, kind):
+    """The value of a report cell whose RunRow field has type `kind`."""
+    if kind is list:
+        return [int(v) for v in cell.split(";") if v]
+    return kind(cell)
+
+
+def emit_report(report: ExperimentReport, out_dir, threshold: float = WIN_RULE):
     """Write report.tsv (machine readable, tab-delimited, 17 significant
     digits) and summary.txt (best-of tables, pairwise tallies, per-layer
     histograms). Tabs are used because architecture strings contain commas."""
@@ -336,72 +369,42 @@ def emit_report(report: ExperimentReport, out_dir, threshold: float = 0.05):
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(CSV_COLUMNS) + "\n")
         for r in report.rows:
-            d = asdict(r)
-            fh.write("\t".join(_fmt(d[c]) for c in CSV_COLUMNS) + "\n")
+            fh.write("\t".join(_fmt(getattr(r, c)) for c in CSV_COLUMNS) + "\n")
 
     summary_path = os.path.join(out_dir, "summary.txt")
     with open(summary_path, "w", encoding="utf-8") as fh:
+        cells = list(product(report.keys(), report.algorithms()))
         fh.write("Best final objective over seeds\n")
-        for ds, arch in report.keys():
-            for algo in report.algorithms():
-                best = report.best(ds, arch, algo)
-                if best is not None:
-                    fh.write(f"  {ds} {arch} {algo}: {best:.6e}\n")
+        for (ds, arch), algo in cells:
+            best = report.best(ds, arch, algo)
+            if best is not None:
+                fh.write(f"  {ds} {arch} {algo}: {best:.6e}\n")
         fh.write("\nPairwise tallies [wins; defeats; ties] on final objective "
                  f"({threshold:.0%} rule)\n")
-        algos = report.algorithms()
-        for ds, arch in report.keys():
-            for i, a in enumerate(algos):
-                for b in algos[i + 1:]:
-                    # pair by seed: a seed counts only when both methods
-                    # have an error-free row for it
-                    seeds = {r.seed for r in report.rows
-                             if r.dataset == ds and r.architecture == arch
-                             and r.algorithm in (a, b)}
-                    if not seeds:
-                        continue
-                    va = report.by_seed(ds, arch, a)
-                    vb = report.by_seed(ds, arch, b)
-                    shared = sorted(va.keys() & vb.keys())
-                    w, d_, t = tally_wins([va[s] for s in shared],
-                                          [vb[s] for s in shared], threshold)
-                    dropped = len(seeds) - len(shared)
-                    note = f" ({dropped} of {len(seeds)} seeds dropped: " \
-                        "error rows)" if dropped else ""
-                    fh.write(f"  {ds} {arch} {a} vs {b}: "
-                             f"[{w}; {d_}; {t}]{note}\n")
+        for tally in report.tallies(threshold):
+            fh.write(f"  {tally}\n")
         fh.write("\nPer-layer update counts (best run per dataset/arch/algorithm)\n")
-        for ds, arch in report.keys():
-            for algo in report.algorithms():
-                rows = [r for r in report.rows
-                        if r.dataset == ds and r.architecture == arch
-                        and r.algorithm == algo and not r.error]
-                if rows:
-                    best_row = min(rows, key=lambda r: r.final_objective)
-                    counts = " ".join(str(c) for c in best_row.layer_update_counts)
-                    fh.write(f"  {ds} {arch} {algo}: {counts}\n")
+        for (ds, arch), algo in cells:
+            rows = report.ok_rows(ds, arch, algo)
+            if rows:
+                best_row = min(rows, key=lambda r: r.final_objective)
+                counts = " ".join(str(c) for c in best_row.layer_update_counts)
+                fh.write(f"  {ds} {arch} {algo}: {counts}\n")
     return csv_path, summary_path
 
 
 def load_report(csv_path) -> ExperimentReport:
     """Reload an emitted report; numeric fields round-trip bitwise."""
+    kinds = [f.type for f in fields(RunRow)]
     rows = []
     with open(csv_path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if tuple(header) != CSV_COLUMNS:
             raise ValueError(f"unexpected report header {header}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             cells = line.rstrip("\n").split("\t")
-            rec = dict(zip(CSV_COLUMNS, cells))
-            rows.append(RunRow(
-                dataset=rec["dataset"], architecture=rec["architecture"],
-                algorithm=rec["algorithm"], seed=int(rec["seed"]),
-                final_objective=float(rec["final_objective"]),
-                grad_norm=float(rec["grad_norm"]),
-                test_mse=float(rec["test_mse"]),
-                elapsed_seconds=float(rec["elapsed_seconds"]),
-                stop_reason=rec["stop_reason"],
-                layer_update_counts=[int(v) for v in
-                                     rec["layer_update_counts"].split(";") if v],
-                init_digest=rec["init_digest"], error=rec["error"]))
+            if len(cells) != len(kinds):
+                raise ValueError(f"{csv_path} line {lineno}: {len(cells)} "
+                                 f"cells, expected {len(kinds)}")
+            rows.append(RunRow(*map(_parse, cells, kinds)))
     return ExperimentReport(rows=rows)

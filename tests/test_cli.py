@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import layeropt.cli as cli
+from layeropt.batch import StoppingCriteria
 from layeropt.cli import main
-from layeropt.harness import run_single
+from layeropt.harness import DatasetSpec, ExperimentConfig, run_single
 from layeropt.data import load_dataset
 
 
@@ -33,7 +34,7 @@ class TestSynth:
         rc = main(["synth", "--arch", "4-[1x6]-1", "--samples", "30",
                    "--seed", "3", "--out", str(out)])
         assert rc == 0
-        ds, norm = load_dataset(out)
+        ds = load_dataset(out)
         assert ds.num_samples == 30 and ds.num_features == 4
         assert "30 samples" in capsys.readouterr().out
 
@@ -42,8 +43,7 @@ class TestSynth:
         for out in (a, b):
             main(["synth", "--arch", "3-[1x4]-1", "--samples", "20",
                   "--seed", "7", "--out", str(out)])
-        da, _ = load_dataset(a)
-        db, _ = load_dataset(b)
+        da, db = load_dataset(a), load_dataset(b)
         assert np.array_equal(da.X, db.X) and np.array_equal(da.Y, db.Y)
 
 
@@ -66,6 +66,22 @@ class TestTrain:
     def test_non_finite_rho_exits_1(self, rho, capsys):
         assert self.run_synth_train("B2LD", ["--rho", rho]) == 1
         assert "rho" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("limit", ["-5", "nan"])
+    def test_negative_or_nan_time_limit_exits_1(self, limit, capsys):
+        assert self.run_synth_train("B2LD", ["--time-limit", limit]) == 1
+        assert "time_limit_seconds" in capsys.readouterr().err
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        args = cli.build_parser().parse_args(
+            ["train", "--arch", "[1x4]", "--algorithm", "IG"])
+        assert cli._stopping_from(args) == StoppingCriteria()
+        spec = DatasetSpec(name="")
+        assert (tuple(args.target_columns), args.delimiter, args.samples,
+                args.noise_sd, args.test_fraction) == \
+            (spec.target_columns, spec.delimiter, spec.samples, spec.noise_sd,
+             spec.test_fraction)
+        assert args.batch_size == ExperimentConfig.batch_size
 
     @pytest.mark.parametrize("fraction,train_rows", [("0.2", 80), ("0.5", 50)])
     def test_synthetic_data_honours_test_fraction(self, fraction, train_rows,

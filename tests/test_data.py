@@ -98,15 +98,6 @@ class TestNormalization:
         assert te.X[0, 0] == 2.0  # outside [0,1]: test stats never leak in
         assert model.x_max[0] == 10.0
 
-    def test_round_trip_invertibility(self):
-        rng = np.random.default_rng(3)
-        train = Dataset(X=rng.normal(size=(20, 4)) * 7 + 3,
-                        Y=rng.normal(size=(20, 2)))
-        model = NormalizationModel.fit(train)
-        out = model.apply(train)
-        assert np.abs(model.invert_features(out.X) - train.X).max() <= 1e-12
-        assert np.abs(model.invert_targets(out.Y) - train.Y).max() <= 1e-12
-
 
 class TestSplit:
     def test_sizes_ceil_rule(self):
@@ -167,21 +158,8 @@ class TestSnapshot:
         ds = synth_teacher_dataset(arch, 30, 0.02, seed=4)
         path = tmp_path / "snap.npz"
         save_dataset(path, ds)
-        back, norm = load_dataset(path)
+        back = load_dataset(path)
         assert np.array_equal(back.X, ds.X) and np.array_equal(back.Y, ds.Y)
-        assert back.provenance == ds.provenance
-        assert norm is None
-
-    def test_round_trip_with_normalization(self, tmp_path):
-        train = Dataset(X=[[0.0], [4.0]], Y=[[1.0], [3.0]])
-        model = NormalizationModel.fit(train)
-        path = tmp_path / "snap.npz"
-        save_dataset(path, model.apply(train), model)
-        back, norm = load_dataset(path)
-        assert norm is not None
-        assert np.array_equal(norm.x_min, model.x_min)
-        assert np.array_equal(norm.y_max, model.y_max)
-        assert np.abs(norm.invert_targets(back.Y) - train.Y).max() <= 1e-12
 
 
 def test_dataset_row_count_mismatch_rejected():

@@ -114,6 +114,30 @@ class TestConfig:
         with pytest.raises(ConfigError, match="rho"):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("batch_size", [0, -3, 1.5, "64", None])
+    def test_bad_batch_size_rejected_up_front(self, batch_size):
+        raw = self.minimal()
+        raw["batch_size"] = batch_size
+        with pytest.raises(ConfigError, match="batch_size"):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("limit", [-5.0, float("nan"), float("-inf")])
+    def test_bad_time_limit_rejected_up_front(self, limit):
+        raw = self.minimal()
+        raw["stopping"]["time_limit_seconds"] = limit
+        with pytest.raises(ConfigError, match="time_limit_seconds"):
+            ExperimentConfig.from_dict(raw)
+        with pytest.raises(ValueError, match="time_limit_seconds"):
+            StoppingCriteria(time_limit_seconds=limit)
+
+    def test_no_tolerance_stopping_stays_legal(self):
+        # the budgets-only criteria of tools/outcomes.py and the benchmark
+        raw = self.minimal()
+        raw["stopping"].update(grad_norm_tol=0.0, f_tol=float("-inf"),
+                               time_limit_seconds=None)
+        assert ExperimentConfig.from_dict(raw).stopping.f_tol == float("-inf")
+        assert StoppingCriteria(time_limit_seconds=0.0).time_limit_seconds == 0
+
     def test_nan_rho_in_json_file_rejected(self, tmp_path):
         p = tmp_path / "exp.json"
         p.write_text(json.dumps(self.minimal())[:-1] + ', "rho": NaN}')
@@ -159,6 +183,15 @@ class TestPrepareDataset:
         train, test = prepare_dataset(spec)
         assert train.num_features == 2 and train.num_targets == 1
         assert train.num_samples + test.num_samples == 20
+
+    def test_file_kind_targets_first_column_by_default(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("\n".join(f"{i},{2*i},{3*i}" for i in range(1, 21)))
+        train, test = prepare_dataset(DatasetSpec(name="f", kind="file",
+                                                  path=str(p)))
+        assert train.num_features == 2 and train.num_targets == 1
+        # min-max scaled, the target column is the first: y = x1 / 2
+        assert np.allclose(train.Y[:, 0], train.X[:, 0])
 
 
 def small_experiment(tmp_path=None):
@@ -291,6 +324,22 @@ class TestReportCells:
         assert (got.architecture, got.seed, got.init_digest) == ("[1x4]", 3, "abc")
         assert got.error == "ValueError: line one line two  line three"
 
+    @pytest.mark.parametrize("cells", [11, 13])
+    def test_row_with_wrong_cell_count_names_its_line(self, tmp_path, cells):
+        row = RunRow(dataset="toy", architecture="[1x4]", algorithm="IG",
+                     seed=3, final_objective=1.0, grad_norm=0.5, test_mse=2.0,
+                     elapsed_seconds=0.0, stop_reason="max_epochs",
+                     layer_update_counts=[4, 4], init_digest="abc")
+        tsv, _ = emit_report(ExperimentReport(rows=[row, row]), tmp_path)
+        with open(tsv) as fh:
+            lines = fh.read().splitlines()
+        cut = lines[2].split("\t")[:11] + ["x"] * (cells - 11)
+        lines[2] = "\t".join(cut)
+        with open(tsv, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"line 3: {cells} cells, expected 12"):
+            load_report(tsv)
+
 
 _EXECUTE_TASK = harness._execute_task
 
@@ -378,6 +427,11 @@ def test_tally_pairs_rows_by_seed_and_counts_dropped_seeds(cases):
     note = f" ({dropped} of {len(cases)} seeds dropped: error rows)" \
         if dropped else ""
     assert line == f"[{want[0]}; {want[1]}; {want[2]}]{note}"
+    # the tallies the report hands other callers are the summary's lines
+    tallies = list(ExperimentReport(rows=rows).tallies())
+    assert [tuple(t[4:]) for t in tallies] == \
+        [(*want, len(cases), dropped)]
+    assert f"  {tallies[0]}\n" in text
 
 
 class TestRunSingle:

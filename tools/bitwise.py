@@ -3,13 +3,13 @@ tree and of REV must be byte-equal.
 
     python3 tools/bitwise.py [REV]        # REV defaults to HEAD
 
-REV is checked out with ``git worktree add --detach`` into a temporary
-directory. ``outcomes.py`` imports layeropt from the ``src/`` beside its own
-directory, so this tree's ``tools/outcomes.py`` is copied into the checkout's
+REV's files are unpacked with ``git archive`` into a temporary directory,
+which is removed again; the repository itself is left as it was.
+``outcomes.py`` imports layeropt from the ``src/`` beside its own directory,
+so this tree's ``tools/outcomes.py`` is copied into the checkout's
 ``tools/``: the same script then measures this tree's ``src/`` and REV's. The
 two runs go side by side, each with BLAS on one thread. Their outputs are
-compared byte for byte, and the worktree is removed again (after an
-interrupted run, ``git worktree prune`` clears what is left).
+compared byte for byte.
 
 Exit status: 0 when the outputs are byte-equal, 1 when they differ (the
 first differing record is printed), 2 when a run fails.
@@ -22,6 +22,7 @@ import json
 import shutil
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -29,9 +30,13 @@ TREE = Path(__file__).resolve().parent.parent
 OUTCOMES = Path("tools") / "outcomes.py"
 
 
-def git(*args):
-    subprocess.run(["git", "-C", str(TREE), *args], check=True,
-                   stdout=subprocess.DEVNULL)
+def unpack(rev, dest):
+    """Write the files of `rev` into the directory `dest`."""
+    archive = dest.with_suffix(".tar")
+    subprocess.run(["git", "-C", str(TREE), "archive", "--format=tar",
+                    "-o", str(archive), rev], check=True)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest)
 
 
 def first_difference(path_a, path_b):
@@ -54,18 +59,15 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="bitwise-") as tmp:
         tmp = Path(tmp)
         checkout = tmp / "rev"
-        git("worktree", "add", "--detach", str(checkout), args.rev)
-        try:
-            (checkout / OUTCOMES).parent.mkdir(exist_ok=True)
-            shutil.copyfile(TREE / OUTCOMES, checkout / OUTCOMES)
-            outs = {"this tree": (TREE, tmp / "tree.json"),
-                    args.rev: (checkout, tmp / "rev.json")}
-            runs = {name: subprocess.Popen([sys.executable, str(root / OUTCOMES),
-                                            str(out)])
-                    for name, (root, out) in outs.items()}
-            failed = [name for name, run in runs.items() if run.wait()]
-        finally:
-            git("worktree", "remove", "--force", str(checkout))
+        unpack(args.rev, checkout)
+        (checkout / OUTCOMES).parent.mkdir(exist_ok=True)
+        shutil.copyfile(TREE / OUTCOMES, checkout / OUTCOMES)
+        outs = {"this tree": (TREE, tmp / "tree.json"),
+                args.rev: (checkout, tmp / "rev.json")}
+        runs = {name: subprocess.Popen([sys.executable, str(root / OUTCOMES),
+                                        str(out)])
+                for name, (root, out) in outs.items()}
+        failed = [name for name, run in runs.items() if run.wait()]
         if failed:
             print(f"outcomes.py failed on {', '.join(failed)}", file=sys.stderr)
             return 2

@@ -17,7 +17,11 @@ script runs the tree it sits in. It writes one record per run, every float as
 
 Each record holds the init and final-weight digests, the final objective and
 gradient norm, the trajectory, the stop reason, the update counts, the inner
-iterations and the test MSE. To check a change, run the script in a copy of
+iterations and the test MSE. Four more records, set ``demo-report``, hold the
+SHA-256 of the ``report.tsv`` and ``summary.txt`` that ``emit_report`` writes
+for the demo runs' rows (``elapsed_seconds`` zeroed, plus one error row that
+leaves a seed unpaired), and of the two files again after a ``load_report``
+round trip; they train nothing more. To check a change, run the script in a copy of
 the parent commit and in the change, and compare the two files with ``cmp``.
 BLAS is pinned to one thread, so the records do not depend on its threading.
 """
@@ -28,15 +32,19 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import hashlib  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from layeropt.batch import StoppingCriteria  # noqa: E402
-from layeropt.harness import (ALGORITHMS, DatasetSpec, prepare_dataset,  # noqa: E402
+from layeropt.harness import (ALGORITHMS, DatasetSpec,  # noqa: E402
+                              ExperimentReport, RunRow, emit_report,
+                              load_report, prepare_dataset,
                               resolve_architecture, run_single)
 from layeropt.linalg import SeededRng  # noqa: E402
 from layeropt.network import init_weights  # noqa: E402
@@ -70,7 +78,8 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
-def records(name, spec):
+def records(name, spec, rows):
+    """The records of one set; appends each run's report row to `rows`."""
     train, test = prepare_dataset(spec["dataset"])
     for arch_text in spec["architectures"]:
         arch = resolve_architecture(arch_text, train.num_features,
@@ -82,6 +91,14 @@ def records(name, spec):
                                            spec["stopping"],
                                            batch_size=spec["batch_size"],
                                            seed=seed)
+                rows.append(RunRow(
+                    dataset=spec["dataset"].name, architecture=arch_text,
+                    algorithm=algorithm, seed=seed,
+                    final_objective=run.final_objective,
+                    grad_norm=run.final_grad_norm, test_mse=test_mse,
+                    elapsed_seconds=0.0, stop_reason=run.stop_reason,
+                    layer_update_counts=list(run.layer_update_counts),
+                    init_digest=weights0.digest()))
                 yield {
                     "set": name, "architecture": arch_text,
                     "algorithm": algorithm, "seed": seed,
@@ -97,13 +114,36 @@ def records(name, spec):
                 }
 
 
+def report_records(rows):
+    """Digests of the report files of `rows` plus one error row, as emitted
+    and as re-emitted after load_report."""
+    nan = float("nan")
+    rows = rows + [RunRow(
+        dataset=rows[-1].dataset, architecture=rows[-1].architecture,
+        algorithm="IG", seed=max(r.seed for r in rows) + 1,
+        final_objective=nan, grad_norm=nan, test_mse=nan,
+        elapsed_seconds=0.0, stop_reason="error", layer_update_counts=[],
+        init_digest="", error="RuntimeError: injected\tfailure")]
+    with tempfile.TemporaryDirectory(prefix="outcomes-") as tmp:
+        emitted = emit_report(ExperimentReport(rows=rows), Path(tmp, "emitted"))
+        reloaded = emit_report(load_report(emitted[0]), Path(tmp, "reloaded"))
+        for stage, paths in (("emitted", emitted), ("reloaded", reloaded)):
+            for path in paths:
+                yield {"set": "demo-report", "stage": stage,
+                       "file": Path(path).name,
+                       "sha256": hashlib.sha256(Path(path).read_bytes())
+                       .hexdigest()}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", help="JSON file to write")
     args = parser.parse_args(argv)
     start = time.monotonic()
+    demo_rows = []
     out = [rec for name, spec in (("deep", DEEP), ("demo", DEMO))
-           for rec in records(name, spec)]
+           for rec in records(name, spec, demo_rows if name == "demo" else [])]
+    out += report_records(demo_rows)
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")
