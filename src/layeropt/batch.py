@@ -23,9 +23,9 @@ from .linalg import frobenius_norm
 # `batch.sigmoid`.
 from .network import (ForwardCache, NetworkWeights, _propagate, forward,
                       forward_partial, sigmoid)  # noqa: F401
-from .objective import (ObjectiveConfig, _all_blocks, _block_grad, _loss,
-                        backprop_deltas, block_gradient, gradient_norm,
-                        weights_squared_norm)
+from .objective import (ObjectiveConfig, _block_grad, _loss, backprop_deltas,
+                        block_gradient, cached_value, full_gradient,
+                        gradient_norm, weights_squared_norm)
 from .solvers import (ArmijoParams, LbfgsParams, LinesearchError,
                       armijo_linesearch, lbfgs_minimize, lbfgs_minimize_block)
 
@@ -121,12 +121,12 @@ def _block_eval(weights, cache, trial, Y, cfg, l, base_sq):
     def value(Wl):
         outputs = _propagate(weights, z_prev, l, trial, override=Wl)
         last[:] = [Wl.copy()]
-        return _loss(outputs, Y, cfg, sq_norm(Wl), cfg.rho)
+        return _loss(outputs, Y, cfg, sq_norm(Wl))
 
     def evaluate(Wl):
         def grad():
             delta = backprop_deltas(weights, trial, Y, l)
-            return _block_grad(z_prev, delta, Wl, cfg, cfg.rho)
+            return _block_grad(z_prev, delta, Wl, cfg)
         return value(Wl), grad
 
     def commit(Wl):
@@ -139,7 +139,7 @@ def _block_eval(weights, cache, trial, Y, cfg, l, base_sq):
         else:
             forward_partial(weights, cache, l)
 
-    start = (_loss(cache.outputs, Y, cfg, sq_norm(w_l), cfg.rho),
+    start = (_loss(cache.outputs, Y, cfg, sq_norm(w_l)),
              block_gradient(weights, Y, cfg, l, cache))
     return value, evaluate, start, commit
 
@@ -158,7 +158,7 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
 
     _, cache = forward(weights, X)
     trial_cache = cache.sibling()
-    f_cur = _loss(cache.outputs, Y, cfg, weights_squared_norm(weights), cfg.rho)
+    f_cur = cached_value(weights, cache, Y, cfg)
     traj = [f_cur]
     counts = [0] * L
     last_rel_dec = [math.inf] * L
@@ -168,7 +168,7 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
     cycle = 0
 
     while reason is None:
-        gnorm = gradient_norm(_all_blocks(weights, cache, Y, cfg, cfg.rho))
+        gnorm = gradient_norm(full_gradient(weights, Y, cfg, cache))
         if not (math.isfinite(f_cur) and math.isfinite(gnorm)):
             reason = "non_finite"
             break
@@ -244,7 +244,7 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
         eps *= lbfgs.accuracy_shrink
         cycle += 1
 
-    gnorm = gradient_norm(_all_blocks(weights, cache, Y, cfg, cfg.rho))
+    gnorm = gradient_norm(full_gradient(weights, Y, cfg, cache))
     return OptimizerRun(algorithm="B2LD", seed=seed, final_weights=weights,
                         trajectory=traj, final_objective=f_cur,
                         final_grad_norm=gnorm,
@@ -266,9 +266,8 @@ def lbfgs_baseline_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
     def trial(vec):
         weights.set_from_flat(vec)
         forward(weights, X, cache)
-        f = _loss(cache.outputs, Y, cfg, weights_squared_norm(weights), cfg.rho)
-        return f, lambda: np.concatenate(
-            [g.ravel() for g in _all_blocks(weights, cache, Y, cfg, cfg.rho)])
+        return cached_value(weights, cache, Y, cfg), lambda: np.concatenate(
+            [g.ravel() for g in full_gradient(weights, Y, cfg, cache)])
 
     max_iters = stop.max_inner_iters if stop.max_inner_iters is not None \
         else lbfgs.max_iters

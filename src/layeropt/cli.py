@@ -25,7 +25,7 @@ from .harness import (ALGORITHMS, ConfigError, DatasetSpec, ExperimentConfig,
 from .linalg import SeededRng
 from .network import init_weights, parse_architecture, forward
 from .objective import (ObjectiveConfig, block_gradient, default_rho,
-                        full_gradient)
+                        full_gradient, objective_value)
 
 
 def _add_stopping_flags(p):
@@ -87,7 +87,8 @@ def cmd_gradcheck(args) -> int:
     Y = rng.child(2).uniform(0.0, 1.0, size=(args.samples, arch.output_dim))
     cfg = ObjectiveConfig(rho=default_rho(arch.num_variables),
                           sample_count=args.samples)
-    grads = full_gradient(weights, X, Y, cfg)
+    _, cache = forward(weights, X)
+    grads = full_gradient(weights, Y, cfg, cache)
     h = 1e-6
     ok = True
     for l in range(1, arch.num_layers + 1):
@@ -108,7 +109,6 @@ def cmd_gradcheck(args) -> int:
 
 
 def _central_difference_block(weights, X, Y, cfg, l, h):
-    from .objective import objective_value
     W = weights.block(l)
     fd = np.zeros_like(W)
     for i in range(W.shape[0]):

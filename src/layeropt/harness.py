@@ -82,6 +82,14 @@ class ExperimentConfig:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
+        for key, kind in (("seeds", int), ("architectures", str)):
+            value = getattr(cfg, key)
+            if not (isinstance(value, list)
+                    and all(isinstance(v, kind) for v in value)):
+                raise ConfigError(f"{key} {value!r} must be a list of "
+                                  f"{kind.__name__} values")
+            if len(set(value)) != len(value):
+                raise ConfigError(f"{key} {value!r} repeats an entry")
         if not isinstance(cfg.batch_size, int) or cfg.batch_size < 1:
             raise ConfigError(f"batch_size {cfg.batch_size!r} must be an "
                               "integer >= 1")

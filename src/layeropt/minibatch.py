@@ -18,9 +18,8 @@ import numpy as np
 from .batch import OptimizerRun, StoppingCriteria
 from .linalg import SeededRng, frobenius_norm
 from .network import ForwardCache, NetworkWeights, forward, forward_partial
-from .objective import (ObjectiveConfig, gradient_norm,
-                        minibatch_all_gradients, minibatch_block_gradient,
-                        value_and_gradient)
+from .objective import (ObjectiveConfig, block_gradient, cached_value,
+                        full_gradient, gradient_norm)
 
 
 @dataclass(frozen=True)
@@ -93,12 +92,12 @@ def clamped_scale(direction_norm: float, clamp_lo: float, clamp_hi: float) -> fl
     return max(clamp_lo, min(clamp_hi, direction_norm))
 
 
-def _bling_step(weights, cache, Yb, cfg, params, alpha):
-    """One clamped normalized step per block, output-to-input, each block's
-    gradient taken after the blocks above it have moved. Returns False, and
-    moves no further block, at the first gradient norm that is not finite."""
+def _bling_step(weights, cache, Yb, cfg_b, params, alpha):
+    """One clamped normalized step per block of f_B, output-to-input, each
+    block's gradient taken after the blocks above it have moved. Returns
+    False, and moves no further block, at the first non-finite norm."""
     for l in range(weights.num_layers, 0, -1):
-        d = minibatch_block_gradient(weights, cache, Yb, cfg, l)
+        d = block_gradient(weights, Yb, cfg_b, l, cache)
         norm = frobenius_norm(d)
         if not math.isfinite(norm):
             return False
@@ -108,10 +107,10 @@ def _bling_step(weights, cache, Yb, cfg, params, alpha):
     return True
 
 
-def _ig_step(weights, cache, Yb, cfg, params, alpha):
-    """One simultaneous step of every block, clamped on the full direction.
-    Returns False, moving nothing, when the direction's norm is not finite."""
-    grads = minibatch_all_gradients(weights, cache, Yb, cfg)
+def _ig_step(weights, cache, Yb, cfg_b, params, alpha):
+    """One simultaneous step of every block of f_B, clamped on the full
+    direction. Returns False, moving nothing, when its norm is not finite."""
+    grads = full_gradient(weights, Yb, cfg_b, cache)
     norm = gradient_norm(grads)
     if not math.isfinite(norm):
         return False
@@ -126,15 +125,16 @@ def _run_epochs(algorithm, step, weights0, X, Y, cfg, partition, rule, params,
     """The epoch loop both minibatch methods share: visit the minibatches in
     the rule's order, take `step` on each from a fresh forward pass, then
     shrink the stepsize. Each step moves every block once, or reports a
-    non-finite gradient norm, which stops the run. Each minibatch's rows are
-    gathered once per run, and its forward passes write into the run's one
-    cache for its size. The final objective and gradient norm come from one
-    forward pass over all rows."""
+    non-finite gradient norm, which stops the run. Each minibatch's rows and
+    config `cfg.component(|B|)` are formed once per run, and its forward
+    passes write into the run's one cache for its size. The final objective
+    and gradient norm come from one forward pass over all rows."""
     weights = weights0.copy()
     start = time.monotonic()
     deadline = None if stop.time_limit_seconds is None \
         else start + stop.time_limit_seconds
-    gathered = [(X[batch], Y[batch]) for batch in partition.batches]
+    gathered = [(X[batch], Y[batch], cfg.component(len(batch)))
+                for batch in partition.batches]
     caches = {n: ForwardCache.for_rows(weights.arch, n)
               for n in {len(batch) for batch in partition.batches}}
     alpha = params.alpha0
@@ -147,9 +147,9 @@ def _run_epochs(algorithm, step, weights0, X, Y, cfg, partition, rule, params,
             reason = "max_epochs"
             break
         for h in rule.epoch_order(partition.num_batches):
-            Xb, Yb = gathered[h]
+            Xb, Yb, cfg_b = gathered[h]
             _, cache = forward(weights, Xb, caches[Xb.shape[0]])
-            if not step(weights, cache, Yb, cfg, params, alpha):
+            if not step(weights, cache, Yb, cfg_b, params, alpha):
                 reason = "non_finite"
                 break
             alpha = stepsize_update(alpha, params.eps_dim)
@@ -159,8 +159,9 @@ def _run_epochs(algorithm, step, weights0, X, Y, cfg, partition, rule, params,
                 break
         epoch += 1
 
-    f, grads = value_and_gradient(weights, X, Y, cfg)
-    gnorm = gradient_norm(grads)
+    _, cache = forward(weights, X)
+    f = cached_value(weights, cache, Y, cfg)
+    gnorm = gradient_norm(full_gradient(weights, Y, cfg, cache))
     return OptimizerRun(algorithm=algorithm, seed=seed, final_weights=weights,
                         trajectory=[f], final_objective=f, final_grad_norm=gnorm,
                         elapsed_seconds=time.monotonic() - start,

@@ -1,13 +1,16 @@
-"""Regularized MSE objective, full and per-block gradients, minibatch components.
+"""Regularized MSE objective and its per-block and full gradients.
 
 Objective: f(w) = (1/P) sum_p ||yhat_p - y_p||^2 + rho * ||w||^2.
 
-The minibatch component for an index set B carries the 1/P factor inside its
-loss sum plus its share of the regularizer,
+A minibatch component is not a second formula: f_B is this objective over the
+rows of B, with the config `cfg.component(|B|)`, which keeps the 1/P factor
+and scales rho to its |B|/P share,
 
-    f_B(w) = (1/P) sum_{p in B} ||yhat_p - y_p||^2 + |B| * (rho/P) * ||w||^2,
+    f_B(w) = (1/P) sum_{p in B} ||yhat_p - y_p||^2 + (|B| rho / P) * ||w||^2,
 
-so that the components of any partition sum exactly to f.
+so that the components of any partition sum exactly to f. Values and
+gradients read a forward cache over the rows of Y that is current for the
+weights; only `objective_value` and `mse_value` run their own forward pass.
 """
 
 import math
@@ -30,6 +33,15 @@ class ObjectiveConfig:
         if self.sample_count < 1:
             raise ValueError("sample_count must be positive")
 
+    def component(self, rows: int) -> "ObjectiveConfig":
+        """The config of f_B for a minibatch of `rows` samples, rho scaled to
+        |B| rho / P. A minibatch of every row is component(P), not self:
+        P * rho / P can differ from rho in the last bit."""
+        if rows < 1:
+            raise ValueError("a minibatch needs at least one row")
+        return ObjectiveConfig(rows * self.rho / self.sample_count,
+                               self.sample_count)
+
 
 def default_rho(num_variables: int) -> float:
     """Benchmark default regularization weight, 1e-3 / n."""
@@ -46,37 +58,43 @@ def _squared_error(outputs, Y) -> float:
     return float(np.dot(resid.ravel(), resid.ravel()))
 
 
-def _share(cfg: ObjectiveConfig, rows: int) -> float:
-    """Regularizer coefficient of the component over `rows` samples, |B| rho / P.
-    The full objective uses rho itself, also when a minibatch holds every row."""
-    if rows < 1:
-        raise ValueError("a minibatch needs at least one row")
-    return rows * cfg.rho / cfg.sample_count
-
-
-def _loss(outputs, Y, cfg: ObjectiveConfig, sq_norm: float, reg: float) -> float:
+def _loss(outputs, Y, cfg: ObjectiveConfig, sq_norm: float) -> float:
     """The one loss: (1/P) sum ||yhat - y||^2 over the rows of `outputs`, plus
-    reg * ||w||^2. reg = rho gives f, reg = |B| rho / P gives f_B."""
-    return _squared_error(outputs, Y) / cfg.sample_count + reg * sq_norm
+    rho * ||w||^2, where sq_norm = ||w||^2."""
+    return _squared_error(outputs, Y) / cfg.sample_count + cfg.rho * sq_norm
 
 
-def _block_grad(z_prev, delta, W, cfg: ObjectiveConfig, reg: float) -> np.ndarray:
-    """The one block-gradient product: d/dW of `_loss` with the same `reg`,
-    from the input z_prev of the block and the delta at its output."""
-    return (2.0 / cfg.sample_count) * (z_prev.T @ delta) + 2.0 * reg * W
+def _block_grad(z_prev, delta, W, cfg: ObjectiveConfig) -> np.ndarray:
+    """The one block-gradient product: d/dW of `_loss`, from the input z_prev
+    of the block and the delta at its output."""
+    return (2.0 / cfg.sample_count) * (z_prev.T @ delta) + 2.0 * cfg.rho * W
+
+
+def _check_current(weights: NetworkWeights, cache: ForwardCache):
+    if cache.versions != weights.versions():
+        raise StaleCacheError("cache does not match current weights")
 
 
 def objective_value(weights: NetworkWeights, X, Y, cfg: ObjectiveConfig):
-    """Returns (regularized objective, unregularized mean squared error)."""
+    """Returns (regularized objective, unregularized mean squared error),
+    the terms of `_loss` with the residual squared once."""
     outputs, _ = forward(weights, X)
-    return (_loss(outputs, Y, cfg, weights_squared_norm(weights), cfg.rho),
-            _squared_error(outputs, Y) / cfg.sample_count)
+    mse = _squared_error(outputs, Y) / cfg.sample_count
+    return mse + cfg.rho * weights_squared_norm(weights), mse
 
 
 def mse_value(weights: NetworkWeights, X, Y) -> float:
     """Unregularized MSE, used as the test-error metric."""
     outputs, _ = forward(weights, X)
     return _squared_error(outputs, Y) / X.shape[0]
+
+
+def cached_value(weights: NetworkWeights, cache: ForwardCache, Y,
+                 cfg: ObjectiveConfig) -> float:
+    """The objective, from a cache over the rows of Y that is current for
+    the weights."""
+    _check_current(weights, cache)
+    return _loss(cache.outputs, Y, cfg, weights_squared_norm(weights))
 
 
 def backprop_deltas(weights: NetworkWeights, cache: ForwardCache, Y, down_to: int,
@@ -107,21 +125,6 @@ def backprop_deltas(weights: NetworkWeights, cache: ForwardCache, Y, down_to: in
     return delta
 
 
-def _one_block(weights, cache, Y, cfg, l, reg):
-    delta = backprop_deltas(weights, cache, Y, l)
-    return _block_grad(cache.z[l - 1], delta, weights.block(l), cfg, reg)
-
-
-def _all_blocks(weights, cache, Y, cfg, reg):
-    grads = [None] * weights.num_layers
-
-    def consume(l, delta):
-        grads[l - 1] = _block_grad(cache.z[l - 1], delta, weights.block(l),
-                                   cfg, reg)
-    backprop_deltas(weights, cache, Y, 1, consume)
-    return grads
-
-
 def block_gradient(weights: NetworkWeights, Y, cfg: ObjectiveConfig, l: int,
                    cache: ForwardCache) -> np.ndarray:
     """Gradient of the objective w.r.t. weight block l only.
@@ -129,45 +132,24 @@ def block_gradient(weights: NetworkWeights, Y, cfg: ObjectiveConfig, l: int,
     The cache must be current for the weights; deltas are computed from the
     output layer down to l and no further.
     """
-    if cache.versions != weights.versions():
-        raise StaleCacheError("cache does not match current weights")
-    return _one_block(weights, cache, Y, cfg, l, cfg.rho)
+    _check_current(weights, cache)
+    delta = backprop_deltas(weights, cache, Y, l)
+    return _block_grad(cache.z[l - 1], delta, weights.block(l), cfg)
 
 
-def full_gradient(weights: NetworkWeights, X, Y, cfg: ObjectiveConfig):
-    """Per-block gradients of the objective, as a list indexed l-1."""
-    _, cache = forward(weights, X)
-    return _all_blocks(weights, cache, Y, cfg, cfg.rho)
+def full_gradient(weights: NetworkWeights, Y, cfg: ObjectiveConfig,
+                  cache: ForwardCache):
+    """Per-block gradients of the objective, as a list indexed l-1, from one
+    backward sweep over a cache that is current for the weights; each block
+    gradient is formed as its delta appears."""
+    _check_current(weights, cache)
+    grads = [None] * weights.num_layers
 
-
-def value_and_gradient(weights: NetworkWeights, X, Y, cfg: ObjectiveConfig,
-                       cache: ForwardCache = None):
-    """(objective, per-block gradients as in `full_gradient`) from one
-    forward pass. A cache for the rows of X, when given, is reused in place
-    (see `forward`)."""
-    _, cache = forward(weights, X, cache)
-    return (_loss(cache.outputs, Y, cfg, weights_squared_norm(weights), cfg.rho),
-            _all_blocks(weights, cache, Y, cfg, cfg.rho))
+    def consume(l, delta):
+        grads[l - 1] = _block_grad(cache.z[l - 1], delta, weights.block(l), cfg)
+    backprop_deltas(weights, cache, Y, 1, consume)
+    return grads
 
 
 def gradient_norm(grads) -> float:
     return math.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in grads))
-
-
-def minibatch_value(weights: NetworkWeights, cache: ForwardCache, Yb,
-                    cfg: ObjectiveConfig) -> float:
-    """Component objective f_B evaluated from a cache over the minibatch rows."""
-    return _loss(cache.outputs, Yb, cfg, weights_squared_norm(weights),
-                 _share(cfg, Yb.shape[0]))
-
-
-def minibatch_block_gradient(weights: NetworkWeights, cache: ForwardCache, Yb,
-                             cfg: ObjectiveConfig, l: int) -> np.ndarray:
-    """Gradient of f_B w.r.t. block l, from a cache over the minibatch rows."""
-    return _one_block(weights, cache, Yb, cfg, l, _share(cfg, Yb.shape[0]))
-
-
-def minibatch_all_gradients(weights: NetworkWeights, cache: ForwardCache, Yb,
-                            cfg: ObjectiveConfig):
-    """All block gradients of f_B from one backward sweep (used by the IG baseline)."""
-    return _all_blocks(weights, cache, Yb, cfg, _share(cfg, Yb.shape[0]))

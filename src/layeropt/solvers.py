@@ -59,7 +59,6 @@ class LbfgsResult:
     f: float
     grad_norm: float
     iterations: int
-    degraded: bool          # linesearch failed; x is the best point seen
     f_history: list
     stop_reason: str = "grad_tol"
 
@@ -74,8 +73,9 @@ def lbfgs_minimize(trial, x0: np.ndarray, params: LbfgsParams,
     x0, unless the caller passes the pair it holds there as `start_fg`, and
     once per Armijo trial; grad runs only at x0 and at each accepted step,
     the last trial of its search. Stops at ||g|| <= grad_tol, after
-    max_iters accepted steps, or ("non_finite") when f or ||g|| is NaN or
-    inf. Every accepted step satisfies the Armijo condition, so the
+    max_iters accepted steps, ("non_finite") when f or ||g|| is NaN or
+    inf, or ("linesearch_failure") at the last accepted point when a search
+    fails. Every accepted step satisfies the Armijo condition, so the
     objective sequence is non-increasing. Curvature pairs with
     s'y <= 1e-10 ||s|| ||y|| are skipped to avoid division breakdown. The
     wall-clock deadline, if given, is checked before every iteration.
@@ -89,7 +89,6 @@ def lbfgs_minimize(trial, x0: np.ndarray, params: LbfgsParams,
     history = [f]
     s_list, y_list, rho_list = [], [], []
     it = 0
-    degraded = False
     reason = "max_iters"
     while it < params.max_iters:
         gnorm = math.sqrt(float(np.dot(g, g)))
@@ -119,7 +118,6 @@ def lbfgs_minimize(trial, x0: np.ndarray, params: LbfgsParams,
         try:
             armijo_linesearch(phi, f, slope, params.armijo)
         except LinesearchError:
-            degraded = True
             reason = "linesearch_failure"
             break
 
@@ -145,8 +143,7 @@ def lbfgs_minimize(trial, x0: np.ndarray, params: LbfgsParams,
             break
 
     return LbfgsResult(x=x, f=f, grad_norm=math.sqrt(float(np.dot(g, g))),
-                       iterations=it, degraded=degraded, f_history=history,
-                       stop_reason=reason)
+                       iterations=it, f_history=history, stop_reason=reason)
 
 
 def _two_loop(g, s_list, y_list, rho_list):

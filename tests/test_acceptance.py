@@ -20,8 +20,8 @@ from layeropt.linalg import SeededRng
 from layeropt.minibatch import (BlingParams, MinibatchSelectionRule, bling_run,
                                 ig_run, make_partition, stepsize_update)
 from layeropt.network import Architecture, forward, init_weights, parse_architecture
-from layeropt.objective import (ObjectiveConfig, block_gradient, full_gradient,
-                                minibatch_value, objective_value)
+from layeropt.objective import (ObjectiveConfig, block_gradient, cached_value,
+                                full_gradient, objective_value)
 from layeropt.solvers import (ArmijoParams, LbfgsParams, armijo_linesearch,
                               llsq_last_layer)
 
@@ -50,7 +50,7 @@ def test_criterion_1_gradient_correctness():
     worst = 0.0
     for _ in range(50):
         w, X, Y, cfg = make_instance(rng)
-        grads = full_gradient(w, X, Y, cfg)
+        grads = full_gradient(w, Y, cfg, forward(w, X)[1])
         for l in range(1, w.num_layers + 1):
             fd = fd_block_gradient(w, X, Y, cfg, l)
             worst = max(worst, rel_error(grads[l - 1], fd))
@@ -67,7 +67,7 @@ def test_criterion_2_partial_propagation_equivalence():
     worst = 0.0
     for _ in range(20):
         w, X, Y, cfg = make_instance(rng, max_samples=32)
-        grads = full_gradient(w, X, Y, cfg)
+        grads = full_gradient(w, Y, cfg, forward(w, X)[1])
         _, cache = forward(w, X)
         for l in range(1, w.num_layers + 1):
             g = block_gradient(w, Y, cfg, l, cache)  # deltas stop at block l
@@ -209,7 +209,7 @@ def test_criterion_8_minibatch_decomposition_identity():
             total = 0.0
             for b in part.batches:
                 _, cache = forward(w, X[b])
-                total += minibatch_value(w, cache, Y[b], cfg)
+                total += cached_value(w, cache, Y[b], cfg.component(len(b)))
             f, _ = objective_value(w, X, Y, cfg)
             worst = max(worst, abs(total - f) / f)
     ok = worst <= 1e-12

@@ -92,7 +92,8 @@ class TestB2ld:
         r = run_b2ld(w, X, Y, cfg, max_cycles=8)
         f, _ = objective_value(r.final_weights, X, Y, cfg)
         assert f == pytest.approx(r.final_objective, rel=1e-12)
-        g = gradient_norm(full_gradient(r.final_weights, X, Y, cfg))
+        g = gradient_norm(full_gradient(r.final_weights, Y, cfg,
+                                        forward(r.final_weights, X)[1]))
         assert g == pytest.approx(r.final_grad_norm, rel=1e-12)
 
     def test_stationary_start_stops_without_updates(self):

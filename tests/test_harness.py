@@ -121,6 +121,29 @@ class TestConfig:
         with pytest.raises(ConfigError, match="batch_size"):
             ExperimentConfig.from_dict(raw)
 
+    def test_scalar_seeds_rejected_up_front(self):
+        # loaded before, then run_experiment raised a bare TypeError
+        raw = self.minimal()
+        raw["seeds"] = 5
+        with pytest.raises(ConfigError, match="seeds"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_string_architectures_rejected_up_front(self):
+        # loaded before, then ran one error row per character
+        raw = self.minimal()
+        raw["architectures"] = "[1x3]"
+        with pytest.raises(ConfigError, match="architectures"):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("key,value", [("seeds", [0, 0, 1]),
+                                           ("architectures", ["[1x4]", "[1x4]"])])
+    def test_repeated_entry_rejected_up_front(self, key, value):
+        # a repeated seed ran twice but was tallied once
+        raw = self.minimal()
+        raw[key] = value
+        with pytest.raises(ConfigError, match=f"{key}.*repeats"):
+            ExperimentConfig.from_dict(raw)
+
     @pytest.mark.parametrize("limit", [-5.0, float("nan"), float("-inf")])
     def test_bad_time_limit_rejected_up_front(self, limit):
         raw = self.minimal()

@@ -9,8 +9,8 @@ from layeropt.minibatch import (BlingParams, MinibatchSelectionRule, Partition,
                                 make_partition, stepsize_update)
 from layeropt.network import (Architecture, ForwardCache, forward,
                               forward_partial, init_weights)
-from layeropt.objective import (ObjectiveConfig, minibatch_all_gradients,
-                                minibatch_block_gradient, objective_value)
+from layeropt.objective import (ObjectiveConfig, block_gradient, full_gradient,
+                                objective_value)
 
 
 def make_problem(widths, input_dim, P, seed, rho=1e-3):
@@ -142,7 +142,7 @@ class TestBling:
         _, cache = forward(hand, X)
         batch = np.arange(20)
         for l in (3, 2, 1):
-            d = minibatch_block_gradient(hand, cache, Y, cfg, l)
+            d = block_gradient(hand, Y, cfg.component(20), l, cache)
             import math
             div = max(params.clamp_lo,
                       min(params.clamp_hi, math.sqrt(float(np.dot(d.ravel(), d.ravel())))))
@@ -155,7 +155,7 @@ class TestBling:
         w, X, Y, cfg = make_problem([4, 4, 2], 3, 12, seed=4)
         _, cache = forward(w, X)
         for l in (3, 2, 1):
-            d = minibatch_block_gradient(w, cache, Y, cfg, l)
+            d = block_gradient(w, Y, cfg.component(12), l, cache)
             w.set_block(l, w.block(l) - 0.1 * d)
             out_partial, _ = forward_partial(w, cache, l)
             out_full, _ = forward(w, X)
@@ -184,7 +184,7 @@ class TestBling:
         params = BlingParams(alpha0=0.3)
         _, cache = forward(w, X)
         for l in (2, 1):
-            d = minibatch_block_gradient(w, cache, Y, cfg, l)
+            d = block_gradient(w, Y, cfg.component(10), l, cache)
             dn = float(np.linalg.norm(d))
             before = w.block(l).copy()
             div = clamped_scale(dn, params.clamp_lo, params.clamp_hi)
@@ -214,7 +214,7 @@ class TestIg:
                    params, epochs(1))
         hand = w.copy()
         _, cache = forward(hand, X)
-        grads = minibatch_all_gradients(hand, cache, Y, cfg)
+        grads = full_gradient(hand, Y, cfg.component(15), cache)
         for l in (1, 2):
             hand.set_block(l, hand.block(l) - params.alpha0 * grads[l - 1])
         assert r.final_weights.digest() == hand.digest()
@@ -227,7 +227,7 @@ class TestIg:
                    params, epochs(1))
         hand = w.copy()
         _, cache = forward(hand, X)
-        grads = minibatch_all_gradients(hand, cache, Y, cfg)
+        grads = full_gradient(hand, Y, cfg.component(18), cache)
         import math
         total = math.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in grads))
         div = clamped_scale(total, params.clamp_lo, params.clamp_hi)
@@ -257,6 +257,28 @@ class TestIg:
         ri = ig_run(w, X, Y, cfg, part, rule, BlingParams(), epochs(30))
         assert rb.final_objective < f0
         assert ri.final_objective < f0
+
+
+@pytest.mark.parametrize("driver,step", [(bling_run, minibatch._bling_step),
+                                         (ig_run, minibatch._ig_step)])
+def test_one_minibatch_run_uses_the_component_config(driver, step):
+    """A minibatch of all P rows is f_B under cfg.component(P), not cfg: at
+    rho = 0.1, P = 3 the two rhos differ in the last bit, and so do the
+    steps they give; the run takes the component's."""
+    w, X, Y, cfg = make_problem([4, 2, 1], 2, 3, seed=12, rho=0.1)
+    component = cfg.component(3)
+    assert component.rho != cfg.rho
+    params = BlingParams(alpha0=0.5)
+    r = driver(w, X, Y, cfg, make_partition(3, 3),
+               MinibatchSelectionRule("incremental"), params, epochs(1))
+    digests = []
+    for c in (component, cfg):
+        hand = w.copy()
+        _, cache = forward(hand, X)
+        assert step(hand, cache, Y, c, params, params.alpha0)
+        digests.append(hand.digest())
+    assert digests[0] != digests[1]
+    assert r.final_weights.digest() == digests[0]
 
 
 class TestRunBuffers:

@@ -9,10 +9,8 @@ from layeropt.network import (Architecture, ForwardCache, NetworkWeights,
                               StaleCacheError, forward, init_weights, sigmoid,
                               sigmoid_prime)
 from layeropt.objective import (ObjectiveConfig, backprop_deltas,
-                                block_gradient, default_rho, full_gradient,
-                                gradient_norm, minibatch_all_gradients,
-                                minibatch_block_gradient, minibatch_value,
-                                objective_value, value_and_gradient,
+                                block_gradient, cached_value, default_rho,
+                                full_gradient, gradient_norm, objective_value,
                                 weights_squared_norm)
 
 
@@ -113,6 +111,10 @@ class TestBlockGradient:
         w.set_block(1, w.block(1) * 2.0)
         with pytest.raises(StaleCacheError):
             block_gradient(w, Y, cfg, 1, cache)
+        with pytest.raises(StaleCacheError):
+            full_gradient(w, Y, cfg, cache)
+        with pytest.raises(StaleCacheError):
+            cached_value(w, cache, Y, cfg)
 
     def test_delta_recursion_stops_at_block(self):
         """A sweep down to block l forms the deltas of layers L..l, in that
@@ -174,24 +176,24 @@ class TestFullGradient:
     @given(layered_instance())
     def test_equals_stacked_block_calls_bitwise(self, case):
         """Every full sweep forms its block gradients as its deltas appear;
-        each equals the per-block call bit for bit: full_gradient,
-        value_and_gradient with and without a cache, minibatch_all_gradients
-        on a subset of the rows, and the gradient of B2LD's block closure."""
+        each equals the per-block call bit for bit: full_gradient on a
+        forward pass's own cache and on one handed to it, full_gradient of a
+        component on a subset of the rows, and the gradient of B2LD's block
+        closure."""
         w, X, Y, cfg = case
         L = w.num_layers
         _, cache = forward(w, X)
         per_block = [block_gradient(w, Y, cfg, l, cache) for l in range(1, L + 1)]
-        assert same_bits(full_gradient(w, X, Y, cfg), per_block)
-        assert same_bits(value_and_gradient(w, X, Y, cfg)[1], per_block)
-        given_cache = ForwardCache.for_rows(w.arch, X.shape[0])
-        assert same_bits(value_and_gradient(w, X, Y, cfg, given_cache)[1],
-                         per_block)
+        assert same_bits(full_gradient(w, Y, cfg, cache), per_block)
+        _, given = forward(w, X, ForwardCache.for_rows(w.arch, X.shape[0]))
+        assert same_bits(full_gradient(w, Y, cfg, given), per_block)
 
-        rows = slice(0, max(1, X.shape[0] // 2))
-        _, mb = forward(w, X[rows])
-        mb_blocks = [minibatch_block_gradient(w, mb, Y[rows], cfg, l)
+        n = max(1, X.shape[0] // 2)
+        _, mb = forward(w, X[:n])
+        mb_blocks = [block_gradient(w, Y[:n], cfg.component(n), l, mb)
                      for l in range(1, L + 1)]
-        assert same_bits(minibatch_all_gradients(w, mb, Y[rows], cfg), mb_blocks)
+        assert same_bits(full_gradient(w, Y[:n], cfg.component(n), mb),
+                         mb_blocks)
 
         base_sq = weights_squared_norm(w)
         for l in range(1, L + 1):
@@ -202,9 +204,9 @@ class TestFullGradient:
 
     def test_zero_norm_at_perfect_fit(self):
         w, X, _, _ = make_instance([4, 1], 3, 6, seed=11)
-        Y, _ = forward(w, X)
+        Y, cache = forward(w, X)
         cfg = ObjectiveConfig(rho=0.0, sample_count=6)
-        assert gradient_norm(full_gradient(w, X, Y, cfg)) == 0.0
+        assert gradient_norm(full_gradient(w, Y, cfg, cache)) == 0.0
 
 
 @st.composite
@@ -227,8 +229,9 @@ def partitioned_instance(draw):
 def components(w, X, Y, cfg, batch, l):
     """(f_B, grad of f_B w.r.t. block l) from a cache over the batch rows."""
     _, cache = forward(w, X[batch])
-    return (minibatch_value(w, cache, Y[batch], cfg),
-            minibatch_block_gradient(w, cache, Y[batch], cfg, l))
+    cfg_b = cfg.component(len(batch))
+    return (cached_value(w, cache, Y[batch], cfg_b),
+            block_gradient(w, Y[batch], cfg_b, l, cache))
 
 
 class TestMinibatchComponents:
@@ -278,13 +281,9 @@ class TestMinibatchComponents:
         assert np.allclose(gh, hand, rtol=1e-12)
 
     def test_empty_batch_rejected(self):
-        w, X, Y, cfg = make_instance([3, 1], 2, 5, seed=15)
-        empty = np.array([], dtype=np.intp)
-        _, cache = forward(w, X[empty])
-        with pytest.raises(ValueError):
-            minibatch_value(w, cache, Y[empty], cfg)
-        with pytest.raises(ValueError):
-            minibatch_block_gradient(w, cache, Y[empty], cfg, 1)
+        _, _, _, cfg = make_instance([3, 1], 2, 5, seed=15)
+        with pytest.raises(ValueError, match="at least one row"):
+            cfg.component(0)
 
 
 def test_gradient_consistency_random_instances():

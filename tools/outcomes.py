@@ -13,7 +13,12 @@ script runs the tree it sits in. It writes one record per run, every float as
   tolerances that never stop a run: 40 inner iterations for B2LD and LBFGS,
   10 epochs of batch 128 for BLInG and IG;
 - ``demo``: the 40-run cross product of the demo experiment, with its
-  config written out below.
+  config written out below;
+- ``one-batch``: BLInG and IG at init seeds 0-2 with a ``batch_size`` above
+  the 48 training rows, so that each run has one minibatch, and an explicit
+  rho = 0.1, for which 48 * rho / 48 != rho: these records move if a
+  minibatch of every row is given rho itself instead of its component's
+  rho, ``cfg.component(P)``.
 
 Each record holds the init and final-weight digests, the final objective and
 gradient norm, the trajectory, the stop reason, the update counts, the inner
@@ -73,6 +78,19 @@ DEMO = {
     "batch_size": 64,
 }
 
+ONE_BATCH = {
+    "dataset": DatasetSpec(name="one-batch", teacher_arch="4-[1x6]-1",
+                           samples=60, noise_sd=0.05, data_seed=5,
+                           test_fraction=0.2),
+    "architectures": ["[2x6]"],
+    "seeds": [0, 1, 2],
+    "algorithms": ("BLInG", "IG"),
+    "rho": 0.1,
+    "stopping": StoppingCriteria(grad_norm_tol=0.0, f_tol=float("-inf"),
+                                 time_limit_seconds=None, max_epochs=20),
+    "batch_size": 1000,
+}
+
 
 def _hex(values):
     return [float(v).hex() for v in values]
@@ -86,9 +104,10 @@ def records(name, spec, rows):
                                     train.num_targets)
         for seed in spec["seeds"]:
             weights0 = init_weights(arch, SeededRng(seed))
-            for algorithm in ALGORITHMS:
+            for algorithm in spec.get("algorithms", ALGORITHMS):
                 run, test_mse = run_single(algorithm, weights0, train, test,
                                            spec["stopping"],
+                                           rho=spec.get("rho"),
                                            batch_size=spec["batch_size"],
                                            seed=seed)
                 rows.append(RunRow(
@@ -144,6 +163,7 @@ def main(argv=None):
     out = [rec for name, spec in (("deep", DEEP), ("demo", DEMO))
            for rec in records(name, spec, demo_rows if name == "demo" else [])]
     out += report_records(demo_rows)
+    out += records("one-batch", ONE_BATCH, [])
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")
