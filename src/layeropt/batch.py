@@ -29,6 +29,8 @@ from .objective import (ObjectiveConfig, _block_grad, _loss, backprop_deltas,
 from .solvers import (ArmijoParams, LbfgsParams, LinesearchError,
                       armijo_linesearch, lbfgs_minimize, lbfgs_minimize_block)
 
+ACCURACY_SHRINK = 0.5   # factor applied to the inner grad_tol per cycle
+
 
 class BlockSelectionRule:
     """The cyclic block order: backward, L..1."""
@@ -241,7 +243,7 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
 
         if reason is None and not any_update:
             reason = "f_tol"
-        eps *= lbfgs.accuracy_shrink
+        eps *= ACCURACY_SHRINK
         cycle += 1
 
     gnorm = gradient_norm(full_gradient(weights, Y, cfg, cache))
@@ -275,12 +277,10 @@ def lbfgs_baseline_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
     res = lbfgs_minimize(trial, weights0.flatten(), params, deadline=deadline,
                          f_tol=stop.f_tol)
     weights.set_from_flat(res.x)
-    reason = {"grad_tol": "grad_norm", "max_iters": "iteration_budget"}.get(
-        res.stop_reason, res.stop_reason)
     return OptimizerRun(algorithm="LBFGS", seed=seed, final_weights=weights,
                         trajectory=res.f_history, final_objective=res.f,
                         final_grad_norm=res.grad_norm,
                         elapsed_seconds=time.monotonic() - start,
                         layer_update_counts=[res.iterations] * weights.num_layers,
-                        stop_reason=reason, inner_iterations=res.iterations)
+                        stop_reason=res.stop_reason, inner_iterations=res.iterations)
 

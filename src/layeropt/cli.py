@@ -181,7 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--noise-sd", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="output .npz path")
+    p.add_argument("--out", required=True,
+                   help="output path, comma-delimited text with the targets "
+                   "first, as `train --data` reads")
     p.set_defaults(func=cmd_synth)
     return parser
 

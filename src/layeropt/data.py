@@ -1,7 +1,8 @@
 """Dataset ingestion, min-max normalization, splitting, synthetic teachers.
 
-Snapshot format: a dataset is saved as a numpy ``.npz`` archive holding the
-two arrays ``X`` and ``Y``.
+File format: comma-delimited UTF-8 text, a row per sample, its m targets and
+then its features written ``%.17g``. `save_dataset` writes it; `load_delimited`,
+which ``kind: "file"`` datasets use, reads it back bitwise with targets 1..m.
 """
 
 import math
@@ -38,7 +39,7 @@ class Dataset:
 
 
 class ParseError(ValueError):
-    """Malformed delimited input; carries 1-based row/column of the offender."""
+    """Malformed delimited input; names its file, carries 1-based row/column."""
 
     def __init__(self, message, row=None, col=None):
         self.row = row
@@ -47,24 +48,30 @@ class ParseError(ValueError):
 
 
 def load_delimited(path, target_columns, delimiter=",", has_header=False) -> Dataset:
-    """Read a numeric delimited text file and split it into features/targets.
+    """Read a numeric delimited UTF-8 text file and split it into
+    features/targets.
 
     `target_columns` are 1-based column indices. No delimiter auto-detection:
     the caller states the format explicitly.
     """
     rows = []
     width = None
-    with open(path) as fh:
+    # bytes that are not UTF-8 read as lone surrogates, which encode() refuses
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         lines = [ln for ln in (raw.strip() for raw in fh) if ln]
     if has_header:
         lines = lines[1:]
     for r, line in enumerate(lines, start=1):
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(f"{path}: row {r} is not UTF-8 text", row=r) from None
         cells = line.split(delimiter) if delimiter != " " else line.split()
         if width is None:
             width = len(cells)
         elif len(cells) != width:
-            raise ParseError(f"row {r} has {len(cells)} cells, expected {width}",
-                             row=r)
+            raise ParseError(f"{path}: row {r} has {len(cells)} cells, "
+                             f"expected {width}", row=r)
         parsed = []
         for c, cell in enumerate(cells, start=1):
             try:
@@ -72,12 +79,12 @@ def load_delimited(path, target_columns, delimiter=",", has_header=False) -> Dat
             except ValueError:
                 value = math.nan
             if not math.isfinite(value):
-                raise ParseError(f"non-numeric or non-finite value {cell!r} at "
-                                 f"row {r}, column {c}", row=r, col=c)
+                raise ParseError(f"{path}: non-numeric or non-finite value "
+                                 f"{cell!r} at row {r}, column {c}", row=r, col=c)
             parsed.append(value)
         rows.append(parsed)
     if not rows:
-        raise ParseError("file contains no data rows")
+        raise ParseError(f"{path} contains no data rows")
     mat = np.array(rows, dtype=np.float64)
     targets = sorted(set(int(c) for c in target_columns))
     if any(not 1 <= c <= mat.shape[1] for c in targets):
@@ -147,11 +154,5 @@ def synth_teacher_dataset(arch: Architecture, P: int, noise_sd: float,
 
 
 def save_dataset(path, ds: Dataset):
-    """Snapshot a dataset to ``.npz``."""
-    np.savez(path, X=ds.X, Y=ds.Y)
-
-
-def load_dataset(path) -> Dataset:
-    """Load a snapshot written by `save_dataset`."""
-    with np.load(path, allow_pickle=False) as z:
-        return Dataset(X=z["X"], Y=z["Y"])
+    """Write `ds` in the module's dataset file format, targets first."""
+    np.savetxt(path, np.hstack([ds.Y, ds.X]), fmt="%.17g", delimiter=",")

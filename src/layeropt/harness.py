@@ -142,19 +142,15 @@ class ExperimentReport:
                 if r.dataset == dataset and r.architecture == architecture
                 and r.algorithm == algorithm and not r.error]
 
-    def values(self, dataset, architecture, algorithm, metric="final_objective"):
-        """Per-seed metric values, ordered by seed."""
-        picked = self.ok_rows(dataset, architecture, algorithm)
-        return [getattr(r, metric) for r in sorted(picked, key=lambda r: r.seed)]
-
     def by_seed(self, dataset, architecture, algorithm, metric="final_objective"):
         """{seed: metric value} over the error-free rows."""
         return {r.seed: getattr(r, metric)
                 for r in self.ok_rows(dataset, architecture, algorithm)}
 
-    def best(self, dataset, architecture, algorithm, metric="final_objective"):
-        return min(self.values(dataset, architecture, algorithm, metric),
-                   default=None)
+    def best(self, dataset, architecture, algorithm):
+        """The error-free row with the lowest final objective, or None."""
+        return min(self.ok_rows(dataset, architecture, algorithm),
+                   key=lambda r: r.final_objective, default=None)
 
     def keys(self):
         return sorted({(r.dataset, r.architecture) for r in self.rows})
@@ -162,7 +158,7 @@ class ExperimentReport:
     def algorithms(self):
         return sorted({r.algorithm for r in self.rows})
 
-    def tallies(self, threshold: float = WIN_RULE):
+    def tallies(self):
         """A `Tally` on final objective for each pair of algorithms on each
         dataset/architecture, pairing rows by seed: a seed counts only when
         both methods have an error-free row for it."""
@@ -174,23 +170,23 @@ class ExperimentReport:
                 va, vb = self.by_seed(ds, arch, a), self.by_seed(ds, arch, b)
                 shared = sorted(va.keys() & vb.keys())
                 counts = tally_wins([va[s] for s in shared],
-                                    [vb[s] for s in shared], threshold)
+                                    [vb[s] for s in shared])
                 yield Tally(ds, arch, a, b, *counts, len(seeds),
                             len(seeds) - len(shared))
 
 
-def tally_wins(values_a, values_b, threshold: float = WIN_RULE):
+def tally_wins(values_a, values_b):
     """(wins_a, defeats_a, ties) under the 5% rule, pairwise by seed.
 
-    a wins a pair iff a <= (1-threshold)*b and the symmetric condition does
+    a wins a pair iff a <= (1-WIN_RULE)*b and the symmetric condition does
     not also hold (both can only hold at 0, which counts as a tie).
     """
     if len(values_a) != len(values_b):
         raise ValueError(f"length mismatch: {len(values_a)} vs {len(values_b)}")
     wins = defeats = ties = 0
     for a, b in zip(values_a, values_b):
-        a_cond = a <= (1.0 - threshold) * b
-        b_cond = b <= (1.0 - threshold) * a
+        a_cond = a <= (1.0 - WIN_RULE) * b
+        b_cond = b <= (1.0 - WIN_RULE) * a
         if a_cond and not b_cond:
             wins += 1
         elif b_cond and not a_cond:
@@ -200,19 +196,18 @@ def tally_wins(values_a, values_b, threshold: float = WIN_RULE):
     return wins, defeats, ties
 
 
-def depth_ratio(report: ExperimentReport, arch_deep: str, arch_shallow: str,
-                metric: str = "final_objective"):
-    """Best-of-seeds deep value / best-of-seeds shallow value, per dataset and
+def depth_ratio(report: ExperimentReport, arch_deep: str, arch_shallow: str):
+    """Best-of-seeds deep / shallow final objective, per dataset and
     algorithm; missing cells are reported as None, never fabricated."""
     out = {}
     datasets = sorted({r.dataset for r in report.rows})
     for ds in datasets:
         per_algo = {}
         for algo in report.algorithms():
-            deep = report.best(ds, arch_deep, algo, metric)
-            shallow = report.best(ds, arch_shallow, algo, metric)
+            deep = report.best(ds, arch_deep, algo)
+            shallow = report.best(ds, arch_shallow, algo)
             per_algo[algo] = None if deep is None or shallow is None \
-                else deep / shallow
+                else deep.final_objective / shallow.final_objective
         out[ds] = per_algo
     return out
 
@@ -368,7 +363,7 @@ def _parse(cell, kind):
     return kind(cell)
 
 
-def emit_report(report: ExperimentReport, out_dir, threshold: float = WIN_RULE):
+def emit_report(report: ExperimentReport, out_dir):
     """Write report.tsv (machine readable, tab-delimited, 17 significant
     digits) and summary.txt (best-of tables, pairwise tallies, per-layer
     histograms). Tabs are used because architecture strings contain commas."""
@@ -381,23 +376,21 @@ def emit_report(report: ExperimentReport, out_dir, threshold: float = WIN_RULE):
 
     summary_path = os.path.join(out_dir, "summary.txt")
     with open(summary_path, "w", encoding="utf-8") as fh:
-        cells = list(product(report.keys(), report.algorithms()))
+        best = [row for (ds, arch), algo
+                in product(report.keys(), report.algorithms())
+                if (row := report.best(ds, arch, algo)) is not None]
         fh.write("Best final objective over seeds\n")
-        for (ds, arch), algo in cells:
-            best = report.best(ds, arch, algo)
-            if best is not None:
-                fh.write(f"  {ds} {arch} {algo}: {best:.6e}\n")
+        for r in best:
+            fh.write(f"  {r.dataset} {r.architecture} {r.algorithm}: "
+                     f"{r.final_objective:.6e}\n")
         fh.write("\nPairwise tallies [wins; defeats; ties] on final objective "
-                 f"({threshold:.0%} rule)\n")
-        for tally in report.tallies(threshold):
+                 f"({WIN_RULE:.0%} rule)\n")
+        for tally in report.tallies():
             fh.write(f"  {tally}\n")
         fh.write("\nPer-layer update counts (best run per dataset/arch/algorithm)\n")
-        for (ds, arch), algo in cells:
-            rows = report.ok_rows(ds, arch, algo)
-            if rows:
-                best_row = min(rows, key=lambda r: r.final_objective)
-                counts = " ".join(str(c) for c in best_row.layer_update_counts)
-                fh.write(f"  {ds} {arch} {algo}: {counts}\n")
+        for r in best:
+            counts = " ".join(str(c) for c in r.layer_update_counts)
+            fh.write(f"  {r.dataset} {r.architecture} {r.algorithm}: {counts}\n")
     return csv_path, summary_path
 
 

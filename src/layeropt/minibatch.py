@@ -36,10 +36,6 @@ class Partition:
     def num_batches(self) -> int:
         return len(self.batches)
 
-    @property
-    def sample_count(self) -> int:
-        return sum(len(b) for b in self.batches)
-
 
 def make_partition(P: int, batch_size: int, seed: int = 0,
                    shuffle: bool = False) -> Partition:

@@ -2,9 +2,12 @@
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+
+MEMORY = 10    # curvature pairs the two-loop recursion keeps
 
 
 @dataclass(frozen=True)
@@ -46,10 +49,8 @@ def armijo_linesearch(phi, phi0: float, slope: float, params: ArmijoParams) -> f
 
 @dataclass(frozen=True)
 class LbfgsParams:
-    memory: int = 10
     grad_tol: float = 1e-5
     max_iters: int = 30
-    accuracy_shrink: float = 0.5   # outer-cycle factor applied to grad_tol
     armijo: ArmijoParams = field(default_factory=ArmijoParams)
 
 
@@ -60,7 +61,7 @@ class LbfgsResult:
     grad_norm: float
     iterations: int
     f_history: list
-    stop_reason: str = "grad_tol"
+    stop_reason: str
 
 
 def lbfgs_minimize(trial, x0: np.ndarray, params: LbfgsParams,
@@ -72,13 +73,13 @@ def lbfgs_minimize(trial, x0: np.ndarray, params: LbfgsParams,
     gradient at that x for as long as no other trial has run. trial runs at
     x0, unless the caller passes the pair it holds there as `start_fg`, and
     once per Armijo trial; grad runs only at x0 and at each accepted step,
-    the last trial of its search. Stops at ||g|| <= grad_tol, after
-    max_iters accepted steps, ("non_finite") when f or ||g|| is NaN or
-    inf, or ("linesearch_failure") at the last accepted point when a search
-    fails. Every accepted step satisfies the Armijo condition, so the
-    objective sequence is non-increasing. Curvature pairs with
-    s'y <= 1e-10 ||s|| ||y|| are skipped to avoid division breakdown. The
-    wall-clock deadline, if given, is checked before every iteration.
+    the last trial of its search. Stops ("grad_norm") at ||g|| <= grad_tol,
+    ("iteration_budget") after max_iters accepted steps, ("non_finite") when
+    f or ||g|| is NaN or inf, or ("linesearch_failure") at the last accepted
+    point when a search fails. Every accepted step satisfies the Armijo
+    condition, so the objective sequence is non-increasing. The latest MEMORY
+    curvature pairs are kept, skipping those with s'y <= 1e-10 ||s|| ||y||.
+    The wall-clock deadline, if given, is checked before every iteration.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     if start_fg is None:
@@ -87,22 +88,22 @@ def lbfgs_minimize(trial, x0: np.ndarray, params: LbfgsParams,
     else:
         f, g = start_fg
     history = [f]
-    s_list, y_list, rho_list = [], [], []
+    pairs = deque(maxlen=MEMORY)  # (s, y, 1/s'y), oldest first
     it = 0
-    reason = "max_iters"
+    reason = "iteration_budget"
     while it < params.max_iters:
         gnorm = math.sqrt(float(np.dot(g, g)))
         if not (math.isfinite(f) and math.isfinite(gnorm)):
             reason = "non_finite"
             break
         if gnorm <= params.grad_tol:
-            reason = "grad_tol"
+            reason = "grad_norm"
             break
         if deadline is not None and time.monotonic() > deadline:
             reason = "time_limit"
             break
 
-        d = _two_loop(g, s_list, y_list, rho_list)
+        d = _two_loop(g, pairs)
         slope = float(np.dot(g, d))
         if slope >= 0:
             d = -g
@@ -127,13 +128,7 @@ def lbfgs_minimize(trial, x0: np.ndarray, params: LbfgsParams,
         y = g_new - g
         sy = float(np.dot(s, y))
         if sy > 1e-10 * math.sqrt(float(np.dot(s, s)) * float(np.dot(y, y))):
-            s_list.append(s)
-            y_list.append(y)
-            rho_list.append(1.0 / sy)
-            if len(s_list) > params.memory:
-                s_list.pop(0)
-                y_list.pop(0)
-                rho_list.pop(0)
+            pairs.append((s, y, 1.0 / sy))
         f_prev = f
         x, f, g = x_new, f_new, g_new
         history.append(f)
@@ -146,18 +141,19 @@ def lbfgs_minimize(trial, x0: np.ndarray, params: LbfgsParams,
                        iterations=it, f_history=history, stop_reason=reason)
 
 
-def _two_loop(g, s_list, y_list, rho_list):
-    """Implicit product -H_k g via the standard two-loop recursion."""
+def _two_loop(g, pairs):
+    """Implicit product -H_k g via the standard two-loop recursion over the
+    (s, y, 1/s'y) pairs, oldest first."""
     q = g.copy()
     alphas = []
-    for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
+    for s, y, rho in reversed(pairs):
         a = rho * float(np.dot(s, q))
         alphas.append(a)
         q -= a * y
-    if s_list:
-        s, y = s_list[-1], y_list[-1]
+    if pairs:
+        s, y, _ = pairs[-1]
         q *= float(np.dot(s, y)) / float(np.dot(y, y))
-    for s, y, rho, a in zip(s_list, y_list, rho_list, reversed(alphas)):
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
         b = rho * float(np.dot(y, q))
         q += (a - b) * s
     return -q

@@ -1,4 +1,5 @@
 import tracemalloc
+import types
 from collections import Counter
 
 import numpy as np
@@ -447,6 +448,67 @@ def test_commit_check_covers_adoption_and_propagation():
     w, X, Y, cfg = make_problem([3, 2], 2, 10, seed=0)
     paths = check_commits(w, X, Y, cfg, gamma=0.1)
     assert paths["adopted"] > 0 and paths["propagated"] > 0
+
+
+class TestStopPaths:
+    """Stops that the budgets of the other tests never reach. The clocks are
+    fake: batch.py's reads come from a list and then jump past the deadline,
+    and the inner solves read a clock that never passes it."""
+
+    def fake_clock(self, monkeypatch, reads_before_deadline):
+        clock = iter([0.0] * reads_before_deadline)
+        monkeypatch.setattr(batch, "time", types.SimpleNamespace(
+            monotonic=lambda: next(clock, 200.0)))
+        monkeypatch.setattr(solvers, "time", types.SimpleNamespace(
+            monotonic=lambda: 0.0))
+
+    def run_b2ld(self, acceptance=AcceptanceParams(), time_limit=100.0):
+        w, X, Y, cfg = make_problem([4, 3, 1], 3, 30, seed=14)
+        stop = StoppingCriteria(grad_norm_tol=0.0, f_tol=float("-inf"),
+                                time_limit_seconds=time_limit, max_cycles=3)
+        return w, b2ld_run(w, X, Y, cfg, BlockSelectionRule("backward"),
+                           acceptance, LbfgsParams(grad_tol=0.1), stop)
+
+    def test_b2ld_deadline_at_a_cycle_start(self, monkeypatch):
+        """Read at the start, at the first cycle's start and after each of
+        its three visits: the deadline passes before the second cycle."""
+        self.fake_clock(monkeypatch, 5)
+        _, r = self.run_b2ld()
+        assert r.stop_reason == "time_limit"
+        assert r.layer_update_counts == [1, 1, 1] and len(r.trajectory) == 4
+
+    def test_b2ld_deadline_after_a_visit(self, monkeypatch):
+        """The deadline passes during the first visit, to block 3: the run
+        stops after it, with that one update counted."""
+        self.fake_clock(monkeypatch, 2)
+        _, r = self.run_b2ld()
+        assert r.stop_reason == "time_limit"
+        assert r.layer_update_counts == [0, 0, 1] and len(r.trajectory) == 2
+
+    def test_b2ld_skips_a_visit_whose_linesearch_fails(self, monkeypatch):
+        """A first trial step of 1e8 with no halving fails the Armijo search
+        at every block: each visit is skipped, uncounted and without an inner
+        solve, the cycle goes on to the next block, and a cycle without an
+        update stops the run on f_tol."""
+        tally = Counter()
+        count_callback_calls(monkeypatch, batch, "armijo_linesearch", tally,
+                             "trials")
+        acceptance = AcceptanceParams(ArmijoParams(a=1e8, max_halvings=0))
+        w, r = self.run_b2ld(acceptance, time_limit=None)
+        assert r.stop_reason == "f_tol"
+        assert tally["trials"] == 3
+        assert r.layer_update_counts == [0, 0, 0] and r.inner_iterations == 0
+        assert r.final_weights.digest() == w.digest()
+        assert r.trajectory == [r.final_objective]
+
+    def test_lbfgs_baseline_without_a_budget_stops_at_max_iters(self):
+        w, X, Y, cfg = make_problem([4, 3, 1], 3, 30, seed=14)
+        stop = StoppingCriteria(grad_norm_tol=0.0, f_tol=float("-inf"),
+                                time_limit_seconds=None)
+        r = lbfgs_baseline_run(w, X, Y, cfg, LbfgsParams(max_iters=3), stop)
+        assert stop.max_inner_iters is None
+        assert r.stop_reason == "iteration_budget"
+        assert r.inner_iterations == 3 and len(r.trajectory) == 4
 
 
 class TestNonFinite:

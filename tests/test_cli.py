@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import layeropt.cli as cli
 from layeropt.batch import StoppingCriteria
 from layeropt.cli import main
 from layeropt.harness import DatasetSpec, ExperimentConfig, run_single
-from layeropt.data import load_dataset
+from layeropt.data import load_delimited, synth_teacher_dataset
+from layeropt.network import parse_architecture
 
 
 class TestGradcheck:
@@ -30,21 +32,42 @@ class TestGradcheck:
 
 class TestSynth:
     def test_writes_snapshot(self, tmp_path, capsys):
-        out = tmp_path / "teacher.npz"
+        out = tmp_path / "teacher.csv"
         rc = main(["synth", "--arch", "4-[1x6]-1", "--samples", "30",
                    "--seed", "3", "--out", str(out)])
         assert rc == 0
-        ds = load_dataset(out)
+        ds = load_delimited(out, (1,))
         assert ds.num_samples == 30 and ds.num_features == 4
         assert "30 samples" in capsys.readouterr().out
 
     def test_deterministic_per_seed(self, tmp_path):
-        a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
             main(["synth", "--arch", "3-[1x4]-1", "--samples", "20",
                   "--seed", "7", "--out", str(out)])
-        da, db = load_dataset(a), load_dataset(b)
+        da, db = load_delimited(a, (1,)), load_delimited(b, (1,))
         assert np.array_equal(da.X, db.X) and np.array_equal(da.Y, db.Y)
+
+    def test_train_reads_what_synth_writes(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--arch", "3-[1x4]-1", "--samples", "40",
+                     "--noise-sd", "0.05", "--seed", "2", "--out",
+                     str(out)]) == 0
+        ds = synth_teacher_dataset(parse_architecture("3-[1x4]-1"), 40, 0.05, 2)
+        back = load_delimited(out, (1,))
+        assert back.X.tobytes() == ds.X.tobytes()
+        assert back.Y.tobytes() == ds.Y.tobytes()
+        assert main(["train", "--data", str(out), "--arch", "[1x4]",
+                     "--algorithm", "IG", "--max-epochs", "1"]) == 0
+        assert "test mse" in capsys.readouterr().out
+
+    def test_train_names_an_undecodable_file(self, tmp_path, capsys):
+        out = tmp_path / "t.npz"
+        np.savez(out, X=np.zeros((4, 3)), Y=np.ones((4, 1)))
+        assert main(["train", "--data", str(out), "--arch", "[1x4]",
+                     "--algorithm", "IG", "--max-epochs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert re.search(rf"{re.escape(str(out))}: row \d+ is not UTF-8 text", err)
 
 
 class TestTrain:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from layeropt.data import (Dataset, NormalizationModel, ParseError,
-                           fit_apply_normalization, load_dataset,
-                           load_delimited, save_dataset, synth_teacher_dataset,
+                           fit_apply_normalization, load_delimited,
+                           save_dataset, synth_teacher_dataset,
                            train_test_split)
 from layeropt.linalg import SeededRng
 from layeropt.network import forward, init_weights, parse_architecture
@@ -48,6 +48,7 @@ class TestLoadDelimited:
         with pytest.raises(ParseError) as exc:
             load_delimited(p, target_columns=[2])
         assert exc.value.row == 2 and exc.value.col == 2
+        assert str(exc.value).startswith(f"{p}: ")
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_cell_reports_row_and_col(self, tmp_path, cell):
@@ -61,6 +62,7 @@ class TestLoadDelimited:
         with pytest.raises(ParseError) as exc:
             load_delimited(p, target_columns=[1])
         assert exc.value.row == 2
+        assert str(exc.value).startswith(f"{p}: ")
 
     def test_empty_file_rejected(self, tmp_path):
         p = self.write(tmp_path, "\n\n")
@@ -71,6 +73,19 @@ class TestLoadDelimited:
         p = self.write(tmp_path, "1,2\n")
         with pytest.raises(ValueError):
             load_delimited(p, target_columns=[3])
+
+    def test_undecodable_bytes_name_the_file_and_row(self, tmp_path):
+        p = tmp_path / "old.npz"
+        p.write_bytes(b"x,y\n1,2\n3,\xb8\n")
+        with pytest.raises(ParseError, match="old.npz: row 2 ") as exc:
+            load_delimited(p, target_columns=[1], has_header=True)
+        assert exc.value.row == 2
+
+    def test_read_as_utf8(self, tmp_path):
+        p = tmp_path / "data.csv"
+        p.write_bytes("\u00e9t\u00e9,y\n1,2\n".encode("utf-8"))
+        ds = load_delimited(p, target_columns=[2], has_header=True)
+        assert np.array_equal(ds.X, [[1]]) and np.array_equal(ds.Y, [[2]])
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
@@ -156,10 +171,20 @@ class TestSnapshot:
     def test_round_trip_bitwise(self, tmp_path):
         arch = parse_architecture("3-[1x4]-1")
         ds = synth_teacher_dataset(arch, 30, 0.02, seed=4)
-        path = tmp_path / "snap.npz"
+        path = tmp_path / "snap.csv"
         save_dataset(path, ds)
-        back = load_dataset(path)
-        assert np.array_equal(back.X, ds.X) and np.array_equal(back.Y, ds.Y)
+        back = load_delimited(path, (1,))
+        assert back.X.tobytes() == ds.X.tobytes()
+        assert back.Y.tobytes() == ds.Y.tobytes()
+
+    def test_targets_first_multi_target_round_trip(self, tmp_path):
+        X = np.array([[-0.0, 1e-300, 0.1], [2.5, -7.0, 1 / 3]])
+        Y = np.array([[np.nextafter(1.0, 2.0), -1e300], [0.0, 5e-324]])
+        path = tmp_path / "snap.csv"
+        save_dataset(path, Dataset(X=X, Y=Y))
+        back = load_delimited(path, (1, 2))
+        assert back.X.tobytes() == X.tobytes()
+        assert back.Y.tobytes() == Y.tobytes()
 
 
 def test_dataset_row_count_mismatch_rejected():

@@ -253,9 +253,13 @@ class TestRunExperiment:
                 assert len(digests) == 1
 
     def test_values_ordered_by_seed(self, report):
-        vals = report.values("toy", "[1x4]", "B2LD")
-        assert len(vals) == 3
-        assert report.best("toy", "[1x4]", "B2LD") == min(vals)
+        vals = report.by_seed("toy", "[1x4]", "B2LD")
+        assert sorted(vals) == [0, 1, 2]
+        best = report.best("toy", "[1x4]", "B2LD")
+        assert best.final_objective == min(vals.values())
+        assert (best.architecture, best.algorithm) == ("[1x4]", "B2LD")
+        assert any(best is r for r in report.ok_rows("toy", "[1x4]", "B2LD"))
+        assert report.best("toy", "[9x9]", "B2LD") is None
 
     def test_rerun_is_deterministic_modulo_timing(self):
         r1 = run_experiment(small_experiment(), workers=1)

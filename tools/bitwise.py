@@ -9,7 +9,8 @@ which is removed again; the repository itself is left as it was.
 so this tree's ``tools/outcomes.py`` is copied into the checkout's
 ``tools/``: the same script then measures this tree's ``src/`` and REV's. The
 two runs go side by side, each with BLAS on one thread. Their outputs are
-compared byte for byte.
+compared byte for byte. The verdict line also gives each tree's line count
+of ``src/layeropt/*.py``, the tracked size of the library.
 
 Exit status: 0 when the outputs are byte-equal, 1 when they differ (the
 first differing record is printed), 2 when a run fails.
@@ -37,6 +38,12 @@ def unpack(rev, dest):
                     "-o", str(archive), rev], check=True)
     with tarfile.open(archive) as tar:
         tar.extractall(dest)
+
+
+def src_lines(root):
+    """Lines in the library's modules under `root`, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (root / "src" / "layeropt").glob("*.py"))
 
 
 def first_difference(path_a, path_b):
@@ -72,11 +79,14 @@ def main(argv=None):
             print(f"outcomes.py failed on {', '.join(failed)}", file=sys.stderr)
             return 2
         (_, tree_out), (_, rev_out) = outs.values()
+        lines = ", ".join(f"{name} {src_lines(root):,}"
+                          for name, (root, _) in outs.items())
+        lines = f"(src/layeropt/*.py lines: {lines})"
         if filecmp.cmp(tree_out, rev_out, shallow=False):
-            print(f"byte-equal: this tree and {args.rev}")
+            print(f"byte-equal: this tree and {args.rev} {lines}")
             return 0
         index, mine, theirs = first_difference(tree_out, rev_out)
-        print(f"DIFFERENT from {args.rev}, first at record {index}:\n"
+        print(f"DIFFERENT from {args.rev} {lines}, first at record {index}:\n"
               f"  this tree: {json.dumps(mine, sort_keys=True)[:400]}\n"
               f"  {args.rev}: {json.dumps(theirs, sort_keys=True)[:400]}")
         return 1
