@@ -101,43 +101,43 @@ class OptimizerRun:
     inner_iterations: int = 0
 
 
-def _block_eval(weights, cache, trial, Y, cfg, l, base_sq):
+def _block_eval(weights, cache, Y, cfg, l, base_sq):
     """Closures on block l alone, the other blocks frozen: (value, evaluate,
     start, commit). value(Wl) is f with block l set to Wl, propagated from
-    the cached prefix into the `trial` cache, a `cache.sibling()`, never into
-    `cache`. evaluate(Wl) follows `lbfgs_minimize`'s trial contract. start is
-    (f, block gradient) at the current block, from `cache` with the closures'
-    own formulas, so that it equals evaluate's pair there bit for bit.
+    the cached prefix into `cache` itself: it overwrites the outputs of
+    layers >= l and stamps the cache with the versions of layers < l only,
+    so that the cache reads as stale until commit. evaluate(Wl) follows
+    `lbfgs_minimize`'s trial contract. start is (f, block gradient) at the
+    current block, from `cache` before any trial, with the closures' own
+    formulas, so that it equals evaluate's pair there bit for bit.
     commit(Wl) sets block l to Wl and brings `cache` up to date: when Wl is,
-    bit for bit, the block the latest trial propagated, `cache` takes over
-    the trial cache's outputs of layers >= l by swapping buffers; any other
-    block is propagated."""
+    bit for bit, the block the latest trial propagated, the cache holds its
+    outputs already and is only stamped; any other block is propagated."""
     z_prev = cache.z[l - 1]
     w_l = weights.block(l)
     old_sq = float(np.dot(w_l.ravel(), w_l.ravel()))
-    last = []  # a copy of the block the latest trial propagated
+    last = []  # a copy of the block whose outputs the cache holds
 
     def sq_norm(Wl):
         return base_sq - old_sq + float(np.dot(Wl.ravel(), Wl.ravel()))
 
     def value(Wl):
-        outputs = _propagate(weights, z_prev, l, trial, override=Wl)
+        outputs = _propagate(weights, z_prev, l, cache, override=Wl)
+        cache.versions = weights.versions()[:l - 1]
         last[:] = [Wl.copy()]
         return _loss(outputs, Y, cfg, sq_norm(Wl))
 
     def evaluate(Wl):
         def grad():
-            delta = backprop_deltas(weights, trial, Y, l)
+            delta = backprop_deltas(weights, cache, Y, l)
             return _block_grad(z_prev, delta, Wl, cfg)
         return value(Wl), grad
 
     def commit(Wl):
         weights.set_block(l, Wl)
         # bytes, not ==: -0.0 == 0.0 and NaN != NaN
-        if last and last[0].tobytes() == weights.block(l).tobytes():
-            cache.z[l:], trial.z[l:] = trial.z[l:], cache.z[l:]
+        if last and last.pop().tobytes() == weights.block(l).tobytes():
             cache.versions = weights.versions()
-            last.clear()
         else:
             forward_partial(weights, cache, l)
 
@@ -159,7 +159,6 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
         else start + stop.time_limit_seconds
 
     _, cache = forward(weights, X)
-    trial_cache = cache.sibling()
     f_cur = cached_value(weights, cache, Y, cfg)
     traj = [f_cur]
     counts = [0] * L
@@ -187,8 +186,7 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
         any_update = False
         for l in rule.cycle(L):
             value, evaluate, (f_l, g_l), commit = _block_eval(
-                weights, cache, trial_cache, Y, cfg, l,
-                weights_squared_norm(weights))
+                weights, cache, Y, cfg, l, weights_squared_norm(weights))
             bnorm = frobenius_norm(g_l)
             if not math.isfinite(bnorm):
                 reason = "non_finite"
@@ -212,6 +210,7 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
             try:
                 armijo_linesearch(phi, f_cur, slope, acceptance.armijo)
             except LinesearchError:
+                forward_partial(weights, cache, l)  # undo the trials' outputs
                 continue
             w_armijo, f_armijo = trial  # the search stops on the accepted trial
 

@@ -82,7 +82,8 @@ class ExperimentConfig:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
-        for key, kind in (("seeds", int), ("architectures", str)):
+        for key, kind in (("seeds", int), ("architectures", str),
+                          ("algorithms", str)):
             value = getattr(cfg, key)
             if not (isinstance(value, list)
                     and all(isinstance(v, kind) for v in value)):
@@ -90,6 +91,10 @@ class ExperimentConfig:
                                   f"{kind.__name__} values")
             if len(set(value)) != len(value):
                 raise ConfigError(f"{key} {value!r} repeats an entry")
+        names = [d.name for d in cfg.datasets]
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise ConfigError(f"dataset names {repeated} repeat")
         if not isinstance(cfg.batch_size, int) or cfg.batch_size < 1:
             raise ConfigError(f"batch_size {cfg.batch_size!r} must be an "
                               "integer >= 1")

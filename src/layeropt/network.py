@@ -215,9 +215,9 @@ class ForwardCache:
     `forward_partial` or `objective.backprop_deltas` is overwritten, and
     `outputs` and the deltas are views of it, not copies. Copy what must
     outlive the next pass. Reusing one cache keeps a run from allocating
-    fresh rows x width arrays on every evaluation. For the `10-[10x50]-1`
-    student that is 13 arrays of rows x 50: ten outputs, one scratch and
-    two deltas.
+    fresh rows x width arrays on every evaluation, B2LD's block trials
+    included. For the `10-[10x50]-1` student that is 13 arrays of rows x 50:
+    ten outputs, one scratch and two deltas.
     """
 
     z: list = field(default_factory=list)
@@ -235,13 +235,6 @@ class ForwardCache:
         return cls(z=[None] + [np.empty((rows, n)) for n in widths],
                    scratch=[None] + [scratch[n] for n in widths[:-1]] + [None],
                    deltas=[None] + [deltas[key] for key in parity])
-
-    def sibling(self) -> "ForwardCache":
-        """A cache with its own outputs z[1..L] that shares this one's input,
-        scratch and delta buffers: a pass through either may overwrite the
-        other's scratch and deltas, but never its outputs."""
-        return ForwardCache(z=self.z[:1] + [np.empty_like(b) for b in self.z[1:]],
-                            scratch=self.scratch, deltas=self.deltas)
 
     @property
     def outputs(self) -> np.ndarray:

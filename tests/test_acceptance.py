@@ -268,12 +268,13 @@ def test_criterion_10_desk_scale_trend():
         10, ok,
         f"soft gate, raw tallies [wins; defeats; ties] — B2LD vs LBFGS: "
         f"{list(batch_tally)} (need >=7 wins), BLInG vs IG: {list(mb_tally)} "
-        f"(need >=7 wins); under the fan-in-scaled initialization both batch "
-        f"methods reach the same last-layer plateau on every seed, so the "
-        f"batch half ties — see the decisions ledger")
+        f"(need >=7 wins); only 0.37% of this data set's target variance is "
+        f"explainable, and every batch run ends within 0.04% of the mean "
+        f"predictor, so the batch half ties")
     assert ok, (f"B2LD vs LBFGS tally {batch_tally}, BLInG vs IG tally "
-                f"{mb_tally}; the batch half is unattainable under the "
-                f"mandated initialization (see decisions ledger)")
+                f"{mb_tally}; the batch half ties: only 0.37% of the target "
+                f"variance is explainable, and every batch run ends within "
+                f"0.04% of the mean predictor's objective")
 
 
 def test_criterion_11_tally_logic():

@@ -15,11 +15,13 @@ from layeropt.batch import (AcceptanceParams, BlockSelectionRule,
                             StoppingCriteria, _block_eval, accept_trial,
                             b2ld_run, lbfgs_baseline_run)
 from layeropt.linalg import SeededRng
-from layeropt.network import Architecture, forward, init_weights
-from layeropt.objective import (ObjectiveConfig, block_gradient,
+from layeropt.network import (Architecture, ForwardCache, StaleCacheError,
+                              forward, init_weights)
+from layeropt.objective import (ObjectiveConfig, block_gradient, cached_value,
                                 full_gradient, gradient_norm, objective_value,
                                 weights_squared_norm)
-from layeropt.solvers import ArmijoParams, LbfgsParams, llsq_last_layer
+from layeropt.solvers import (ArmijoParams, LbfgsParams, LinesearchError,
+                              llsq_last_layer)
 
 
 def make_problem(widths, input_dim, P, seed, rho=1e-3):
@@ -231,11 +233,11 @@ class TestEvaluationCounts:
 
     def test_b2ld_propagates_only_commits_that_differ_from_the_last_trial(
             self, monkeypatch):
-        """A commit takes over the trial cache's outputs when its block is,
-        bit for bit, the block the latest trial propagated; forward_partial
-        runs for the other commits only. A forcing coefficient of 0.1 makes
-        B2LD reject some inner L-BFGS results for the Armijo point, which
-        exercises both paths."""
+        """A commit keeps the outputs the latest trial left in the cache when
+        its block is, bit for bit, the block that trial propagated;
+        forward_partial runs for the other commits only. A forcing
+        coefficient of 0.1 makes B2LD reject some inner L-BFGS results for
+        the Armijo point, which exercises both paths."""
         w, X, Y, cfg = make_problem([3, 2], 2, 10, seed=0)
         tally = Counter()
         last = []  # the block the latest trial propagated
@@ -314,6 +316,17 @@ class TestEvaluationBuffers:
             assert warm_peak_bytes(lambda: value(W)) < layer_bytes
             assert warm_peak_bytes(lambda: evaluate(W)[1]()) < layer_bytes
 
+    def test_b2ld_run_holds_one_cache(self):
+        """A whole B2LD run allocates its one forward cache and less than
+        one more layer array: the block trials write into that cache."""
+        w, X, Y, cfg = make_problem([40, 40, 40, 1], 6, 2000, seed=3)
+        cache = ForwardCache.for_rows(w.arch, X.shape[0])
+        held = {id(a): a for a in cache.z[1:] + cache.scratch + cache.deltas
+                if a is not None}
+        cache_bytes = sum(a.nbytes for a in held.values())
+        assert warm_peak_bytes(lambda: run_b2ld(w, X, Y, cfg, max_cycles=1)) \
+            < cache_bytes + X.shape[0] * 40 * 8
+
 
 class TestLbfgsBaseline:
     def test_descends_and_reports_consistent_state(self):
@@ -365,24 +378,30 @@ def test_block_eval_matches_objective_after_set_block(case):
     at the point reached by set_block(l, W). The gradient and, without a
     regularizer, the value are bitwise equal; with one, the closures update
     ||w||^2 by difference, so the value agrees to rounding of that sum. The
-    start pair equals the closure at the current block bit for bit, and the
-    closures leave the main cache's outputs as they were."""
+    start pair equals the closure at the current block bit for bit. The
+    closures leave the cache's layers below l as they were and the cache
+    stale until commit, which brings it level with a fresh forward pass."""
     w, X, Y, cfg, l, W = case
     _, cache = forward(w, X)
-    outputs = [z.copy() for z in cache.z]
+    below = [z.copy() for z in cache.z[:l]]
     base_sq = weights_squared_norm(w)
-    value, evaluate, (f_start, g_start), _ = _block_eval(
-        w, cache, cache.sibling(), Y, cfg, l, base_sq)
+    value, evaluate, (f_start, g_start), commit = _block_eval(
+        w, cache, Y, cfg, l, base_sq)
     f_here, grad_here = evaluate(w.block(l).copy())
     assert f_start == f_here and np.array_equal(g_start, grad_here())
     f_value = value(W)
     f_pair, grad = evaluate(W)
     grad = grad()
-    assert all(np.array_equal(a, b) for a, b in zip(cache.z, outputs))
+    assert all(np.array_equal(a, b) for a, b in zip(cache.z[:l], below))
+    assert cache.versions == w.versions()[:l - 1]
+    with pytest.raises(StaleCacheError):
+        cached_value(w, cache, Y, cfg)
 
-    w.set_block(l, W)
+    commit(W)
     f_ref, _ = objective_value(w, X, Y, cfg)
     _, cache_ref = forward(w, X)
+    assert [z.tobytes() for z in cache.z] == [z.tobytes() for z in cache_ref.z]
+    assert cache.versions == w.versions()
     assert f_value == f_pair
     assert np.array_equal(grad, block_gradient(w, Y, cfg, l, cache_ref))
     if cfg.rho == 0.0:
@@ -392,50 +411,73 @@ def test_block_eval_matches_objective_after_set_block(case):
         assert f_value == pytest.approx(f_ref, rel=1e-12, abs=1e-13 * sq_scale)
 
 
-def check_commits(w, X, Y, cfg, gamma):
-    """Run B2LD and, after every commit, compare the main cache with a fresh
-    forward pass bit for bit. Returns how many commits took over the trial
-    cache's outputs ("adopted") and how many propagated ("propagated")."""
+def check_commits(w, X, Y, cfg, armijo):
+    """Run B2LD with the reference step `armijo` and compare the main cache
+    with a fresh forward pass bit for bit after every commit and at the start
+    of every block visit, so also after a visit whose Armijo search failed.
+    Returns how many commits kept the latest trial's outputs ("adopted"),
+    how many propagated ("propagated") and how many searches failed
+    ("failed")."""
     paths = Counter()
     real_block_eval = batch._block_eval
     real_forward_partial = batch.forward_partial
+    real_search = batch.armijo_linesearch
 
-    def checking_block_eval(weights, cache, trial, *args):
-        value, evaluate, start, commit = real_block_eval(weights, cache, trial,
-                                                         *args)
+    def check_current(weights, cache):
+        _, fresh = forward(weights, cache.z[0])
+        assert [z.tobytes() for z in cache.z[1:]] == \
+            [z.tobytes() for z in fresh.z[1:]]
+        assert cache.versions == weights.versions()
+
+    def checking_block_eval(weights, cache, *args):
+        check_current(weights, cache)
+        value, evaluate, start, commit = real_block_eval(weights, cache, *args)
 
         def checked_commit(Wl):
             before = paths["forward_partial"]
             commit(Wl)
             paths["propagated" if paths["forward_partial"] > before
                   else "adopted"] += 1
-            _, fresh = forward(weights, cache.z[0])
-            assert [z.tobytes() for z in cache.z[1:]] == \
-                [z.tobytes() for z in fresh.z[1:]]
-            assert cache.versions == weights.versions()
+            check_current(weights, cache)
         return value, evaluate, start, checked_commit
+
+    def counting_search(*args):
+        try:
+            return real_search(*args)
+        except LinesearchError:
+            paths["failed"] += 1
+            raise
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(batch, "_block_eval", checking_block_eval)
         mp.setattr(batch, "forward_partial", counted(
             real_forward_partial, paths, "forward_partial"))
-        r = run_b2ld(w, X, Y, cfg, max_cycles=4, acceptance=AcceptanceParams(
-            armijo=ArmijoParams(gamma=gamma)))
+        mp.setattr(batch, "armijo_linesearch", counting_search)
+        r = run_b2ld(w, X, Y, cfg, max_cycles=4,
+                     acceptance=AcceptanceParams(armijo=armijo))
     assert paths["adopted"] + paths["propagated"] == \
         sum(r.layer_update_counts)
     return paths
 
 
+# A first step of 1e3 with three halvings: the search fails on a block
+# whose gradient is not small.
+FAILING_ARMIJO = ArmijoParams(a=1e3, max_halvings=3)
+
+
 @st.composite
 def b2ld_problem(draw):
-    """A small problem and an Armijo coefficient; 0.1 and 0.3 make the
-    forcing condition reject inner L-BFGS results often."""
+    """A small problem and a reference step: gamma = 0.1 and 0.3 make the
+    forcing condition reject inner L-BFGS results often, and
+    FAILING_ARMIJO makes searches fail."""
     widths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
     w, X, Y, cfg = make_problem(widths, draw(st.integers(1, 4)),
                                 draw(st.integers(1, 12)),
                                 draw(st.integers(0, 2**16)),
                                 rho=draw(st.sampled_from([0.0, 1e-3])))
-    return w, X, Y, cfg, draw(st.sampled_from([1e-4, 0.1, 0.3]))
+    return w, X, Y, cfg, draw(st.sampled_from([
+        ArmijoParams(), ArmijoParams(gamma=0.1), ArmijoParams(gamma=0.3),
+        FAILING_ARMIJO]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -446,8 +488,17 @@ def test_every_b2ld_commit_leaves_the_cache_equal_to_a_fresh_forward(case):
 
 def test_commit_check_covers_adoption_and_propagation():
     w, X, Y, cfg = make_problem([3, 2], 2, 10, seed=0)
-    paths = check_commits(w, X, Y, cfg, gamma=0.1)
+    paths = check_commits(w, X, Y, cfg, ArmijoParams(gamma=0.1))
     assert paths["adopted"] > 0 and paths["propagated"] > 0
+
+
+def test_commit_check_covers_failed_searches():
+    """Visits whose Armijo search fails leave the cache as a fresh forward
+    pass would, between visits that commit."""
+    w, X, Y, cfg = make_problem([5, 4, 1], 3, 20, seed=0)
+    paths = check_commits(w, X, Y, cfg, FAILING_ARMIJO)
+    assert paths["failed"] > 0
+    assert paths["adopted"] + paths["propagated"] > 0
 
 
 class TestStopPaths:

@@ -184,5 +184,13 @@ class TestBenchmark:
         assert main(["benchmark", str(p)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_scalar_algorithms_exits_1(self, tmp_path, capsys):
+        # escaped before as a bare TypeError traceback
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"datasets": [{"name": "toy"}],
+                                 "architectures": ["[1x4]"], "algorithms": 5}))
+        assert main(["benchmark", str(p)]) == 1
+        assert "algorithms 5 must be a list" in capsys.readouterr().err
+
     def test_missing_config_exits_1(self):
         assert main(["benchmark", "/no/such/config.json"]) == 1

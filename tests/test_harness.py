@@ -135,13 +135,29 @@ class TestConfig:
         with pytest.raises(ConfigError, match="architectures"):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("algorithms", [5, "IG"])
+    def test_non_list_algorithms_rejected_up_front(self, algorithms):
+        # 5 escaped as a bare TypeError; "IG" was read as ['G', 'I']
+        raw = self.minimal()
+        raw["algorithms"] = algorithms
+        with pytest.raises(ConfigError, match="algorithms.*must be a list"):
+            ExperimentConfig.from_dict(raw)
+
     @pytest.mark.parametrize("key,value", [("seeds", [0, 0, 1]),
-                                           ("architectures", ["[1x4]", "[1x4]"])])
+                                           ("architectures", ["[1x4]", "[1x4]"]),
+                                           ("algorithms", ["B2LD", "B2LD"])])
     def test_repeated_entry_rejected_up_front(self, key, value):
-        # a repeated seed ran twice but was tallied once
+        # a repeated entry ran its tasks twice but was tallied once
         raw = self.minimal()
         raw[key] = value
         with pytest.raises(ConfigError, match=f"{key}.*repeats"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_repeated_dataset_name_rejected_up_front(self):
+        # both loaded, and their rows merged under one dataset key
+        raw = self.minimal()
+        raw["datasets"].append(dict(raw["datasets"][0], data_seed=2))
+        with pytest.raises(ConfigError, match=r"dataset names \['toy'\]"):
             ExperimentConfig.from_dict(raw)
 
     @pytest.mark.parametrize("limit", [-5.0, float("nan"), float("-inf")])

@@ -208,15 +208,12 @@ class TestForward:
 
     def test_student_cache_holds_13_arrays_of_rows_by_50(self):
         """The 10-[10x50]-1 student's cache holds ten outputs, one scratch
-        and two deltas of rows x 50; B2LD's trial sibling adds ten outputs."""
+        and two deltas of rows x 50; B2LD's block trials write into the
+        same arrays."""
         cache = ForwardCache.for_rows(parse_architecture("10-[10x50]-1"), 9)
-
-        def wide(*caches):
-            held = {id(a): a for c in caches
-                    for a in c.z[1:] + c.scratch + c.deltas if a is not None}
-            return sum(a.shape == (9, 50) for a in held.values())
-        assert wide(cache) == 13
-        assert wide(cache, cache.sibling()) == 23
+        held = {id(a): a for a in cache.z[1:] + cache.scratch + cache.deltas
+                if a is not None}
+        assert sum(a.shape == (9, 50) for a in held.values()) == 13
 
     def test_cache_for_other_rows_is_rejected(self):
         arch, w, X = random_net([4, 1], seed=1, input_dim=3, P=5)

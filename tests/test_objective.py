@@ -197,8 +197,9 @@ class TestFullGradient:
 
         base_sq = weights_squared_norm(w)
         for l in range(1, L + 1):
+            # each trial leaves the cache stale, so every block gets a fresh one
             _, evaluate, (_, g_start), _ = _block_eval(
-                w, cache, cache.sibling(), Y, cfg, l, base_sq)
+                w, forward(w, X)[1], Y, cfg, l, base_sq)
             _, grad = evaluate(w.block(l).copy())
             assert same_bits([g_start, grad()], [per_block[l - 1]] * 2)
 

@@ -5,7 +5,7 @@ change that should not move any result.
 
 layeropt is imported from the ``src/`` beside this file's directory, so the
 script runs the tree it sits in. It writes one record per run, every float as
-``float.hex()``, for two sets:
+``float.hex()``, for four sets:
 
 - ``deep``: the criterion-10 instance (a ``10-[2x20]-1`` teacher, 2000
   samples, noise 0.05, data seed 99, an 80/20 split, min-max scaling, a
@@ -18,7 +18,11 @@ script runs the tree it sits in. It writes one record per run, every float as
   the 48 training rows, so that each run has one minibatch, and an explicit
   rho = 0.1, for which 48 * rho / 48 != rho: these records move if a
   minibatch of every row is given rho itself instead of its component's
-  rho, ``cfg.component(P)``.
+  rho, ``cfg.component(P)``;
+- ``deep-failing-armijo``: B2LD on the ``deep`` runs, with a reference
+  Armijo search that starts at a = 1e3 and may halve three times, so that
+  20 of its 99 searches fail: these records move if a visit whose search
+  failed leaves the run's forward cache other than it found it.
 
 Each record holds the init and final-weight digests, the final objective and
 gradient norm, the trajectory, the stop reason, the update counts, the inner
@@ -46,13 +50,17 @@ from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from layeropt.batch import StoppingCriteria  # noqa: E402
+from layeropt.batch import (AcceptanceParams,  # noqa: E402
+                            BlockSelectionRule, StoppingCriteria, b2ld_run)
 from layeropt.harness import (ALGORITHMS, DatasetSpec,  # noqa: E402
                               ExperimentReport, RunRow, emit_report,
                               load_report, prepare_dataset,
                               resolve_architecture, run_single)
 from layeropt.linalg import SeededRng  # noqa: E402
 from layeropt.network import init_weights  # noqa: E402
+from layeropt.objective import (ObjectiveConfig, default_rho,  # noqa: E402
+                                mse_value)
+from layeropt.solvers import ArmijoParams, LbfgsParams  # noqa: E402
 
 DEEP = {
     "dataset": DatasetSpec(name="criterion10", teacher_arch="10-[2x20]-1",
@@ -92,6 +100,22 @@ ONE_BATCH = {
 }
 
 
+def b2ld_failing_armijo(algorithm, weights0, train, test, stop, rho=None,
+                        batch_size=None, seed=0):
+    """``run_single``'s B2LD, with an Armijo reference search that starts at
+    a = 1e3 and may halve three times."""
+    cfg = ObjectiveConfig(rho=default_rho(weights0.arch.num_variables),
+                          sample_count=train.num_samples)
+    run = b2ld_run(weights0, train.X, train.Y, cfg,
+                   BlockSelectionRule(BlockSelectionRule.BACKWARD),
+                   AcceptanceParams(armijo=ArmijoParams(a=1e3, max_halvings=3)),
+                   LbfgsParams(grad_tol=0.1), stop, seed=seed)
+    return run, mse_value(run.final_weights, test.X, test.Y)
+
+
+FAILING_ARMIJO = dict(DEEP, algorithms=("B2LD",), run=b2ld_failing_armijo)
+
+
 def _hex(values):
     return [float(v).hex() for v in values]
 
@@ -105,11 +129,10 @@ def records(name, spec, rows):
         for seed in spec["seeds"]:
             weights0 = init_weights(arch, SeededRng(seed))
             for algorithm in spec.get("algorithms", ALGORITHMS):
-                run, test_mse = run_single(algorithm, weights0, train, test,
-                                           spec["stopping"],
-                                           rho=spec.get("rho"),
-                                           batch_size=spec["batch_size"],
-                                           seed=seed)
+                run, test_mse = spec.get("run", run_single)(
+                    algorithm, weights0, train, test, spec["stopping"],
+                    rho=spec.get("rho"), batch_size=spec["batch_size"],
+                    seed=seed)
                 rows.append(RunRow(
                     dataset=spec["dataset"].name, architecture=arch_text,
                     algorithm=algorithm, seed=seed,
@@ -164,6 +187,7 @@ def main(argv=None):
            for rec in records(name, spec, demo_rows if name == "demo" else [])]
     out += report_records(demo_rows)
     out += records("one-batch", ONE_BATCH, [])
+    out += records("deep-failing-armijo", FAILING_ARMIJO, [])
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")
