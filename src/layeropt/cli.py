@@ -44,7 +44,7 @@ def cmd_train(args) -> int:
     spec = DatasetSpec(name="train", kind="file" if args.data else "synthetic",
                        path=args.data or "", target_columns=args.target_columns,
                        delimiter=args.delimiter, has_header=args.has_header,
-                       teacher_arch=args.teacher or args.arch,
+                       teacher_arch=args.teacher,
                        samples=args.samples, noise_sd=args.noise_sd,
                        data_seed=args.seed, test_fraction=args.test_fraction)
     train, test = prepare_dataset(spec)
@@ -146,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="1-based target column indices")
     p.add_argument("--delimiter", default=DatasetSpec.delimiter)
     p.add_argument("--has-header", action="store_true")
-    p.add_argument("--teacher", help="teacher architecture for synthetic data")
+    p.add_argument("--teacher", default=DatasetSpec.teacher_arch,
+                   help="teacher architecture for synthetic data")
     p.add_argument("--samples", type=int, default=DatasetSpec.samples)
     p.add_argument("--noise-sd", type=float, default=DatasetSpec.noise_sd)
     p.add_argument("--test-fraction", type=float,

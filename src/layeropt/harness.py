@@ -19,8 +19,8 @@ from .batch import (AcceptanceParams, BlockSelectionRule, StoppingCriteria,
 from .data import (Dataset, fit_apply_normalization, load_delimited,
                    synth_teacher_dataset, train_test_split)
 from .linalg import SeededRng
-from .minibatch import (BlingParams, MinibatchSelectionRule, bling_run, ig_run,
-                        make_partition)
+from .minibatch import (BlingParams, MinibatchSelectionRule, bling_run,
+                        check_epoch_bound, ig_run, make_partition)
 from .network import Architecture, init_weights, parse_architecture
 from .objective import ObjectiveConfig, default_rho, mse_value
 from .solvers import LbfgsParams
@@ -106,6 +106,11 @@ class ExperimentConfig:
         unknown = set(cfg.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ConfigError(f"unknown algorithms {sorted(unknown)}")
+        if {"BLInG", "IG"} & set(cfg.algorithms):
+            try:
+                check_epoch_bound(cfg.stopping)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         return cfg
 
 

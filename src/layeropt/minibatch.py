@@ -116,6 +116,15 @@ def _ig_step(weights, cache, Yb, cfg_b, params, alpha):
     return True
 
 
+def check_epoch_bound(stop: StoppingCriteria):
+    """Refuse a `stop` with no max_epochs and no finite time limit: the
+    epoch loop checks only those two, so its run would never end."""
+    limit = stop.time_limit_seconds
+    if stop.max_epochs is None and (limit is None or not math.isfinite(limit)):
+        raise ValueError("a BLInG or IG run needs max_epochs or a finite "
+                         f"time_limit_seconds, not {limit!r}")
+
+
 def _run_epochs(algorithm, step, weights0, X, Y, cfg, partition, rule, params,
                 stop, seed):
     """The epoch loop both minibatch methods share: visit the minibatches in
@@ -123,8 +132,11 @@ def _run_epochs(algorithm, step, weights0, X, Y, cfg, partition, rule, params,
     shrink the stepsize. Each step moves every block once, or reports a
     non-finite gradient norm, which stops the run. Each minibatch's rows and
     config `cfg.component(|B|)` are formed once per run, and its forward
-    passes write into the run's one cache for its size. The final objective
-    and gradient norm come from one forward pass over all rows."""
+    passes write into the run's one cache for its size, so a run holds no
+    array of all P rows. The final f and its gradient are summed over the
+    components in partition order, which can differ from one pass over all
+    rows by rounding."""
+    check_epoch_bound(stop)
     weights = weights0.copy()
     start = time.monotonic()
     deadline = None if stop.time_limit_seconds is None \
@@ -155,9 +167,15 @@ def _run_epochs(algorithm, step, weights0, X, Y, cfg, partition, rule, params,
                 break
         epoch += 1
 
-    _, cache = forward(weights, X)
-    f = cached_value(weights, cache, Y, cfg)
-    gnorm = gradient_norm(full_gradient(weights, Y, cfg, cache))
+    f = 0.0
+    grads = [np.zeros_like(weights.block(l))
+             for l in range(1, weights.num_layers + 1)]
+    for Xb, Yb, cfg_b in gathered:
+        _, cache = forward(weights, Xb, caches[Xb.shape[0]])
+        f += cached_value(weights, cache, Yb, cfg_b)
+        for total, g in zip(grads, full_gradient(weights, Yb, cfg_b, cache)):
+            total += g
+    gnorm = gradient_norm(grads)
     return OptimizerRun(algorithm=algorithm, seed=seed, final_weights=weights,
                         trajectory=[f], final_objective=f, final_grad_norm=gnorm,
                         elapsed_seconds=time.monotonic() - start,

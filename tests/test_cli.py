@@ -95,16 +95,31 @@ class TestTrain:
         assert self.run_synth_train("B2LD", ["--time-limit", limit]) == 1
         assert "time_limit_seconds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algorithm", ["BLInG", "IG"])
+    def test_minibatch_run_with_no_epoch_bound_exits_1(self, algorithm, capsys):
+        # ran forever before
+        assert main(["train", "--arch", "[1x4]", "--algorithm", algorithm,
+                     "--samples", "60", "--teacher", "3-[1x4]-1",
+                     "--time-limit", "inf"]) == 1
+        assert re.search("max_epochs.*time_limit_seconds",
+                         capsys.readouterr().err)
+
     def test_defaults_are_the_dataclass_defaults(self):
         args = cli.build_parser().parse_args(
             ["train", "--arch", "[1x4]", "--algorithm", "IG"])
         assert cli._stopping_from(args) == StoppingCriteria()
         spec = DatasetSpec(name="")
-        assert (tuple(args.target_columns), args.delimiter, args.samples,
-                args.noise_sd, args.test_fraction) == \
-            (spec.target_columns, spec.delimiter, spec.samples, spec.noise_sd,
-             spec.test_fraction)
+        assert (tuple(args.target_columns), args.delimiter, args.teacher,
+                args.samples, args.noise_sd, args.test_fraction) == \
+            (spec.target_columns, spec.delimiter, spec.teacher_arch,
+             spec.samples, spec.noise_sd, spec.test_fraction)
         assert args.batch_size == ExperimentConfig.batch_size
+
+    def test_hidden_only_arch_without_teacher_runs(self, capsys):
+        # exited 1 before: the student string "[1x4]" was used as teacher
+        assert main(["train", "--arch", "[1x4]", "--algorithm", "IG",
+                     "--max-epochs", "1"]) == 0
+        assert "stop reason      max_epochs" in capsys.readouterr().out
 
     @pytest.mark.parametrize("fraction,train_rows", [("0.2", 80), ("0.5", 50)])
     def test_synthetic_data_honours_test_fraction(self, fraction, train_rows,

@@ -177,6 +177,20 @@ class TestConfig:
         assert ExperimentConfig.from_dict(raw).stopping.f_tol == float("-inf")
         assert StoppingCriteria(time_limit_seconds=0.0).time_limit_seconds == 0
 
+    @pytest.mark.parametrize("algorithm", ["BLInG", "IG"])
+    @pytest.mark.parametrize("limit", [None, float("inf")])
+    def test_minibatch_run_with_no_epoch_bound_rejected_up_front(
+            self, algorithm, limit):
+        # loaded before, then its BLInG and IG runs never ended
+        raw = self.minimal()
+        raw["algorithms"] = ["B2LD", algorithm]
+        raw["stopping"] = {"time_limit_seconds": limit}
+        with pytest.raises(ConfigError,
+                           match="max_epochs.*time_limit_seconds"):
+            ExperimentConfig.from_dict(raw)
+        raw["algorithms"] = ["B2LD", "LBFGS"]
+        assert ExperimentConfig.from_dict(raw).stopping.max_epochs is None
+
     def test_nan_rho_in_json_file_rejected(self, tmp_path):
         p = tmp_path / "exp.json"
         p.write_text(json.dumps(self.minimal())[:-1] + ', "rho": NaN}')
@@ -475,6 +489,22 @@ def test_tally_pairs_rows_by_seed_and_counts_dropped_seeds(cases):
     assert [tuple(t[4:]) for t in tallies] == \
         [(*want, len(cases), dropped)]
     assert f"  {tallies[0]}\n" in text
+
+
+def test_minibatch_task_with_no_epoch_bound_is_an_error_row():
+    """A config built without `from_dict` reaches the run, which refuses to
+    start; its task becomes an error row and the other tasks run."""
+    raw = TestConfig().minimal()
+    cfg = ExperimentConfig(
+        datasets=[DatasetSpec(**raw["datasets"][0])],
+        architectures=raw["architectures"], algorithms=["LBFGS", "IG"],
+        seeds=[0], stopping=StoppingCriteria(time_limit_seconds=None,
+                                             max_inner_iters=5))
+    rows = {r.algorithm: r for r in run_experiment(cfg, workers=1).rows}
+    assert not rows["LBFGS"].error
+    assert rows["IG"].stop_reason == "error"
+    assert re.match(r"ValueError: .*max_epochs.*time_limit_seconds",
+                    rows["IG"].error)
 
 
 class TestRunSingle:

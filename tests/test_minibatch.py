@@ -12,7 +12,7 @@ from layeropt.minibatch import (BlingParams, MinibatchSelectionRule, Partition,
 from layeropt.network import (Architecture, ForwardCache, forward,
                               forward_partial, init_weights)
 from layeropt.objective import (ObjectiveConfig, block_gradient, full_gradient,
-                                objective_value)
+                                gradient_norm, objective_value)
 
 
 def make_problem(widths, input_dim, P, seed, rho=1e-3):
@@ -286,9 +286,10 @@ class TestRunBuffers:
     @pytest.mark.parametrize("driver", [bling_run, ig_run])
     def test_rows_gathered_and_caches_allocated_once_per_run(self, driver,
                                                              monkeypatch):
-        """A run allocates one cache per distinct minibatch size and one for
-        the final full-data evaluation, however many epochs it takes, and
-        every visit of a minibatch propagates the same gathered rows."""
+        """A run allocates one cache per distinct minibatch size and none of
+        all P rows, however many epochs it takes, and every visit of a
+        minibatch, the final evaluation's included, propagates the same
+        gathered rows."""
         w, X, Y, cfg = make_problem([4, 3, 1], 3, 20, seed=7)
         part = make_partition(20, 8)  # sizes 8, 8, 4
         allocated, inputs = [], []
@@ -303,8 +304,44 @@ class TestRunBuffers:
         r = driver(w, X, Y, cfg, part, MinibatchSelectionRule("incremental"),
                    BlingParams(), epochs(3))
         assert r.inner_iterations == 9
-        assert sorted(allocated) == [4, 8, 20]
-        assert all(inputs[i] is inputs[i % 3] for i in range(9))
+        assert sorted(allocated) == [4, 8]
+        assert len(inputs) == 12  # 3 epochs and the final pass, 3 each
+        assert all(inputs[i] is inputs[i % 3] for i in range(12))
+
+
+@pytest.mark.parametrize("driver", [bling_run, ig_run])
+@pytest.mark.parametrize("batch_size", [8, 20])  # sizes 8, 8, 4; one of 20
+def test_final_values_match_a_fresh_evaluation(driver, batch_size):
+    """The final objective and gradient norm, summed over the partition's
+    components, match one evaluation over all rows to rounding; with one
+    minibatch they are that of `component(P)` exactly."""
+    w, X, Y, cfg = make_problem([4, 3, 1], 3, 20, seed=16, rho=0.1)
+    r = driver(w, X, Y, cfg, make_partition(20, batch_size),
+               MinibatchSelectionRule("incremental"), BlingParams(), epochs(2))
+    wf = r.final_weights
+    for c in (cfg, cfg.component(20)):
+        f, _ = objective_value(wf, X, Y, c)
+        _, cache = forward(wf, X)
+        gnorm = gradient_norm(full_gradient(wf, Y, c, cache))
+        assert r.final_objective == pytest.approx(f, rel=1e-12, abs=0)
+        assert r.final_grad_norm == pytest.approx(gnorm, rel=1e-12, abs=0)
+    if batch_size == 20:
+        assert (r.final_objective, r.final_grad_norm) == (f, gnorm)
+
+
+@pytest.mark.parametrize("driver", [bling_run, ig_run])
+@pytest.mark.parametrize("limit", [None, float("inf")])
+def test_run_with_no_epoch_bound_refused(driver, limit, monkeypatch):
+    """With no max_epochs and no finite time limit the epoch loop would
+    never end; the run refuses it before its first forward pass."""
+    def no_forward(*args):
+        raise AssertionError("forward pass before the check")
+    monkeypatch.setattr(minibatch, "forward", no_forward)
+    w, X, Y, cfg = make_problem([4, 1], 3, 20, seed=17)
+    stop = StoppingCriteria(time_limit_seconds=limit, max_epochs=None)
+    with pytest.raises(ValueError, match="max_epochs.*time_limit_seconds"):
+        driver(w, X, Y, cfg, make_partition(20, 5),
+               MinibatchSelectionRule("incremental"), BlingParams(), stop)
 
 
 @pytest.mark.parametrize("driver", [bling_run, ig_run])
