@@ -13,6 +13,7 @@ non-decomposed baseline.
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -79,10 +80,27 @@ class StoppingCriteria:
     max_inner_iters: int = None
 
     def __post_init__(self):
+        for name in ("max_cycles", "max_epochs", "max_inner_iters"):
+            cap = getattr(self, name)
+            if cap is not None and not (_is_a(cap, numbers.Integral)
+                                        and cap >= 0):
+                raise ValueError(f"{name} {cap!r} must be an int >= 0 or null")
+        if not (_is_a(self.grad_norm_tol, numbers.Real)
+                and self.grad_norm_tol >= 0):
+            raise ValueError(f"grad_norm_tol {self.grad_norm_tol!r} must be a "
+                             "number >= 0")
+        # -inf is legal: no relative decrease is <= -inf, so it never stops
+        if not _is_a(self.f_tol, numbers.Real) or math.isnan(self.f_tol):
+            raise ValueError(f"f_tol {self.f_tol!r} must be a number, not NaN")
         # below 0 every run stops at once; NaN disables the deadline
         t = self.time_limit_seconds
         if t is not None and not t >= 0:
             raise ValueError(f"time_limit_seconds {t!r} must be >= 0 or null")
+
+
+def _is_a(value, kind) -> bool:
+    """isinstance(value, kind), with a bool counted as no number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass

@@ -199,42 +199,43 @@ class ForwardCache:
     """Per-layer outputs `z` for one input batch, with the buffers that
     forward and backward passes over those rows reuse.
 
-    z[0] is the input batch and z[l] (1-based) the output of layer l.
-    scratch[l] holds hidden layer l's pre-activation while a forward pass
-    runs and its activation derivative while backprop runs, so neither is
-    kept, and hidden layers of equal width share one scratch array. deltas[l]
-    receives the backpropagated error at layer l. Each width has at most two
-    delta buffers, taken by layer parity: deltas[l] and deltas[l+1] never
-    share one, while deltas[l] and deltas[l+2] do when the widths are
-    equal. A backward sweep uses a delta only to form the next delta down
-    and its own block gradient, so delta_l holds only until the sweep
-    writes the layer two below it. `versions` records the weight-block
-    versions z was computed from.
+    z[0] is the input batch and z[l] (1-based) the output of layer l. Each
+    distinct hidden width n has one pair of rows x n buffers; hidden layer l
+    takes member l mod 2 as deltas[l] and the other as slopes[l]. A forward
+    pass writes layer l's pre-activation into deltas[l]; backprop writes the
+    error delta_l there and sigmoid'(z_l) into slopes[l]. When layer l+1 is
+    hidden and as wide, slopes[l] is deltas[l+1]: delta_{l+1} is dead once
+    delta_l's matmul has read it. The output layer's delta is an array of
+    its own. A delta therefore holds only until the next pass on the cache,
+    forward or backward. `versions` records the weight-block versions z was
+    computed from.
 
     Passes write into these buffers in place: a cache handed to `forward`,
     `forward_partial` or `objective.backprop_deltas` is overwritten, and
     `outputs` and the deltas are views of it, not copies. Copy what must
     outlive the next pass. Reusing one cache keeps a run from allocating
     fresh rows x width arrays on every evaluation, B2LD's block trials
-    included. For the `10-[10x50]-1` student that is 13 arrays of rows x 50:
-    ten outputs, one scratch and two deltas.
+    included. For the `10-[10x50]-1` student that is 12 arrays of rows x 50:
+    ten outputs and one pair of buffers.
     """
 
     z: list = field(default_factory=list)
-    scratch: list = field(default_factory=list)   # None at 0 and at L
     deltas: list = field(default_factory=list)    # None at 0
+    slopes: list = field(default_factory=list)    # None at 0 and at L
     versions: tuple = ()
 
     @classmethod
     def for_rows(cls, arch: Architecture, rows: int) -> "ForwardCache":
         """Unfilled buffers for a batch of `rows` samples through `arch`."""
         widths = arch.layer_widths
-        scratch = {n: np.empty((rows, n)) for n in widths[:-1]}
-        parity = [(n, l % 2) for l, n in enumerate(widths, start=1)]
-        deltas = {key: np.empty((rows, key[0])) for key in dict.fromkeys(parity)}
+        pairs = {n: (np.empty((rows, n)), np.empty((rows, n)))
+                 for n in widths[:-1]}
+        hidden = list(enumerate(widths[:-1], start=1))
         return cls(z=[None] + [np.empty((rows, n)) for n in widths],
-                   scratch=[None] + [scratch[n] for n in widths[:-1]] + [None],
-                   deltas=[None] + [deltas[key] for key in parity])
+                   deltas=[None] + [pairs[n][l % 2] for l, n in hidden]
+                   + [np.empty((rows, widths[-1]))],
+                   slopes=[None] + [pairs[n][1 - l % 2] for l, n in hidden]
+                   + [None])
 
     @property
     def outputs(self) -> np.ndarray:
@@ -291,13 +292,14 @@ def _propagate(weights: NetworkWeights, z, start: int, cache: ForwardCache,
     """The layer loop: carry z, the output of layer start-1, through layers
     start..L, writing each layer's output into cache.z, and return the
     network outputs. Block `start` is read from `override` when one is given.
-    Hidden pre-activations pass through cache.scratch and are not kept."""
+    Hidden layer l's pre-activation passes through cache.deltas[l],
+    overwriting any delta held there, and is not kept."""
     L = weights.num_layers
     for l in range(start, L + 1):
         W = override if l == start and override is not None else weights.block(l)
         if l == L:
             z = np.matmul(z, W, out=cache.z[L])
         else:
-            z = sigmoid(np.matmul(z, W, out=cache.scratch[l]), out=cache.z[l])
+            z = sigmoid(np.matmul(z, W, out=cache.deltas[l]), out=cache.z[l])
     return z
 

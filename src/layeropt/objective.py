@@ -106,12 +106,12 @@ def backprop_deltas(weights: NetworkWeights, cache: ForwardCache, Y, down_to: in
     are never touched, which is what makes per-block gradients cheaper than
     the full gradient. Reads the cached outputs z[down_to..L] only: the
     sigmoid's derivative is taken from z, so the pre-activations are not
-    needed. Each delta is written into cache.deltas[l] (the derivative passes
-    through cache.scratch), whose buffers alternate by layer parity: delta_l
-    holds only until the sweep writes the layer two below it, and the
-    returned delta until the next backprop on the cache. `consume(l,
-    delta_l)`, when given, is called as soon as delta_l exists, which is
-    where a full sweep forms each block gradient.
+    needed. Each delta_l is written into cache.deltas[l] and the derivative
+    g'(z_l) into cache.slopes[l], which is delta_{l+1}'s buffer when layer
+    l+1 is hidden and as wide: delta_{l+1} holds only until delta_l's matmul
+    has read it, and the returned delta until the next pass on the cache,
+    forward or backward. `consume(l, delta_l)`, when given, is called as soon
+    as delta_l exists, which is where a full sweep forms each block gradient.
     """
     L = weights.num_layers
     for l in range(L, down_to - 1, -1):
@@ -119,7 +119,7 @@ def backprop_deltas(weights: NetworkWeights, cache: ForwardCache, Y, down_to: in
             delta = np.subtract(cache.z[L], Y, out=cache.deltas[L])
         else:
             delta = np.matmul(delta, weights.block(l + 1).T, out=cache.deltas[l])
-            delta *= _sigmoid_slope(cache.z[l], out=cache.scratch[l])
+            delta *= _sigmoid_slope(cache.z[l], out=cache.slopes[l])
         if consume is not None:
             consume(l, delta)
     return delta

@@ -70,7 +70,8 @@ def lbfgs_minimize(trial, x0: np.ndarray, params: LbfgsParams,
     """Two-loop-recursion L-BFGS with value-only Armijo trials on flat vectors.
 
     trial(x) -> (f, grad): f at x, and a callable grad() that returns the
-    gradient at that x for as long as no other trial has run. trial runs at
+    gradient at that x, in a new array the solve may overwrite, for as long
+    as no other trial has run. trial runs at
     x0, unless the caller passes the pair it holds there as `start_fg`, and
     once per Armijo trial; grad runs only at x0 and at each accepted step,
     the last trial of its search. Stops ("grad_norm") at ||g|| <= grad_tol,
@@ -79,6 +80,8 @@ def lbfgs_minimize(trial, x0: np.ndarray, params: LbfgsParams,
     point when a search fails. Every accepted step satisfies the Armijo
     condition, so the objective sequence is non-increasing. The latest MEMORY
     curvature pairs are kept, skipping those with s'y <= 1e-10 ||s|| ||y||.
+    Each pair is formed in the vectors the step retires, s in x's buffer and
+    y in g's, so x0 and start_fg's gradient are copied and never written.
     The wall-clock deadline, if given, is checked before every iteration.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
@@ -86,7 +89,7 @@ def lbfgs_minimize(trial, x0: np.ndarray, params: LbfgsParams,
         f, grad = trial(x)
         g = grad()
     else:
-        f, g = start_fg
+        f, g = start_fg[0], np.array(start_fg[1], dtype=np.float64)
     history = [f]
     pairs = deque(maxlen=MEMORY)  # (s, y, 1/s'y), oldest first
     it = 0
@@ -124,8 +127,8 @@ def lbfgs_minimize(trial, x0: np.ndarray, params: LbfgsParams,
 
         x_new, f_new, grad = last  # the search stops on the accepted trial
         g_new = grad()
-        s = x_new - x
-        y = g_new - g
+        s = np.subtract(x_new, x, out=x)
+        y = np.subtract(g_new, g, out=g)
         sy = float(np.dot(s, y))
         if sy > 1e-10 * math.sqrt(float(np.dot(s, s)) * float(np.dot(y, y))):
             pairs.append((s, y, 1.0 / sy))

@@ -321,11 +321,34 @@ class TestEvaluationBuffers:
         one more layer array: the block trials write into that cache."""
         w, X, Y, cfg = make_problem([40, 40, 40, 1], 6, 2000, seed=3)
         cache = ForwardCache.for_rows(w.arch, X.shape[0])
-        held = {id(a): a for a in cache.z[1:] + cache.scratch + cache.deltas
+        held = {id(a): a for a in cache.z[1:] + cache.deltas + cache.slopes
                 if a is not None}
         cache_bytes = sum(a.nbytes for a in held.values())
         assert warm_peak_bytes(lambda: run_b2ld(w, X, Y, cfg, max_cycles=1)) \
             < cache_bytes + X.shape[0] * 40 * 8
+
+    def test_lbfgs_run_holds_one_cache_and_its_pairs(self):
+        """A whole L-BFGS run whose MEMORY curvature pairs are all held
+        allocates, at peak, less than its one forward cache, those pairs
+        and one more layer array. The cache is counted as it should be laid
+        out: the layer outputs, one pair of rows x n buffers per hidden
+        width n and the output layer's delta. This fails at d22511d, whose
+        cache held a third rows x 40 array: its peak of 4,687,704 B was
+        above the bound of 4,428,800 B. The peak is now 4,020,336 B."""
+        w, X, Y, cfg = make_problem([40, 40, 40, 1], 6, 2000, seed=3)
+        steps = solvers.MEMORY + 4
+        stop = StoppingCriteria(grad_norm_tol=0.0, f_tol=float("-inf"),
+                                time_limit_seconds=None, max_inner_iters=steps)
+
+        def run():
+            assert lbfgs_baseline_run(w, X, Y, cfg, LbfgsParams(),
+                                      stop).inner_iterations == steps
+        widths = w.arch.layer_widths
+        cache_bytes = X.shape[0] * 8 * (
+            sum(widths) + 2 * sum(set(widths[:-1])) + widths[-1])
+        pair_bytes = 2 * solvers.MEMORY * w.arch.num_variables * 8
+        assert warm_peak_bytes(run) \
+            < cache_bytes + pair_bytes + X.shape[0] * 40 * 8
 
 
 class TestLbfgsBaseline:

@@ -207,5 +207,17 @@ class TestBenchmark:
         assert main(["benchmark", str(p)]) == 1
         assert "algorithms 5 must be a list" in capsys.readouterr().err
 
+    def test_string_stopping_cap_exits_1(self, tmp_path, capsys):
+        # loaded before, and every task became a TypeError error row
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({
+            "datasets": [{"name": "toy", "kind": "synthetic",
+                          "teacher_arch": "3-[1x4]-1", "samples": 40}],
+            "architectures": ["[1x4]"], "algorithms": ["IG"],
+            "stopping": {"max_epochs": "2"}}))
+        assert main(["benchmark", str(p), "--out", str(tmp_path / "r")]) == 1
+        assert "max_epochs '2' must be an int" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_missing_config_exits_1(self):
         assert main(["benchmark", "/no/such/config.json"]) == 1

@@ -169,6 +169,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="time_limit_seconds"):
             StoppingCriteria(time_limit_seconds=limit)
 
+    @pytest.mark.parametrize("key,value", [
+        *[(cap, bad) for cap in ("max_cycles", "max_epochs", "max_inner_iters")
+          for bad in ("2", -3, 2.5, True)],
+        ("grad_norm_tol", -1e-3), ("grad_norm_tol", float("nan")),
+        ("grad_norm_tol", "0"), ("f_tol", float("nan")), ("f_tol", "1e-4")])
+    def test_bad_stopping_value_rejected_up_front(self, key, value):
+        # "2" loaded before, then every task was a TypeError error row;
+        # -3 ran IG for zero epochs with no error
+        raw = self.minimal()
+        raw["stopping"][key] = value
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict(raw)
+        with pytest.raises(ValueError, match=key):
+            StoppingCriteria(**{key: value})
+
     def test_no_tolerance_stopping_stays_legal(self):
         # the budgets-only criteria of tools/outcomes.py and the benchmark
         raw = self.minimal()

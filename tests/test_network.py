@@ -174,15 +174,15 @@ class TestForward:
     def test_given_cache_keeps_its_buffers_and_equals_a_fresh_pass(self):
         arch, w, X = random_net([7, 5, 6, 2], seed=13, input_dim=3, P=9)
         cache = ForwardCache.for_rows(arch, X.shape[0])
-        buffers = [list(cache.z[1:]), list(cache.scratch), list(cache.deltas)]
+        buffers = [list(cache.z[1:]), list(cache.deltas), list(cache.slopes)]
         for _ in range(2):
             w.set_block(2, 1.5 * w.block(2))
             out, got = forward(w, X, cache)
             _, fresh = forward(w, X)
             assert got is cache and out is cache.z[-1]
             assert all(a is b for a, b in zip(cache.z[1:], buffers[0]))
-            assert all(a is b for a, b in zip(cache.scratch, buffers[1]))
-            assert all(a is b for a, b in zip(cache.deltas, buffers[2]))
+            assert all(a is b for a, b in zip(cache.deltas, buffers[1]))
+            assert all(a is b for a, b in zip(cache.slopes, buffers[2]))
             assert cache.versions == w.versions()
             for j in range(arch.num_layers + 1):
                 assert np.array_equal(bits(cache.z[j]), bits(fresh.z[j]))
@@ -190,30 +190,36 @@ class TestForward:
     @pytest.mark.parametrize("widths", [
         [3, 3, 3, 1], [4, 2, 4, 2, 1], [5], [2, 2], [50] * 10 + [1]])
     def test_two_delta_buffers_per_width_by_layer_parity(self, widths):
-        """Layer l's delta buffer is keyed by (width, l mod 2): adjacent
-        layers never share one, and a width holds at most two."""
+        """Hidden layer l's delta and slope buffers are the two members of
+        its width's one pair, taken by l mod 2, so a layer's slope buffer is
+        the delta buffer of an adjacent layer as wide. The output layer's
+        delta is an array of its own and it has no slope buffer."""
         cache = ForwardCache.for_rows(Architecture(3, tuple(widths)), 7)
-        deltas = cache.deltas
-        assert deltas[0] is None
-        for l, n in enumerate(widths, start=1):
-            assert deltas[l].shape == (7, n)
-            if l > 1:
-                assert not np.shares_memory(deltas[l], deltas[l - 1])
-            if l > 2 and widths[l - 3] == n:
-                assert deltas[l] is deltas[l - 2]
-        for n in set(widths):
-            parities = {l % 2 for l, m in enumerate(widths, start=1) if m == n}
-            held = {id(d) for d, m in zip(deltas[1:], widths) if m == n}
-            assert len(held) == len(parities)
+        deltas, slopes = cache.deltas, cache.slopes
+        L = len(widths)
+        assert deltas[0] is None and slopes[0] is None and slopes[L] is None
+        hidden = list(enumerate(widths[:-1], start=1))
+        for l, n in hidden:
+            assert deltas[l].shape == slopes[l].shape == (7, n)
+            assert not np.shares_memory(deltas[l], slopes[l])
+            for j, m in hidden:
+                if m == n:
+                    same = (j - l) % 2 == 0
+                    assert (deltas[j] is deltas[l]) == same
+                    assert (slopes[j] is deltas[l]) != same
+        assert deltas[L].shape == (7, widths[-1])
+        pairs = [deltas[l] for l, _ in hidden] + [slopes[l] for l, _ in hidden]
+        assert not any(np.shares_memory(deltas[L], a) for a in pairs)
+        assert len({id(a) for a in pairs}) == 2 * len(set(widths[:-1]))
 
-    def test_student_cache_holds_13_arrays_of_rows_by_50(self):
-        """The 10-[10x50]-1 student's cache holds ten outputs, one scratch
-        and two deltas of rows x 50; B2LD's block trials write into the
+    def test_student_cache_holds_12_arrays_of_rows_by_50(self):
+        """The 10-[10x50]-1 student's cache holds ten outputs and one pair
+        of delta buffers of rows x 50; B2LD's block trials write into the
         same arrays."""
         cache = ForwardCache.for_rows(parse_architecture("10-[10x50]-1"), 9)
-        held = {id(a): a for a in cache.z[1:] + cache.scratch + cache.deltas
+        held = {id(a): a for a in cache.z[1:] + cache.deltas + cache.slopes
                 if a is not None}
-        assert sum(a.shape == (9, 50) for a in held.values()) == 13
+        assert sum(a.shape == (9, 50) for a in held.values()) == 12
 
     def test_cache_for_other_rows_is_rejected(self):
         arch, w, X = random_net([4, 1], seed=1, input_dim=3, P=5)

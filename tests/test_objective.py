@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from layeropt.batch import _block_eval
 from layeropt.linalg import SeededRng
 from layeropt.network import (Architecture, ForwardCache, NetworkWeights,
-                              StaleCacheError, forward, init_weights, sigmoid,
-                              sigmoid_prime)
+                              StaleCacheError, forward, forward_partial,
+                              init_weights, sigmoid, sigmoid_prime)
 from layeropt.objective import (ObjectiveConfig, backprop_deltas,
                                 block_gradient, cached_value, default_rho,
                                 full_gradient, gradient_norm, objective_value,
@@ -132,8 +132,8 @@ class TestBlockGradient:
             below = [np.full_like(d, np.nan) for d in cache.deltas[1:l]]
             poisoned = ForwardCache(
                 z=[np.full_like(z, np.nan) for z in cache.z[:l]] + cache.z[l:],
-                scratch=cache.scratch,
-                deltas=[None] + below + cache.deltas[l:])
+                deltas=[None] + below + cache.deltas[l:],
+                slopes=cache.slopes)
             seen = []
             got = backprop_deltas(poisoned_w, poisoned, Y, l,
                                   lambda j, delta: seen.append(j))
@@ -208,6 +208,56 @@ class TestFullGradient:
         Y, cache = forward(w, X)
         cfg = ObjectiveConfig(rho=0.0, sample_count=6)
         assert gradient_norm(full_gradient(w, Y, cfg, cache)) == 0.0
+
+
+@st.composite
+def width_run_instance(draw):
+    """1 to 5 layers of widths 1 to 6, each layer as wide as the one below
+    it or not on a coin flip, so that runs of equal widths, which share a
+    cache's buffer pair, and width changes both occur."""
+    widths = [draw(st.integers(1, 6))]
+    for _ in range(draw(st.integers(0, 4))):
+        same = draw(st.booleans())
+        widths.append(widths[-1] if same else draw(st.integers(1, 6)))
+    return make_instance(widths, draw(st.integers(1, 4)),
+                         draw(st.integers(1, 9)), draw(st.integers(0, 2**16)),
+                         rho=draw(st.sampled_from([0.0, 1e-3])))
+
+
+def unshared_cache(arch, rows):
+    """A cache in which every output, delta and slope buffer is an array of
+    its own."""
+    widths = arch.layer_widths
+
+    def fresh(ns):
+        return [None] + [np.empty((rows, n)) for n in ns]
+    return ForwardCache(z=fresh(widths), deltas=fresh(widths),
+                        slopes=fresh(widths[:-1]) + [None])
+
+
+@settings(max_examples=80, deadline=None)
+@given(width_run_instance(), st.data())
+def test_shared_buffers_give_the_bits_of_unshared_ones(case, data):
+    """Through `ForwardCache.for_rows`, whose layers share one buffer pair
+    per width, a forward pass, a full gradient, every block gradient, and a
+    partial forward after a block edit followed by a full gradient give the
+    bits they give through a cache with no buffer shared."""
+    w, X, Y, cfg = case
+    L = w.num_layers
+    k = data.draw(st.integers(1, L))
+    results = []
+    for cache in (ForwardCache.for_rows(w.arch, X.shape[0]),
+                  unshared_cache(w.arch, X.shape[0])):
+        net = w.copy()
+        got = [forward(net, X, cache)[0].tobytes()]
+        got += [g.tobytes() for g in full_gradient(net, Y, cfg, cache)]
+        got += [block_gradient(net, Y, cfg, l, cache).tobytes()
+                for l in range(1, L + 1)]
+        net.set_block(k, 0.5 * net.block(k))
+        got.append(forward_partial(net, cache, k)[0].tobytes())
+        got += [g.tobytes() for g in full_gradient(net, Y, cfg, cache)]
+        results.append(got)
+    assert results[0] == results[1]
 
 
 @st.composite

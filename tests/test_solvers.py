@@ -144,6 +144,29 @@ class TestLbfgs:
         assert res.f_history == plain.f_history
         assert tally["trial"] == tally["trials"] > 0
 
+    def test_caller_arrays_are_never_written(self):
+        """The curvature pairs are formed in the solve's own retired
+        vectors: after more accepted steps than MEMORY, x0 and start_fg's
+        gradient, flat or as a block, keep their bytes."""
+        quadratic, _ = self.quadratic(6, 7)
+        params = LbfgsParams(grad_tol=0.0, max_iters=solvers.MEMORY + 2)
+        x0 = np.linspace(-1.0, 1.0, 6)
+        f0, grad0 = quadratic(x0)
+        g0 = grad0()
+        kept = x0.tobytes(), g0.tobytes()
+        for res in (lbfgs_minimize(quadratic, x0, params),
+                    lbfgs_minimize(quadratic, x0, params, start_fg=(f0, g0))):
+            assert res.iterations == params.max_iters
+            assert (x0.tobytes(), g0.tobytes()) == kept
+
+        def block_trial(W):
+            f, grad = quadratic(W.ravel())
+            return f, lambda: grad().reshape(W.shape)
+        W0, G0 = x0.reshape(2, 3), g0.reshape(2, 3)
+        res = lbfgs_minimize_block(block_trial, W0, params, start_fg=(f0, G0))
+        assert res.iterations == params.max_iters
+        assert (x0.tobytes(), g0.tobytes()) == kept
+
     def test_non_finite_gradient_stops_at_the_last_finite_point(self):
         """A trial whose gradient is NaN ends the solve with reason
         "non_finite"; the reported point is that accepted trial, whose f is

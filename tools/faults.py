@@ -1,5 +1,5 @@
-"""Warm-run wall time, minor page faults and peak RSS of B2LD, LBFGS, BLInG
-and IG.
+"""Warm-run wall time, minor page faults, peak RSS and traced peak of B2LD,
+LBFGS, BLInG and IG.
 
     python3 tools/faults.py
 
@@ -13,8 +13,11 @@ faults: pages the process touched afresh, for example after the allocator
 handed freed memory back to the kernel. They show memory churn that the
 wall time alone hides. It also prints the process's peak resident set
 size (``ru_maxrss``) after both runs, in MB: each method's own memory high
-mark, with the interpreter, numpy and the dataset included. BLAS is pinned to
-one thread.
+mark, with the interpreter, numpy and the dataset included. Then a third,
+identical run goes under ``tracemalloc``, and ``traced_peak_b`` is the peak
+of the bytes it allocated, numpy buffers included. Unlike ``ru_maxrss``, it
+repeats exactly from run to run, so a memory change can cite it as a count.
+BLAS is pinned to one thread.
 """
 
 import argparse
@@ -22,6 +25,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -38,7 +42,9 @@ SEED = 0
 
 
 def measure(method):
-    """(seconds, minor faults) of the second of two identical runs."""
+    """(seconds, minor faults) of the second of two identical runs, the
+    process's peak RSS in MB after them, and the traced peak bytes of a
+    third."""
     train, test = prepare_dataset(DEEP["dataset"])
     arch = resolve_architecture(DEEP["architectures"][0], train.num_features,
                                 train.num_targets)
@@ -53,7 +59,14 @@ def measure(method):
     start = time.perf_counter()
     run()
     seconds = time.perf_counter() - start
-    return seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    tracemalloc.start()
+    try:
+        run()
+        traced_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return seconds, usage.ru_minflt - faults, usage.ru_maxrss / 1024, traced_peak
 
 
 def main(argv=None):
@@ -63,16 +76,18 @@ def main(argv=None):
                              "one tab-separated line")
     args = parser.parse_args(argv)
     if args.method:
-        seconds, faults = measure(args.method)
-        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        print(f"{args.method}\t{seconds:.3f}\t{faults}\t{peak_mb:.1f}")
+        seconds, faults, peak_mb, traced_peak = measure(args.method)
+        print(f"{args.method}\t{seconds:.3f}\t{faults}\t{peak_mb:.1f}"
+              f"\t{traced_peak}")
         return
-    print(f"{'method':<8}{'warm_run_s':>12}{'minor_faults':>14}{'peak_rss_mb':>13}")
+    print(f"{'method':<8}{'warm_run_s':>12}{'minor_faults':>14}"
+          f"{'peak_rss_mb':>13}{'traced_peak_b':>15}")
     for method in ALGORITHMS:
         line = subprocess.run([sys.executable, __file__, "--method", method],
                               capture_output=True, text=True, check=True).stdout
-        name, seconds, faults, peak_mb = line.split()
-        print(f"{name:<8}{seconds:>12}{faults:>14}{peak_mb:>13}")
+        name, seconds, faults, peak_mb, traced_peak = line.split()
+        print(f"{name:<8}{seconds:>12}{faults:>14}{peak_mb:>13}"
+              f"{int(traced_peak):>15,}")
 
 
 if __name__ == "__main__":
