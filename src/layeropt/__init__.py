@@ -22,9 +22,8 @@ from .batch import (AcceptanceParams, BlockSelectionRule, OptimizerRun,
 from .minibatch import (BlingParams, MinibatchSelectionRule, Partition,
                         bling_run, clamped_scale, ig_run, make_partition,
                         stepsize_update)
-from .data import (Dataset, NormalizationModel, fit_apply_normalization,
-                   load_delimited, save_dataset,
-                   synth_teacher_dataset, train_test_split)
+from .data import (Dataset, fit_apply_normalization, load_delimited,
+                   save_dataset, synth_teacher_dataset, train_test_split)
 from .harness import (ExperimentConfig, ExperimentReport, DatasetSpec,
                       depth_ratio, emit_report, load_report, run_experiment,
                       run_single, tally_wins)

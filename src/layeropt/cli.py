@@ -6,9 +6,10 @@ Subcommands:
   gradcheck  finite-difference gradient check on a random instance
   synth      generate a teacher-network dataset to disk
 
-Exit codes: 0 on success, 1 on config/IO errors, and for gradcheck 1 when any
-tolerance is violated. The defaults of `train` are those of `DatasetSpec`,
-`ExperimentConfig` and `StoppingCriteria`.
+Exit codes: 0 on success; 1 on config/IO errors, a failed `train` run, a
+`benchmark` with no error-free run, or a violated gradcheck tolerance. `train`
+runs as one cell of `benchmark`, with its checks; its defaults are those of
+`DatasetSpec`, `ExperimentConfig` and `StoppingCriteria`.
 """
 
 import argparse
@@ -20,8 +21,7 @@ import numpy as np
 from .batch import StoppingCriteria
 from .data import ParseError, save_dataset, synth_teacher_dataset
 from .harness import (ALGORITHMS, ConfigError, DatasetSpec, ExperimentConfig,
-                      emit_report, prepare_dataset, resolve_architecture,
-                      run_experiment, run_single)
+                      emit_report, run_experiment)
 from .linalg import SeededRng
 from .network import init_weights, parse_architecture, forward
 from .objective import (ObjectiveConfig, block_gradient, default_rho,
@@ -35,33 +35,29 @@ def _add_stopping_flags(p):
         p.add_argument(flag, dest=f.name, type=f.type, default=f.default)
 
 
-def _stopping_from(args) -> StoppingCriteria:
-    return StoppingCriteria(**{f.name: getattr(args, f.name)
-                               for f in fields(StoppingCriteria)})
-
-
 def cmd_train(args) -> int:
-    spec = DatasetSpec(name="train", kind="file" if args.data else "synthetic",
-                       path=args.data or "", target_columns=args.target_columns,
-                       delimiter=args.delimiter, has_header=args.has_header,
-                       teacher_arch=args.teacher,
-                       samples=args.samples, noise_sd=args.noise_sd,
-                       data_seed=args.seed, test_fraction=args.test_fraction)
-    train, test = prepare_dataset(spec)
-
-    arch = resolve_architecture(args.arch, train.num_features,
-                                train.num_targets)
-    weights0 = init_weights(arch, SeededRng(args.seed))
-    run, tmse = run_single(args.algorithm, weights0, train, test,
-                           _stopping_from(args), rho=args.rho,
-                           batch_size=args.batch_size, seed=args.seed)
-    print(f"algorithm        {run.algorithm}")
-    print(f"final objective  {run.final_objective:.10e}")
-    print(f"gradient norm    {run.final_grad_norm:.10e}")
-    print(f"test mse         {tmse:.10e}")
-    print(f"elapsed seconds  {run.elapsed_seconds:.3f}")
-    print(f"stop reason      {run.stop_reason}")
-    print("updates/layer    " + " ".join(str(c) for c in run.layer_update_counts))
+    config = ExperimentConfig.from_dict({
+        "datasets": [{
+            "name": "train", "kind": "file" if args.data else "synthetic",
+            "path": args.data or "", "target_columns": args.target_columns,
+            "delimiter": args.delimiter, "teacher_arch": args.teacher,
+            "samples": args.samples, "noise_sd": args.noise_sd,
+            "data_seed": args.seed, "test_fraction": args.test_fraction}],
+        "architectures": [args.arch], "algorithms": [args.algorithm],
+        "seeds": [args.seed], "batch_size": args.batch_size, "rho": args.rho,
+        "stopping": {f.name: getattr(args, f.name)
+                     for f in fields(StoppingCriteria)}})
+    row, = run_experiment(config, workers=1).rows
+    if row.error:
+        print(f"error: {row.error}", file=sys.stderr)
+        return 1
+    print(f"algorithm        {row.algorithm}")
+    print(f"final objective  {row.final_objective:.10e}")
+    print(f"gradient norm    {row.grad_norm:.10e}")
+    print(f"test mse         {row.test_mse:.10e}")
+    print(f"elapsed seconds  {row.elapsed_seconds:.3f}")
+    print(f"stop reason      {row.stop_reason}")
+    print("updates/layer    " + " ".join(str(c) for c in row.layer_update_counts))
     return 0
 
 
@@ -76,7 +72,7 @@ def cmd_benchmark(args) -> int:
     for r in failures:
         print(f"FAILED {r.dataset} {r.architecture} {r.algorithm} "
               f"seed={r.seed}: {r.error}", file=sys.stderr)
-    return 0
+    return 0 if len(failures) < len(report.rows) else 1
 
 
 def cmd_gradcheck(args) -> int:
@@ -145,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=DatasetSpec.target_columns,
                    help="1-based target column indices")
     p.add_argument("--delimiter", default=DatasetSpec.delimiter)
-    p.add_argument("--has-header", action="store_true")
     p.add_argument("--teacher", default=DatasetSpec.teacher_arch,
                    help="teacher architecture for synthetic data")
     p.add_argument("--samples", type=int, default=DatasetSpec.samples)

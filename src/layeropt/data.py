@@ -1,8 +1,8 @@
 """Dataset ingestion, min-max normalization, splitting, synthetic teachers.
 
-File format: comma-delimited UTF-8 text, a row per sample, its m targets and
-then its features written ``%.17g``. `save_dataset` writes it; `load_delimited`,
-which ``kind: "file"`` datasets use, reads it back bitwise with targets 1..m.
+File format: UTF-8 text, no header, a row per sample split by one delimiter
+character. `save_dataset` writes it comma-delimited, targets first, ``%.17g``;
+`load_delimited`, for ``kind: "file"`` datasets, reads it back bitwise.
 """
 
 import math
@@ -47,26 +47,21 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-def load_delimited(path, target_columns, delimiter=",", has_header=False) -> Dataset:
-    """Read a numeric delimited UTF-8 text file and split it into
-    features/targets.
-
-    `target_columns` are 1-based column indices. No delimiter auto-detection:
-    the caller states the format explicitly.
-    """
+def load_delimited(path, target_columns, delimiter=",") -> Dataset:
+    """Read a file of the module's format and split its columns into the
+    targets at the 1-based `target_columns` and the features. The delimiter
+    is not detected: the caller states it."""
     rows = []
     width = None
     # bytes that are not UTF-8 read as lone surrogates, which encode() refuses
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         lines = [ln for ln in (raw.strip() for raw in fh) if ln]
-    if has_header:
-        lines = lines[1:]
     for r, line in enumerate(lines, start=1):
         try:
             line.encode("utf-8")
         except UnicodeEncodeError:
             raise ParseError(f"{path}: row {r} is not UTF-8 text", row=r) from None
-        cells = line.split(delimiter) if delimiter != " " else line.split()
+        cells = line.split(delimiter)
         if width is None:
             width = len(cells)
         elif len(cells) != width:
@@ -94,39 +89,21 @@ def load_delimited(path, target_columns, delimiter=",", has_header=False) -> Dat
     return Dataset(X=mat[:, ~tmask], Y=mat[:, tmask])
 
 
-@dataclass
-class NormalizationModel:
-    """Per-column min/max learned from training rows; maps train columns to
-    [0,1]. Constant columns map to 0 (the scale divisor is forced to 1)."""
-
-    x_min: np.ndarray
-    x_max: np.ndarray
-    y_min: np.ndarray
-    y_max: np.ndarray
-
-    @staticmethod
-    def fit(train: Dataset) -> "NormalizationModel":
-        return NormalizationModel(
-            x_min=train.X.min(axis=0), x_max=train.X.max(axis=0),
-            y_min=train.Y.min(axis=0), y_max=train.Y.max(axis=0))
-
-    @staticmethod
-    def _scale(values, lo, hi):
-        span = hi - lo
-        span = np.where(span == 0.0, 1.0, span)
-        return (values - lo) / span
-
-    def apply(self, ds: Dataset) -> Dataset:
-        return Dataset(X=self._scale(ds.X, self.x_min, self.x_max),
-                       Y=self._scale(ds.Y, self.y_min, self.y_max))
-
-
 def fit_apply_normalization(train: Dataset, test: Dataset):
-    """Fit min-max scaling on the training rows only, apply to both splits."""
+    """Fit per-column min-max scaling on the training rows only and apply it
+    to both splits: train columns map to [0,1], constant ones to 0 (their
+    divisor is forced to 1). Returns (train, test, bounds), `bounds` being
+    the (min, max) pairs of the X columns and of the Y columns."""
     if train.num_samples == 0:
         raise ValueError("training split is empty")
-    model = NormalizationModel.fit(train)
-    return model.apply(train), model.apply(test), model
+    bounds = [(v.min(axis=0), v.max(axis=0)) for v in (train.X, train.Y)]
+    (x_lo, _), (y_lo, _) = bounds
+    x_span, y_span = (np.where(hi - lo == 0.0, 1.0, hi - lo) for lo, hi in bounds)
+
+    def scaled(ds):
+        return Dataset(X=(ds.X - x_lo) / x_span, Y=(ds.Y - y_lo) / y_span)
+
+    return scaled(train), scaled(test), bounds
 
 
 def train_test_split(ds: Dataset, test_fraction: float, seed: int):

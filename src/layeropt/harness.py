@@ -42,7 +42,6 @@ class DatasetSpec:
     path: str = ""
     target_columns: tuple = (1,)       # 1-based
     delimiter: str = ","
-    has_header: bool = False
     # synthetic datasets
     teacher_arch: str = "10-[1x20]-1"
     samples: int = 1000
@@ -245,8 +244,7 @@ def prepare_dataset(spec: DatasetSpec):
         ds = synth_teacher_dataset(teacher, spec.samples, spec.noise_sd,
                                    spec.data_seed)
     elif spec.kind == "file":
-        ds = load_delimited(spec.path, spec.target_columns, spec.delimiter,
-                            spec.has_header)
+        ds = load_delimited(spec.path, spec.target_columns, spec.delimiter)
     else:
         raise ConfigError(f"unknown dataset kind {spec.kind!r}")
     train, test = train_test_split(ds, spec.test_fraction, spec.data_seed)
@@ -298,11 +296,9 @@ def _error_row(task, exc, digest=""):
 
 
 def _execute_task(task):
-    (ds_name, arch_text, algorithm, seed, train, test, stop, rho, batch_size) = task
+    ds_name, arch_text, algorithm, seed, arch, train, test, stop, rho, batch_size = task
     digest = ""
     try:
-        arch = resolve_architecture(arch_text, train.num_features,
-                                    train.num_targets)
         weights0 = init_weights(arch, SeededRng(seed))
         digest = weights0.digest()
         run, tmse = run_single(algorithm, weights0, train, test, stop, rho,
@@ -332,19 +328,26 @@ def _pool_row(future, task):
 def run_experiment(config: ExperimentConfig, workers: int = None) -> ExperimentReport:
     """Cross product of datasets x architectures x algorithms x seeds, one row
     each; runs execute on a bounded worker pool (seed determinism does not
-    depend on scheduling). A task that fails, or whose worker dies, becomes
-    an error row; the rows of the other tasks are kept."""
+    depend on scheduling). Every architecture is resolved against every
+    dataset before any task is queued, and a ConfigError naming both stops
+    the experiment before any run. A task that fails, or whose worker dies,
+    becomes an error row; the rows of the other tasks are kept."""
     if workers is None:
         workers = os.cpu_count() or 1
     tasks = []
     for spec in config.datasets:
         train, test = prepare_dataset(spec)
         for arch_text in config.architectures:
+            try:
+                arch = resolve_architecture(arch_text, train.num_features,
+                                            train.num_targets)
+            except ValueError as exc:
+                raise ConfigError(f"dataset {spec.name!r}: {exc}") from exc
             for seed in config.seeds:
                 for algorithm in config.algorithms:
                     tasks.append((spec.name, arch_text, algorithm, int(seed),
-                                  train, test, config.stopping, config.rho,
-                                  config.batch_size))
+                                  arch, train, test, config.stopping,
+                                  config.rho, config.batch_size))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_execute_task, t) for t in tasks]

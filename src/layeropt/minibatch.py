@@ -63,12 +63,14 @@ class MinibatchSelectionRule:
         return list(range(H))
 
 
+EPS_DIM = 5e-3     # diminishing-stepsize coefficient
+CLAMP_LO = 1e-3    # lower bound on the normalization divisor
+CLAMP_HI = 1e6     # upper bound on the normalization divisor
+
+
 @dataclass(frozen=True)
 class BlingParams:
     alpha0: float = 0.5
-    eps_dim: float = 5e-3        # diminishing-stepsize coefficient
-    clamp_lo: float = 1e-3       # lower bound on the normalization divisor
-    clamp_hi: float = 1e6        # upper bound on the normalization divisor
 
     @staticmethod
     def default_alpha0(num_layers: int) -> float:
@@ -88,7 +90,7 @@ def clamped_scale(direction_norm: float, clamp_lo: float, clamp_hi: float) -> fl
     return max(clamp_lo, min(clamp_hi, direction_norm))
 
 
-def _bling_step(weights, cache, Yb, cfg_b, params, alpha):
+def _bling_step(weights, cache, Yb, cfg_b, alpha):
     """One clamped normalized step per block of f_B, output-to-input, each
     block's gradient taken after the blocks above it have moved. Returns
     False, and moves no further block, at the first non-finite norm."""
@@ -97,20 +99,20 @@ def _bling_step(weights, cache, Yb, cfg_b, params, alpha):
         norm = frobenius_norm(d)
         if not math.isfinite(norm):
             return False
-        div = clamped_scale(norm, params.clamp_lo, params.clamp_hi)
+        div = clamped_scale(norm, CLAMP_LO, CLAMP_HI)
         weights.set_block(l, weights.block(l) - (alpha / div) * d)
         forward_partial(weights, cache, l)
     return True
 
 
-def _ig_step(weights, cache, Yb, cfg_b, params, alpha):
+def _ig_step(weights, cache, Yb, cfg_b, alpha):
     """One simultaneous step of every block of f_B, clamped on the full
     direction. Returns False, moving nothing, when its norm is not finite."""
     grads = full_gradient(weights, Yb, cfg_b, cache)
     norm = gradient_norm(grads)
     if not math.isfinite(norm):
         return False
-    div = clamped_scale(norm, params.clamp_lo, params.clamp_hi)
+    div = clamped_scale(norm, CLAMP_LO, CLAMP_HI)
     for l, d in enumerate(grads, start=1):
         weights.set_block(l, weights.block(l) - (alpha / div) * d)
     return True
@@ -157,10 +159,10 @@ def _run_epochs(algorithm, step, weights0, X, Y, cfg, partition, rule, params,
         for h in rule.epoch_order(partition.num_batches):
             Xb, Yb, cfg_b = gathered[h]
             _, cache = forward(weights, Xb, caches[Xb.shape[0]])
-            if not step(weights, cache, Yb, cfg_b, params, alpha):
+            if not step(weights, cache, Yb, cfg_b, alpha):
                 reason = "non_finite"
                 break
-            alpha = stepsize_update(alpha, params.eps_dim)
+            alpha = stepsize_update(alpha, EPS_DIM)
             k += 1
             if deadline is not None and time.monotonic() > deadline:
                 reason = "time_limit"

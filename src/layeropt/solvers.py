@@ -3,7 +3,7 @@
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,9 @@ class ArmijoParams:
     def __post_init__(self):
         if self.a <= 0 or not 0 < self.gamma < 1 or not 0 < self.delta < 1:
             raise ValueError("need a > 0, gamma and delta in (0,1)")
+
+
+ARMIJO = ArmijoParams()    # the search every L-BFGS step runs
 
 
 class LinesearchError(RuntimeError):
@@ -51,7 +54,6 @@ def armijo_linesearch(phi, phi0: float, slope: float, params: ArmijoParams) -> f
 class LbfgsParams:
     grad_tol: float = 1e-5
     max_iters: int = 30
-    armijo: ArmijoParams = field(default_factory=ArmijoParams)
 
 
 @dataclass
@@ -120,7 +122,7 @@ def lbfgs_minimize(trial, x0: np.ndarray, params: LbfgsParams,
             return last[1]
 
         try:
-            armijo_linesearch(phi, f, slope, params.armijo)
+            armijo_linesearch(phi, f, slope, ARMIJO)
         except LinesearchError:
             reason = "linesearch_failure"
             break

@@ -9,7 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import record_criterion
+from conftest import (fd_block_gradient, record_criterion, rel_error,
+                      small_experiment)
 from layeropt.batch import (AcceptanceParams, BlockSelectionRule,
                             StoppingCriteria, accept_trial, b2ld_run,
                             lbfgs_baseline_run)
@@ -24,9 +25,6 @@ from layeropt.objective import (ObjectiveConfig, block_gradient, cached_value,
                                 full_gradient, objective_value)
 from layeropt.solvers import (ArmijoParams, LbfgsParams, armijo_linesearch,
                               llsq_last_layer)
-
-from test_harness import small_experiment
-from test_objective import fd_block_gradient, rel_error
 
 
 def make_instance(rng, max_layers=4, max_width=8, max_samples=64):

@@ -10,27 +10,16 @@ from hypothesis import strategies as st
 import layeropt.batch as batch
 import layeropt.objective as objective
 import layeropt.solvers as solvers
-from conftest import count_callback_calls, counted
+from conftest import count_callback_calls, counted, make_problem
 from layeropt.batch import (AcceptanceParams, BlockSelectionRule,
                             StoppingCriteria, _block_eval, accept_trial,
                             b2ld_run, lbfgs_baseline_run)
-from layeropt.linalg import SeededRng
-from layeropt.network import (Architecture, ForwardCache, StaleCacheError,
-                              forward, init_weights)
+from layeropt.network import ForwardCache, StaleCacheError, forward
 from layeropt.objective import (ObjectiveConfig, block_gradient, cached_value,
                                 full_gradient, gradient_norm, objective_value,
                                 weights_squared_norm)
 from layeropt.solvers import (ArmijoParams, LbfgsParams, LinesearchError,
                               llsq_last_layer)
-
-
-def make_problem(widths, input_dim, P, seed, rho=1e-3):
-    arch = Architecture(input_dim, tuple(widths))
-    rng = SeededRng(seed)
-    w = init_weights(arch, rng)
-    X = rng.child(1).uniform(0.0, 1.0, size=(P, input_dim))
-    Y = rng.child(2).uniform(0.0, 1.0, size=(P, arch.output_dim))
-    return w, X, Y, ObjectiveConfig(rho=rho, sample_count=P)
 
 
 class TestSelectionRules:

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import layeropt.cli as cli
+import layeropt.harness as harness
 from layeropt.batch import StoppingCriteria
 from layeropt.cli import main
-from layeropt.harness import DatasetSpec, ExperimentConfig, run_single
+from layeropt.harness import DatasetSpec, ExperimentConfig
 from layeropt.data import load_delimited, synth_teacher_dataset
 from layeropt.network import parse_architecture
 
@@ -104,10 +105,18 @@ class TestTrain:
         assert re.search("max_epochs.*time_limit_seconds",
                          capsys.readouterr().err)
 
-    def test_defaults_are_the_dataclass_defaults(self):
+    def test_defaults_are_the_dataclass_defaults(self, monkeypatch):
+        seen = []
+
+        def recording_run_single(algorithm, weights0, train, test, stop, *args):
+            seen.append(stop)
+            raise RuntimeError("recorded")
+
+        monkeypatch.setattr(harness, "run_single", recording_run_single)
+        assert main(["train", "--arch", "[1x4]", "--algorithm", "IG"]) == 1
+        assert seen == [StoppingCriteria()]
         args = cli.build_parser().parse_args(
             ["train", "--arch", "[1x4]", "--algorithm", "IG"])
-        assert cli._stopping_from(args) == StoppingCriteria()
         spec = DatasetSpec(name="")
         assert (tuple(args.target_columns), args.delimiter, args.teacher,
                 args.samples, args.noise_sd, args.test_fraction) == \
@@ -125,13 +134,14 @@ class TestTrain:
     def test_synthetic_data_honours_test_fraction(self, fraction, train_rows,
                                                    monkeypatch):
         sizes = []
+        run_single = harness.run_single
 
         def recording_run_single(algorithm, weights0, train, test, *args,
                                  **kwargs):
             sizes.append((train.num_samples, test.num_samples))
             return run_single(algorithm, weights0, train, test, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "run_single", recording_run_single)
+        monkeypatch.setattr(harness, "run_single", recording_run_single)
         assert main(["train", "--arch", "[1x4]", "--algorithm", "IG",
                      "--samples", "100", "--teacher", "3-[1x4]-1",
                      "--test-fraction", fraction, "--max-epochs", "1"]) == 0
@@ -154,6 +164,16 @@ class TestTrain:
                    "--algorithm", "IG"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_failed_run_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "run_single", raise_boom)
+        assert self.run_synth_train("LBFGS") == 1
+        out, err = capsys.readouterr()
+        assert err == "error: RuntimeError: boom\n" and out == ""
+
+
+def raise_boom(*args):
+    raise RuntimeError("boom")
 
 
 class TestBenchmark:
@@ -221,3 +241,28 @@ class TestBenchmark:
 
     def test_missing_config_exits_1(self):
         assert main(["benchmark", "/no/such/config.json"]) == 1
+
+    @pytest.mark.parametrize("failing,rc", [(("B2LD", "IG"), 1), (("IG",), 0)],
+                             ids=["every_run_fails", "one_run_succeeds"])
+    def test_exits_1_only_when_no_run_is_error_free(self, tmp_path, capsys,
+                                                    monkeypatch, failing, rc):
+        # exited 0 before when every run failed
+        run_single = harness.run_single
+
+        def failing_run_single(algorithm, *args):
+            if algorithm in failing:
+                raise_boom()
+            return run_single(algorithm, *args)
+
+        monkeypatch.setattr(harness, "run_single", failing_run_single)
+        p = tmp_path / "exp.json"
+        p.write_text(json.dumps({
+            "datasets": [{"name": "toy", "kind": "synthetic",
+                          "teacher_arch": "3-[1x4]-1", "samples": 40}],
+            "architectures": ["[1x4]"], "algorithms": ["B2LD", "IG"],
+            "seeds": [0], "stopping": {"max_epochs": 1, "max_cycles": 1}}))
+        assert main(["benchmark", str(p), "--out", str(tmp_path / "r"),
+                     "--workers", "1"]) == rc
+        err = capsys.readouterr().err
+        assert err.count("RuntimeError: boom") == len(failing)
+        assert (tmp_path / "r" / "report.tsv").exists()

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import layeropt.harness as harness
+from conftest import small_experiment
 from layeropt.batch import StoppingCriteria
 from layeropt.harness import (ALGORITHMS, ConfigError, DatasetSpec,
                               ExperimentConfig, ExperimentReport, RunRow,
@@ -262,21 +263,6 @@ class TestPrepareDataset:
         assert np.allclose(train.Y[:, 0], train.X[:, 0])
 
 
-def small_experiment(tmp_path=None):
-    raw = {
-        "datasets": [{"name": "toy", "kind": "synthetic",
-                      "teacher_arch": "3-[1x4]-1", "samples": 60,
-                      "noise_sd": 0.01, "data_seed": 5}],
-        "architectures": ["[1x4]", "[2x4]"],
-        "algorithms": ["B2LD", "LBFGS", "BLInG", "IG"],
-        "seeds": [0, 1, 2],
-        "stopping": {"time_limit_seconds": None, "max_cycles": 3,
-                     "max_epochs": 3, "max_inner_iters": 15},
-        "batch_size": 16,
-    }
-    return ExperimentConfig.from_dict(raw)
-
-
 @pytest.fixture(scope="module")
 def report():
     return run_experiment(small_experiment(), workers=1)
@@ -338,13 +324,30 @@ class TestRunExperiment:
         assert "Pairwise tallies" in text
         assert "Best final objective" in text
 
-    def test_failed_run_becomes_row(self):
+    def test_failed_run_becomes_row(self, monkeypatch):
+        def failing_run_single(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(harness, "run_single", failing_run_single)
         cfg = small_experiment()
-        cfg.architectures = ["7-[1x4]-1"]  # wrong input dim: every run fails
+        cfg.architectures = ["[1x4]"]
         report = run_experiment(cfg, workers=1)
         assert len(report.rows) == 12
-        assert all(r.error for r in report.rows)
+        assert all(r.error == "RuntimeError: boom" for r in report.rows)
         assert all(r.stop_reason == "error" for r in report.rows)
+        assert all(r.init_digest for r in report.rows)
+
+    def test_architecture_that_misfits_a_dataset_runs_nothing(self,
+                                                              monkeypatch):
+        # became one error row per task before, and the benchmark exited 0
+        tasks = []
+        monkeypatch.setattr(harness, "_execute_task", tasks.append)
+        cfg = small_experiment()
+        cfg.architectures = ["[1x4]", "5-[1x4]-1"]
+        with pytest.raises(ConfigError, match=r"dataset 'toy': architecture "
+                           r"'5-\[1x4\]-1' expects dims 5->1, dataset has 3->1"):
+            run_experiment(cfg, workers=1)
+        assert tasks == []
 
     def test_worker_crash_becomes_error_rows(self, monkeypatch, tmp_path):
         """A worker that dies fails its task and the tasks still in flight

@@ -4,24 +4,14 @@ import numpy as np
 import pytest
 
 import layeropt.minibatch as minibatch
+from conftest import make_problem
 from layeropt.batch import StoppingCriteria
-from layeropt.linalg import SeededRng
 from layeropt.minibatch import (BlingParams, MinibatchSelectionRule, Partition,
                                 bling_run, clamped_scale, ig_run,
                                 make_partition, stepsize_update)
-from layeropt.network import (Architecture, ForwardCache, forward,
-                              forward_partial, init_weights)
+from layeropt.network import ForwardCache, forward, forward_partial
 from layeropt.objective import (ObjectiveConfig, block_gradient, full_gradient,
                                 gradient_norm, objective_value)
-
-
-def make_problem(widths, input_dim, P, seed, rho=1e-3):
-    arch = Architecture(input_dim, tuple(widths))
-    rng = SeededRng(seed)
-    w = init_weights(arch, rng)
-    X = rng.child(1).uniform(0.0, 1.0, size=(P, input_dim))
-    Y = rng.child(2).uniform(0.0, 1.0, size=(P, arch.output_dim))
-    return w, X, Y, ObjectiveConfig(rho=rho, sample_count=P)
 
 
 def epochs(n):
@@ -121,14 +111,15 @@ class TestBling:
         r2 = bling_run(w, X, Y, cfg, part, rule, BlingParams(), epochs(3))
         assert r1.final_weights.digest() == r2.final_weights.digest()
 
-    def test_fixed_point_at_perfect_fit(self):
+    def test_fixed_point_at_perfect_fit(self, monkeypatch):
+        monkeypatch.setattr(minibatch, "EPS_DIM", 0.0)
         w, X, _, _ = make_problem([4, 2, 1], 3, 16, seed=2)
         Y, _ = forward(w, X)
         cfg = ObjectiveConfig(rho=0.0, sample_count=16)
         part = make_partition(16, 16)
         r = bling_run(w, X, Y, cfg, part,
                       MinibatchSelectionRule("incremental"),
-                      BlingParams(eps_dim=0.0), epochs(5))
+                      BlingParams(), epochs(5))
         assert r.final_weights.digest() == w.digest()
 
     def test_h1_one_epoch_matches_hand_rolled_loop(self):
@@ -145,8 +136,8 @@ class TestBling:
         for l in (3, 2, 1):
             d = block_gradient(hand, Y, cfg.component(20), l, cache)
             import math
-            div = max(params.clamp_lo,
-                      min(params.clamp_hi, math.sqrt(float(np.dot(d.ravel(), d.ravel())))))
+            div = max(minibatch.CLAMP_LO,
+                      min(minibatch.CLAMP_HI, math.sqrt(float(np.dot(d.ravel(), d.ravel())))))
             hand.set_block(l, hand.block(l) - (params.alpha0 / div) * d)
             forward_partial(hand, cache, l)
         assert r.final_weights.digest() == hand.digest()
@@ -188,29 +179,32 @@ class TestBling:
             d = block_gradient(w, Y, cfg.component(10), l, cache)
             dn = float(np.linalg.norm(d))
             before = w.block(l).copy()
-            div = clamped_scale(dn, params.clamp_lo, params.clamp_hi)
+            div = clamped_scale(dn, minibatch.CLAMP_LO, minibatch.CLAMP_HI)
             w.set_block(l, before - (params.alpha0 / div) * d)
             step = float(np.linalg.norm(w.block(l) - before))
-            assert step <= params.alpha0 / params.clamp_lo * dn + 1e-15
-            assert step >= params.alpha0 / params.clamp_hi * dn - 1e-15
+            assert step <= params.alpha0 / minibatch.CLAMP_LO * dn + 1e-15
+            assert step >= params.alpha0 / minibatch.CLAMP_HI * dn - 1e-15
             forward_partial(w, cache, l)
 
 
 class TestIg:
-    def test_zero_gradient_start_no_movement(self):
+    def test_zero_gradient_start_no_movement(self, monkeypatch):
+        monkeypatch.setattr(minibatch, "EPS_DIM", 0.0)
         w, X, _, _ = make_problem([3, 1], 2, 12, seed=7)
         Y, _ = forward(w, X)
         cfg = ObjectiveConfig(rho=0.0, sample_count=12)
         part = make_partition(12, 12)
         r = ig_run(w, X, Y, cfg, part, MinibatchSelectionRule("incremental"),
-                   BlingParams(eps_dim=0.0), epochs(4))
+                   BlingParams(), epochs(4))
         assert r.final_weights.digest() == w.digest()
 
-    def test_h1_unclamped_step_is_plain_gradient_step(self):
+    def test_h1_unclamped_step_is_plain_gradient_step(self, monkeypatch):
         # beta_lo = beta_hi = 1 disables normalization entirely
+        monkeypatch.setattr(minibatch, "CLAMP_LO", 1.0)
+        monkeypatch.setattr(minibatch, "CLAMP_HI", 1.0)
         w, X, Y, cfg = make_problem([4, 2], 3, 15, seed=8)
         part = make_partition(15, 15)
-        params = BlingParams(alpha0=0.1, clamp_lo=1.0, clamp_hi=1.0)
+        params = BlingParams(alpha0=0.1)
         r = ig_run(w, X, Y, cfg, part, MinibatchSelectionRule("incremental"),
                    params, epochs(1))
         hand = w.copy()
@@ -231,7 +225,7 @@ class TestIg:
         grads = full_gradient(hand, Y, cfg.component(18), cache)
         import math
         total = math.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in grads))
-        div = clamped_scale(total, params.clamp_lo, params.clamp_hi)
+        div = clamped_scale(total, minibatch.CLAMP_LO, minibatch.CLAMP_HI)
         for l in (1, 2):
             hand.set_block(l, hand.block(l) - (params.alpha0 / div) * grads[l - 1])
         assert r.final_weights.digest() == hand.digest()
@@ -276,7 +270,7 @@ def test_one_minibatch_run_uses_the_component_config(driver, step):
     for c in (component, cfg):
         hand = w.copy()
         _, cache = forward(hand, X)
-        assert step(hand, cache, Y, c, params, params.alpha0)
+        assert step(hand, cache, Y, c, params.alpha0)
         digests.append(hand.digest())
     assert digests[0] != digests[1]
     assert r.final_weights.digest() == digests[0]

@@ -3,54 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fd_block_gradient, make_problem, rel_error
 from layeropt.batch import _block_eval
-from layeropt.linalg import SeededRng
 from layeropt.network import (Architecture, ForwardCache, NetworkWeights,
                               StaleCacheError, forward, forward_partial,
-                              init_weights, sigmoid, sigmoid_prime)
+                              sigmoid, sigmoid_prime)
 from layeropt.objective import (ObjectiveConfig, backprop_deltas,
                                 block_gradient, cached_value, default_rho,
                                 full_gradient, gradient_norm, objective_value,
                                 weights_squared_norm)
 
 
-def make_instance(widths, input_dim, P, seed, rho=1e-3):
-    arch = Architecture(input_dim, tuple(widths))
-    rng = SeededRng(seed)
-    w = init_weights(arch, rng)
-    X = rng.child(1).uniform(0.0, 1.0, size=(P, input_dim))
-    Y = rng.child(2).uniform(0.0, 1.0, size=(P, arch.output_dim))
-    return w, X, Y, ObjectiveConfig(rho=rho, sample_count=P)
-
-
-def fd_block_gradient(weights, X, Y, cfg, l, h=1e-6):
-    """Central finite differences, step scaled by parameter magnitude."""
-    W = weights.block(l).copy()
-    fd = np.zeros_like(W)
-    for i in range(W.shape[0]):
-        for j in range(W.shape[1]):
-            step = h * max(1.0, abs(W[i, j]))
-            Wp, Wm = W.copy(), W.copy()
-            Wp[i, j] += step
-            Wm[i, j] -= step
-            weights.set_block(l, Wp)
-            fp, _ = objective_value(weights, X, Y, cfg)
-            weights.set_block(l, Wm)
-            fm, _ = objective_value(weights, X, Y, cfg)
-            fd[i, j] = (fp - fm) / (2 * step)
-    weights.set_block(l, W)
-    return fd
-
-
-def rel_error(g, fd):
-    """Block-level relative error; elementwise ratios blow up on entries at
-    the finite-difference noise floor."""
-    return float(np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-8))
-
-
 class TestObjectiveValue:
     def test_perfect_fit_is_zero(self):
-        w, X, _, _ = make_instance([4, 1], 3, 8, seed=1)
+        w, X, _, _ = make_problem([4, 1], 3, 8, seed=1)
         Y, _ = forward(w, X)
         cfg = ObjectiveConfig(rho=0.0, sample_count=8)
         f, mse = objective_value(w, X, Y, cfg)
@@ -65,7 +31,7 @@ class TestObjectiveValue:
         assert f == 2.0 and mse == 1.0
 
     def test_matches_per_sample_loop_oracle(self):
-        w, X, Y, cfg = make_instance([5, 3, 2], 4, 10, seed=7, rho=0.01)
+        w, X, Y, cfg = make_problem([5, 3, 2], 4, 10, seed=7, rho=0.01)
         total = 0.0
         for p in range(X.shape[0]):
             out, _ = forward(w, X[p:p + 1])
@@ -82,14 +48,14 @@ class TestObjectiveValue:
 
 class TestBlockGradient:
     def test_perfect_fit_zero_gradient(self):
-        w, X, _, _ = make_instance([4, 2, 1], 3, 6, seed=2)
+        w, X, _, _ = make_problem([4, 2, 1], 3, 6, seed=2)
         Y, cache = forward(w, X)
         cfg = ObjectiveConfig(rho=0.0, sample_count=6)
         for l in range(1, 4):
             assert np.all(block_gradient(w, Y, cfg, l, cache) == 0.0)
 
     def test_regularizer_only(self):
-        w, X, _, _ = make_instance([4, 1], 3, 6, seed=3)
+        w, X, _, _ = make_problem([4, 1], 3, 6, seed=3)
         Y, cache = forward(w, X)
         cfg = ObjectiveConfig(rho=0.05, sample_count=6)
         for l in (1, 2):
@@ -97,7 +63,7 @@ class TestBlockGradient:
             assert np.array_equal(g, 2 * cfg.rho * w.block(l))
 
     def test_finite_difference_oracle_3_4_2_1(self):
-        w, X, Y, cfg = make_instance([4, 2, 1], 3, 8, seed=5, rho=1e-3)
+        w, X, Y, cfg = make_problem([4, 2, 1], 3, 8, seed=5, rho=1e-3)
         _, cache = forward(w, X)
         for l in range(1, 4):
             g = block_gradient(w, Y, cfg, l, cache)
@@ -106,7 +72,7 @@ class TestBlockGradient:
             _, cache = forward(w, X)  # fd sweep bumps versions
 
     def test_stale_cache_rejected(self):
-        w, X, Y, cfg = make_instance([4, 1], 3, 5, seed=6)
+        w, X, Y, cfg = make_problem([4, 1], 3, 5, seed=6)
         _, cache = forward(w, X)
         w.set_block(1, w.block(1) * 2.0)
         with pytest.raises(StaleCacheError):
@@ -121,7 +87,7 @@ class TestBlockGradient:
         order, and touches nothing below l: with the outputs, weight blocks
         and delta buffers of the layers below l filled with NaN, it returns
         the bits of a clean sweep and those buffers stay NaN."""
-        w, X, Y, cfg = make_instance([3, 3, 3, 1], 2, 5, seed=8)
+        w, X, Y, cfg = make_problem([3, 3, 3, 1], 2, 5, seed=8)
         _, cache = forward(w, X)
         L = w.num_layers
         for l in range(1, L + 1):
@@ -142,7 +108,7 @@ class TestBlockGradient:
             assert all(np.isnan(d).all() for d in below)
 
     def test_output_delta_is_raw_residual(self):
-        w, X, Y, cfg = make_instance([3, 2], 2, 5, seed=9)
+        w, X, Y, cfg = make_problem([3, 2], 2, 5, seed=9)
         _, cache = forward(w, X)
         delta = backprop_deltas(w, cache, Y, 2)
         assert np.array_equal(delta, cache.outputs - Y)
@@ -162,7 +128,7 @@ def layered_instance(draw):
         st.sampled_from([[3, 3, 3, 1], [4, 2, 4, 2, 1], [3, 3, 3, 3, 3]]),
         st.lists(st.integers(1, 4), min_size=1, max_size=5)))
     P = draw(st.integers(1, 9))
-    return make_instance(widths, draw(st.integers(1, 4)), P,
+    return make_problem(widths, draw(st.integers(1, 4)), P,
                          draw(st.integers(0, 2**16)),
                          rho=draw(st.sampled_from([0.0, 1e-3, 0.37])))
 
@@ -204,7 +170,7 @@ class TestFullGradient:
             assert same_bits([g_start, grad()], [per_block[l - 1]] * 2)
 
     def test_zero_norm_at_perfect_fit(self):
-        w, X, _, _ = make_instance([4, 1], 3, 6, seed=11)
+        w, X, _, _ = make_problem([4, 1], 3, 6, seed=11)
         Y, cache = forward(w, X)
         cfg = ObjectiveConfig(rho=0.0, sample_count=6)
         assert gradient_norm(full_gradient(w, Y, cfg, cache)) == 0.0
@@ -219,7 +185,7 @@ def width_run_instance(draw):
     for _ in range(draw(st.integers(0, 4))):
         same = draw(st.booleans())
         widths.append(widths[-1] if same else draw(st.integers(1, 6)))
-    return make_instance(widths, draw(st.integers(1, 4)),
+    return make_problem(widths, draw(st.integers(1, 4)),
                          draw(st.integers(1, 9)), draw(st.integers(0, 2**16)),
                          rho=draw(st.sampled_from([0.0, 1e-3])))
 
@@ -266,7 +232,7 @@ def partitioned_instance(draw):
     shuffle cut at arbitrary points into nonempty batches."""
     widths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
     P = draw(st.integers(1, 12))
-    w, X, Y, cfg = make_instance(widths, draw(st.integers(1, 4)), P,
+    w, X, Y, cfg = make_problem(widths, draw(st.integers(1, 4)), P,
                                  draw(st.integers(0, 2**16)),
                                  rho=draw(st.sampled_from([0.0, 1e-3, 0.37])))
     order = draw(st.permutations(range(P)))
@@ -320,7 +286,7 @@ class TestMinibatchComponents:
                                rtol=1e-12, atol=1e-14 * scale)
 
     def test_single_sample_hand_loop(self):
-        w, X, Y, _ = make_instance([3, 1], 2, 5, seed=14)
+        w, X, Y, _ = make_problem([3, 1], 2, 5, seed=14)
         cfg = ObjectiveConfig(rho=0.0, sample_count=5)
         p = 2
         _, gh = components(w, X, Y, cfg, [p], 2)
@@ -332,7 +298,7 @@ class TestMinibatchComponents:
         assert np.allclose(gh, hand, rtol=1e-12)
 
     def test_empty_batch_rejected(self):
-        _, _, _, cfg = make_instance([3, 1], 2, 5, seed=15)
+        _, _, _, cfg = make_problem([3, 1], 2, 5, seed=15)
         with pytest.raises(ValueError, match="at least one row"):
             cfg.component(0)
 
@@ -344,7 +310,7 @@ def test_gradient_consistency_random_instances():
         widths.append(int(rng.integers(1, 3)))
         d = int(rng.integers(2, 5))
         P = int(rng.integers(3, 12))
-        w, X, Y, cfg = make_instance(widths, d, P, seed=100 + trial, rho=1e-3)
+        w, X, Y, cfg = make_problem(widths, d, P, seed=100 + trial, rho=1e-3)
         for l in range(1, len(widths) + 1):
             _, cache = forward(w, X)
             g = block_gradient(w, Y, cfg, l, cache)

@@ -5,7 +5,7 @@ change that should not move any result.
 
 layeropt is imported from the ``src/`` beside this file's directory, so the
 script runs the tree it sits in. It writes one record per run, every float as
-``float.hex()``, for four sets:
+``float.hex()``, for five sets:
 
 - ``deep``: the criterion-10 instance (a ``10-[2x20]-1`` teacher, 2000
   samples, noise 0.05, data seed 99, an 80/20 split, min-max scaling, a
@@ -22,7 +22,11 @@ script runs the tree it sits in. It writes one record per run, every float as
 - ``deep-failing-armijo``: B2LD on the ``deep`` runs, with a reference
   Armijo search that starts at a = 1e3 and may halve three times, so that
   20 of its 99 searches fail: these records move if a visit whose search
-  failed leaves the run's forward cache other than it found it.
+  failed leaves the run's forward cache other than it found it;
+- ``file``: the demo's data written by ``save_dataset`` to a temporary
+  file, targets first, and read back as a ``kind: "file"`` dataset, all
+  four methods on ``[2x20]`` at init seeds 0 and 1: these records move if
+  ``load_delimited`` or the min-max scaling changes what a run is given.
 
 Each record holds the init and final-weight digests, the final objective and
 gradient norm, the trajectory, the stop reason, the update counts, the inner
@@ -52,12 +56,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from layeropt.batch import (AcceptanceParams,  # noqa: E402
                             BlockSelectionRule, StoppingCriteria, b2ld_run)
+from layeropt.data import save_dataset, synth_teacher_dataset  # noqa: E402
 from layeropt.harness import (ALGORITHMS, DatasetSpec,  # noqa: E402
                               ExperimentReport, RunRow, emit_report,
                               load_report, prepare_dataset,
                               resolve_architecture, run_single)
 from layeropt.linalg import SeededRng  # noqa: E402
-from layeropt.network import init_weights  # noqa: E402
+from layeropt.network import init_weights, parse_architecture  # noqa: E402
 from layeropt.objective import (ObjectiveConfig, default_rho,  # noqa: E402
                                 mse_value)
 from layeropt.solvers import ArmijoParams, LbfgsParams  # noqa: E402
@@ -114,6 +119,19 @@ def b2ld_failing_armijo(algorithm, weights0, train, test, stop, rho=None,
 
 
 FAILING_ARMIJO = dict(DEEP, algorithms=("B2LD",), run=b2ld_failing_armijo)
+
+
+def file_set(tmp):
+    """The demo's data as a file in directory `tmp`, and the set that runs it."""
+    demo = DEMO["dataset"]
+    path = Path(tmp, "teacher8.csv")
+    save_dataset(path, synth_teacher_dataset(
+        parse_architecture(demo.teacher_arch), demo.samples, demo.noise_sd,
+        demo.data_seed))
+    return dict(DEMO, architectures=["[2x20]"], seeds=[0, 1],
+                dataset=DatasetSpec(name="teacher8-file", kind="file",
+                                    path=str(path), data_seed=demo.data_seed,
+                                    test_fraction=demo.test_fraction))
 
 
 def _hex(values):
@@ -188,6 +206,8 @@ def main(argv=None):
     out += report_records(demo_rows)
     out += records("one-batch", ONE_BATCH, [])
     out += records("deep-failing-armijo", FAILING_ARMIJO, [])
+    with tempfile.TemporaryDirectory(prefix="outcomes-") as tmp:
+        out += records("file", file_set(tmp), [])
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")
