@@ -22,11 +22,10 @@ import numpy as np
 from .linalg import frobenius_norm
 # `sigmoid` is not called here; bench/tests/test_bench.py looks it up as
 # `batch.sigmoid`.
-from .network import (ForwardCache, NetworkWeights, _propagate, forward,
-                      forward_partial, sigmoid)  # noqa: F401
-from .objective import (ObjectiveConfig, _block_grad, _loss, backprop_deltas,
-                        block_gradient, cached_value, full_gradient,
-                        gradient_norm, weights_squared_norm)
+from .network import (ForwardCache, NetworkWeights, forward, forward_partial,
+                      sigmoid)  # noqa: F401
+from .objective import (ObjectiveConfig, _loss, block_gradient, cached_value,
+                        full_gradient, gradient_norm, weights_squared_norm)
 from .solvers import (ArmijoParams, LbfgsParams, LinesearchError,
                       armijo_linesearch, lbfgs_minimize, lbfgs_minimize_block)
 
@@ -120,48 +119,34 @@ class OptimizerRun:
 
 
 def _block_eval(weights, cache, Y, cfg, l, base_sq):
-    """Closures on block l alone, the other blocks frozen: (value, evaluate,
-    start, commit). value(Wl) is f with block l set to Wl, propagated from
-    the cached prefix into `cache` itself: it overwrites the outputs of
-    layers >= l and stamps the cache with the versions of layers < l only,
-    so that the cache reads as stale until commit. evaluate(Wl) follows
-    `lbfgs_minimize`'s trial contract. start is (f, block gradient) at the
-    current block, from `cache` before any trial, with the closures' own
-    formulas, so that it equals evaluate's pair there bit for bit.
-    commit(Wl) sets block l to Wl and brings `cache` up to date: when Wl is,
-    bit for bit, the block the latest trial propagated, the cache holds its
-    outputs already and is only stamped; any other block is propagated."""
-    z_prev = cache.z[l - 1]
+    """Closures on block l alone, the other blocks frozen: (evaluate, start,
+    commit). evaluate(Wl) follows `lbfgs_minimize`'s trial contract: it sets
+    block l to Wl, propagates it with `forward_partial` and returns f, with
+    ||w||^2 updated from `base_sq`, and a grad() through `block_gradient`.
+    start is evaluate's pair at the current block, from `cache` as it is.
+    commit(Wl) leaves block l at Wl, evaluating it once more unless the
+    weights already hold its bytes, as they do after a trial at Wl."""
     w_l = weights.block(l)
     old_sq = float(np.dot(w_l.ravel(), w_l.ravel()))
-    last = []  # a copy of the block whose outputs the cache holds
 
-    def sq_norm(Wl):
-        return base_sq - old_sq + float(np.dot(Wl.ravel(), Wl.ravel()))
-
-    def value(Wl):
-        outputs = _propagate(weights, z_prev, l, cache, override=Wl)
-        cache.versions = weights.versions()[:l - 1]
-        last[:] = [Wl.copy()]
-        return _loss(outputs, Y, cfg, sq_norm(Wl))
+    def pair():
+        Wl = weights.block(l)
+        sq_norm = base_sq - old_sq + float(np.dot(Wl.ravel(), Wl.ravel()))
+        return (_loss(cache.outputs, Y, cfg, sq_norm),
+                lambda: block_gradient(weights, Y, cfg, l, cache))
 
     def evaluate(Wl):
-        def grad():
-            delta = backprop_deltas(weights, cache, Y, l)
-            return _block_grad(z_prev, delta, Wl, cfg)
-        return value(Wl), grad
+        weights.set_block(l, Wl)
+        forward_partial(weights, cache, l)
+        return pair()
 
     def commit(Wl):
-        weights.set_block(l, Wl)
         # bytes, not ==: -0.0 == 0.0 and NaN != NaN
-        if last and last.pop().tobytes() == weights.block(l).tobytes():
-            cache.versions = weights.versions()
-        else:
-            forward_partial(weights, cache, l)
+        if Wl.tobytes() != weights.block(l).tobytes():
+            evaluate(Wl)
 
-    start = (_loss(cache.outputs, Y, cfg, sq_norm(w_l)),
-             block_gradient(weights, Y, cfg, l, cache))
-    return value, evaluate, start, commit
+    f, grad = pair()
+    return evaluate, (f, grad()), commit
 
 
 # `rule` has one order; bench/tests/test_bench.py still passes it.
@@ -186,8 +171,10 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
     reason = None
     cycle = 0
 
-    while reason is None:
+    while True:
         gnorm = gradient_norm(full_gradient(weights, Y, cfg, cache))
+        if reason is not None:  # set by a visit of the previous cycle
+            break
         if not (math.isfinite(f_cur) and math.isfinite(gnorm)):
             reason = "non_finite"
             break
@@ -203,7 +190,7 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
 
         any_update = False
         for l in rule.cycle(L):
-            value, evaluate, (f_l, g_l), commit = _block_eval(
+            evaluate, (f_l, g_l), commit = _block_eval(
                 weights, cache, Y, cfg, l, weights_squared_norm(weights))
             bnorm = frobenius_norm(g_l)
             if not math.isfinite(bnorm):
@@ -214,23 +201,22 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
             # not counted as updates.
             if bnorm <= stop.grad_norm_tol or last_rel_dec[l - 1] <= stop.f_tol:
                 continue
-            w_l = weights.block(l)
+            w_l = weights.block(l)  # trials replace the block, never write it
 
             # Armijo reference point along the block steepest-descent direction.
-            slope = -bnorm * bnorm
-            trial = []  # (w_l - a*g_l, f) of the latest trial
+            f_armijo = None  # f at the search's latest trial
 
             def phi(a):
-                w_a = w_l - a * g_l
-                trial[:] = (w_a, value(w_a))
-                return trial[1]
+                nonlocal f_armijo
+                f_armijo, _ = evaluate(w_l - a * g_l)
+                return f_armijo
 
             try:
-                armijo_linesearch(phi, f_cur, slope, acceptance.armijo)
+                armijo_linesearch(phi, f_cur, -bnorm * bnorm, acceptance.armijo)
             except LinesearchError:
-                forward_partial(weights, cache, l)  # undo the trials' outputs
+                commit(w_l)
                 continue
-            w_armijo, f_armijo = trial  # the search stops on the accepted trial
+            w_armijo = weights.block(l)  # the search stops on the accepted trial
 
             res = lbfgs_minimize_block(
                 evaluate, w_l,
@@ -259,11 +245,11 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
                 break
 
         if reason is None and not any_update:
-            reason = "f_tol"
+            reason = "f_tol"  # no block moved, so gnorm is still current
+            break
         eps *= ACCURACY_SHRINK
         cycle += 1
 
-    gnorm = gradient_norm(full_gradient(weights, Y, cfg, cache))
     return OptimizerRun(algorithm="B2LD", seed=seed, final_weights=weights,
                         trajectory=traj, final_objective=f_cur,
                         final_grad_norm=gnorm,

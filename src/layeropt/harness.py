@@ -8,6 +8,8 @@ at least 5% better than the other, else the pair is a tie).
 """
 
 import json
+import math
+import numbers
 import os
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field, fields
 from itertools import combinations, product
 
 from .batch import (AcceptanceParams, BlockSelectionRule, StoppingCriteria,
-                    b2ld_run, lbfgs_baseline_run)
+                    _is_a, b2ld_run, lbfgs_baseline_run)
 from .data import (Dataset, fit_apply_normalization, load_delimited,
                    synth_teacher_dataset, train_test_split)
 from .linalg import SeededRng
@@ -49,6 +51,25 @@ class DatasetSpec:
     data_seed: int = 12345
     # common
     test_fraction: float = 0.2
+
+    def check(self):
+        """Raise a ConfigError naming the dataset and the first malformed
+        field; bools count as no number."""
+        for key, ok, need in (
+                ("kind", self.kind in ("synthetic", "file"),
+                 "must be 'synthetic' or 'file'"),
+                ("samples", _is_a(self.samples, numbers.Integral)
+                 and self.samples >= 1, "must be an int >= 1"),
+                ("data_seed", _is_a(self.data_seed, numbers.Integral)
+                 and self.data_seed >= 0, "must be an int >= 0"),
+                ("noise_sd", _is_a(self.noise_sd, numbers.Real)
+                 and math.isfinite(self.noise_sd) and self.noise_sd >= 0,
+                 "must be a finite number >= 0"),
+                ("test_fraction", _is_a(self.test_fraction, numbers.Real)
+                 and 0 < self.test_fraction < 1, "must lie in (0, 1)")):
+            if not ok:
+                raise ConfigError(f"dataset {self.name!r}: {key} "
+                                  f"{getattr(self, key)!r} {need}")
 
 
 @dataclass
@@ -90,6 +111,10 @@ class ExperimentConfig:
                                   f"{kind.__name__} values")
             if len(set(value)) != len(value):
                 raise ConfigError(f"{key} {value!r} repeats an entry")
+        if not all(_is_a(s, int) and s >= 0 for s in cfg.seeds):
+            raise ConfigError(f"seeds {cfg.seeds!r} must be ints >= 0")
+        for spec in cfg.datasets:
+            spec.check()
         names = [d.name for d in cfg.datasets]
         repeated = sorted({n for n in names if names.count(n) > 1})
         if repeated:
@@ -157,9 +182,11 @@ class ExperimentReport:
                 for r in self.ok_rows(dataset, architecture, algorithm)}
 
     def best(self, dataset, architecture, algorithm):
-        """The error-free row with the lowest final objective, or None."""
+        """The error-free row with the lowest final objective, a non-finite
+        one ranked after every finite one, or None."""
         return min(self.ok_rows(dataset, architecture, algorithm),
-                   key=lambda r: r.final_objective, default=None)
+                   key=lambda r: (not math.isfinite(r.final_objective),
+                                  r.final_objective), default=None)
 
     def keys(self):
         return sorted({(r.dataset, r.architecture) for r in self.rows})

@@ -99,25 +99,26 @@ class Architecture:
         return sum(r * c for r, c in (self.block_shape(l) for l in range(1, self.num_layers + 1)))
 
 
-_ARCH_RE = re.compile(r"^(\d+)-\[([0-9x,\s]+)\]-(\d+)$")
+_ARCH_RE = re.compile(r"(\d+)-\[\s*(?:(\d+)\s*x\s*(\d+)|(\d+(?:\s*,\s*\d+)*))"
+                      r"\s*\]-(\d+)")
 
 
 def parse_architecture(text: str) -> Architecture:
     """Parse "d-[LxN]-m" or "d-[N1,N2,...]-m" into an Architecture.
 
     "13-[10x50]-1" means 13 inputs, 10 hidden layers of 50 neurons, 1 output;
-    "59-[200,50,200]-1" lists the hidden widths explicitly.
+    "59-[200,50,200]-1" lists the hidden widths explicitly. Every error
+    names `text`.
     """
-    m = _ARCH_RE.match(text.strip())
+    m = _ARCH_RE.fullmatch(text.strip())
     if not m:
         raise ValueError(f"unrecognized architecture string: {text!r}")
-    d, hidden, out = int(m.group(1)), m.group(2).replace(" ", ""), int(m.group(3))
-    if "x" in hidden:
-        L, N = hidden.split("x")
-        widths = [int(N)] * int(L)
-    else:
-        widths = [int(tok) for tok in hidden.split(",") if tok]
-    return Architecture(d, tuple(widths + [out]))
+    d, L, N, listed, out = m.groups()
+    widths = [int(N)] * int(L) if L else [int(n) for n in listed.split(",")]
+    try:
+        return Architecture(int(d), tuple(widths + [int(out)]))
+    except ValueError as exc:
+        raise ValueError(f"architecture string {text!r}: {exc}") from exc
 
 
 class NetworkWeights:
@@ -215,8 +216,9 @@ class ForwardCache:
     `outputs` and the deltas are views of it, not copies. Copy what must
     outlive the next pass. Reusing one cache keeps a run from allocating
     fresh rows x width arrays on every evaluation, B2LD's block trials
-    included. For the `10-[10x50]-1` student that is 12 arrays of rows x 50:
-    ten outputs and one pair of buffers.
+    included, which go through `forward_partial` like any other. For the
+    `10-[10x50]-1` student that is 12 arrays of rows x 50: ten outputs and
+    one pair of buffers.
     """
 
     z: list = field(default_factory=list)
@@ -287,16 +289,15 @@ def forward_partial(weights: NetworkWeights, cache: ForwardCache, from_layer: in
     return cache.outputs, cache
 
 
-def _propagate(weights: NetworkWeights, z, start: int, cache: ForwardCache,
-               override: np.ndarray = None):
-    """The layer loop: carry z, the output of layer start-1, through layers
+def _propagate(weights: NetworkWeights, z, start: int, cache: ForwardCache):
+    """The layer loop of `forward` and `forward_partial`, the one way any
+    caller propagates: carry z, the output of layer start-1, through layers
     start..L, writing each layer's output into cache.z, and return the
-    network outputs. Block `start` is read from `override` when one is given.
-    Hidden layer l's pre-activation passes through cache.deltas[l],
-    overwriting any delta held there, and is not kept."""
+    network outputs. Hidden layer l's pre-activation passes through
+    cache.deltas[l], overwriting any delta held there, and is not kept."""
     L = weights.num_layers
     for l in range(start, L + 1):
-        W = override if l == start and override is not None else weights.block(l)
+        W = weights.block(l)
         if l == L:
             z = np.matmul(z, W, out=cache.z[L])
         else:

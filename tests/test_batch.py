@@ -15,7 +15,7 @@ from layeropt.batch import (AcceptanceParams, BlockSelectionRule,
                             StoppingCriteria, _block_eval, accept_trial,
                             b2ld_run, lbfgs_baseline_run)
 from layeropt.network import ForwardCache, StaleCacheError, forward
-from layeropt.objective import (ObjectiveConfig, block_gradient, cached_value,
+from layeropt.objective import (ObjectiveConfig, block_gradient,
                                 full_gradient, gradient_norm, objective_value,
                                 weights_squared_norm)
 from layeropt.solvers import (ArmijoParams, LbfgsParams, LinesearchError,
@@ -155,21 +155,25 @@ class TestEvaluationCounts:
         assert tally["forward"] == 1
 
     def test_b2ld_armijo_point_is_the_last_trial(self, monkeypatch):
-        """The block value closure runs once per Armijo trial and never again
-        for the accepted reference point."""
+        """B2LD itself calls the block trial closure only inside its Armijo
+        searches and its inner solves: the reference point's f is the
+        search's last trial's and is never evaluated again."""
         w, X, Y, cfg = make_problem([6, 4, 3, 1], 4, 40, seed=2)
         tally = Counter()
         count_callback_calls(monkeypatch, batch, "armijo_linesearch", tally,
                              "phi")
+        count_callback_calls(monkeypatch, batch, "lbfgs_minimize_block", tally,
+                             "inner")
         block_eval = batch._block_eval
 
         def counting_block_eval(*args):
-            value, evaluate, start, commit = block_eval(*args)
-            return counted(value, tally, "value"), evaluate, start, commit
+            evaluate, start, commit = block_eval(*args)
+            return counted(evaluate, tally, "evaluate"), start, commit
         monkeypatch.setattr(batch, "_block_eval", counting_block_eval)
         r = run_b2ld(w, X, Y, cfg, max_cycles=4, grad_tol=0.0, f_tol=-np.inf)
         assert sum(r.layer_update_counts) > 0
-        assert tally["value"] == tally["phi"] > 0
+        assert tally["phi"] > 0 and tally["inner"] > 0
+        assert tally["evaluate"] == tally["phi"] + tally["inner"]
 
     def test_b2ld_inner_solve_evaluates_only_its_armijo_trials(self,
                                                               monkeypatch):
@@ -222,39 +226,60 @@ class TestEvaluationCounts:
 
     def test_b2ld_propagates_only_commits_that_differ_from_the_last_trial(
             self, monkeypatch):
-        """A commit keeps the outputs the latest trial left in the cache when
-        its block is, bit for bit, the block that trial propagated;
-        forward_partial runs for the other commits only. A forcing
+        """Every block trial propagates through forward_partial, and so does
+        a commit whose block differs, bit for bit, from the one the latest
+        trial left in the weights; no other propagation runs, so the Armijo
+        point is not propagated again after its own trial. A forcing
         coefficient of 0.1 makes B2LD reject some inner L-BFGS results for
-        the Armijo point, which exercises both paths."""
+        the Armijo point, which exercises both kinds of commit."""
         w, X, Y, cfg = make_problem([3, 2], 2, 10, seed=0)
         tally = Counter()
-        last = []  # the block the latest trial propagated
-        propagate = batch._propagate
-
-        def recording_propagate(weights, z, start, cache, override=None):
-            if override is not None:
-                last[:] = [override.copy()]
-            return propagate(weights, z, start, cache, override)
-        monkeypatch.setattr(batch, "_propagate", recording_propagate)
         monkeypatch.setattr(batch, "forward_partial", counted(
             batch.forward_partial, tally, "forward_partial"))
+        count_callback_calls(monkeypatch, batch, "armijo_linesearch", tally,
+                             "phi")
+        count_callback_calls(monkeypatch, batch, "lbfgs_minimize_block", tally,
+                             "inner")
         block_eval = batch._block_eval
 
-        def classifying_block_eval(*args):
-            value, evaluate, start, commit = block_eval(*args)
+        def classifying_block_eval(weights, cache, Y, cfg, l, base_sq):
+            evaluate, start, commit = block_eval(weights, cache, Y, cfg, l,
+                                                 base_sq)
 
             def classified_commit(Wl):
-                same = Wl.tobytes() == last[0].tobytes()
+                same = Wl.tobytes() == weights.block(l).tobytes()
                 tally["same" if same else "differs"] += 1
                 return commit(Wl)
-            return value, evaluate, start, classified_commit
+            return evaluate, start, classified_commit
         monkeypatch.setattr(batch, "_block_eval", classifying_block_eval)
         r = run_b2ld(w, X, Y, cfg, max_cycles=6, acceptance=AcceptanceParams(
             armijo=ArmijoParams(gamma=0.1)))
         assert tally["same"] + tally["differs"] == sum(r.layer_update_counts)
         assert tally["same"] > 0 and tally["differs"] > 0
-        assert tally["forward_partial"] == tally["differs"]
+        assert tally["forward_partial"] == \
+            tally["phi"] + tally["inner"] + tally["differs"]
+
+    @pytest.mark.parametrize("stop, reason, cycles", [
+        (dict(max_cycles=3), "max_cycles", 3),
+        (dict(max_cycles=None, acceptance=AcceptanceParams(
+            ArmijoParams(a=1e8, max_halvings=0))), "f_tol", 1)])
+    def test_b2ld_sweeps_the_full_gradient_once_per_cycle(
+            self, monkeypatch, stop, reason, cycles):
+        """The reported gradient norm is the one taken at the top of the
+        last cycle: a run that stops there, or after a cycle that moved no
+        block, sweeps the full gradient once per cycle started and no more.
+        The second case fails every Armijo search, so its one cycle moves
+        nothing."""
+        w, X, Y, cfg = make_problem([4, 3, 1], 3, 30, seed=14)
+        tally = Counter()
+        monkeypatch.setattr(batch, "full_gradient", counted(
+            batch.full_gradient, tally, "sweeps"))
+        r = run_b2ld(w, X, Y, cfg, grad_tol=0.0, f_tol=-np.inf, **stop)
+        assert r.stop_reason == reason
+        assert tally["sweeps"] == cycles + (reason == "max_cycles")
+        g = gradient_norm(full_gradient(r.final_weights, Y, cfg,
+                                        forward(r.final_weights, X)[1]))
+        assert g == r.final_grad_norm
 
 
 def warm_peak_bytes(fn):
@@ -300,9 +325,9 @@ class TestEvaluationBuffers:
             return seen[-1]
         monkeypatch.setattr(batch, "_block_eval", capture)
         run_b2ld(w, X, Y, cfg, max_cycles=1)
-        for value, evaluate, (_, g), _ in seen[:2]:  # blocks 4 and 3
+        for evaluate, (_, g), _ in seen[:2]:  # blocks 4 and 3
             W = -0.5 * g
-            assert warm_peak_bytes(lambda: value(W)) < layer_bytes
+            assert warm_peak_bytes(lambda: evaluate(W)) < layer_bytes
             assert warm_peak_bytes(lambda: evaluate(W)[1]()) < layer_bytes
 
     def test_b2ld_run_holds_one_cache(self):
@@ -386,50 +411,72 @@ def block_trial(draw):
 @settings(max_examples=60, deadline=None)
 @given(block_trial())
 def test_block_eval_matches_objective_after_set_block(case):
-    """B2LD's block closures agree with the full objective and block_gradient
-    at the point reached by set_block(l, W). The gradient and, without a
-    regularizer, the value are bitwise equal; with one, the closures update
-    ||w||^2 by difference, so the value agrees to rounding of that sum. The
-    start pair equals the closure at the current block bit for bit. The
-    closures leave the cache's layers below l as they were and the cache
-    stale until commit, which brings it level with a fresh forward pass."""
+    """A block trial at W sets block l to W and leaves the cache equal, bit
+    for bit, to a fresh forward pass at the new weights. Its gradient and,
+    without a regularizer, its value equal the full objective's and
+    block_gradient's there bit for bit; with one, ||w||^2 is updated by
+    difference, so the value agrees to rounding of that sum. The start pair
+    equals the trial at the current block bit for bit. The block the visit
+    started from is never written: committing it restores the weights and
+    the cache, and committing the block the weights already hold changes
+    nothing."""
     w, X, Y, cfg, l, W = case
     _, cache = forward(w, X)
-    below = [z.copy() for z in cache.z[:l]]
+    w_l = w.block(l)
+    start_bytes = w_l.tobytes()
     base_sq = weights_squared_norm(w)
-    value, evaluate, (f_start, g_start), commit = _block_eval(
-        w, cache, Y, cfg, l, base_sq)
-    f_here, grad_here = evaluate(w.block(l).copy())
-    assert f_start == f_here and np.array_equal(g_start, grad_here())
-    f_value = value(W)
-    f_pair, grad = evaluate(W)
-    grad = grad()
-    assert all(np.array_equal(a, b) for a, b in zip(cache.z[:l], below))
-    assert cache.versions == w.versions()[:l - 1]
-    with pytest.raises(StaleCacheError):
-        cached_value(w, cache, Y, cfg)
+    evaluate, (f_start, g_start), commit = _block_eval(w, cache, Y, cfg, l,
+                                                       base_sq)
 
-    commit(W)
+    def check_fresh(cache):
+        _, cache_ref = forward(w, X)
+        assert [z.tobytes() for z in cache.z] == \
+            [z.tobytes() for z in cache_ref.z]
+        assert cache.versions == w.versions()
+        return cache_ref
+
+    f_here, grad_here = evaluate(w_l.copy())
+    assert f_start == f_here and g_start.tobytes() == grad_here().tobytes()
+    f_trial, grad = evaluate(W)
+    grad = grad()
+    assert w.block(l).tobytes() == W.tobytes()
+    assert w_l.tobytes() == start_bytes
+    cache_ref = check_fresh(cache)
+    assert grad.tobytes() == block_gradient(w, Y, cfg, l, cache_ref).tobytes()
     f_ref, _ = objective_value(w, X, Y, cfg)
-    _, cache_ref = forward(w, X)
-    assert [z.tobytes() for z in cache.z] == [z.tobytes() for z in cache_ref.z]
-    assert cache.versions == w.versions()
-    assert f_value == f_pair
-    assert np.array_equal(grad, block_gradient(w, Y, cfg, l, cache_ref))
     if cfg.rho == 0.0:
-        assert f_value == f_ref
+        assert f_trial == f_ref
     else:
         sq_scale = cfg.rho * (base_sq + float(np.sum(W * W)))
-        assert f_value == pytest.approx(f_ref, rel=1e-12, abs=1e-13 * sq_scale)
+        assert f_trial == pytest.approx(f_ref, rel=1e-12, abs=1e-13 * sq_scale)
+
+    versions = w.versions()
+    commit(W.copy())
+    assert w.versions() == versions
+    commit(w_l)
+    assert w.block(l).tobytes() == start_bytes
+    check_fresh(cache)
+
+
+def test_block_trial_after_a_lower_block_changed_raises_stale_cache():
+    """A block trial propagates from the cached output of the layer below
+    it, so once a lower block has changed it refuses the stale cache
+    instead of returning the objective of weights nobody holds."""
+    w, X, Y, cfg = make_problem([4, 3, 1], 3, 20, seed=15)
+    _, cache = forward(w, X)
+    evaluate, _, _ = _block_eval(w, cache, Y, cfg, 2, weights_squared_norm(w))
+    w.set_block(1, w.block(1) + 0.5)
+    with pytest.raises(StaleCacheError):
+        evaluate(w.block(2) - 0.1)
 
 
 def check_commits(w, X, Y, cfg, armijo):
     """Run B2LD with the reference step `armijo` and compare the main cache
-    with a fresh forward pass bit for bit after every commit and at the start
-    of every block visit, so also after a visit whose Armijo search failed.
-    Returns how many commits kept the latest trial's outputs ("adopted"),
-    how many propagated ("propagated") and how many searches failed
-    ("failed")."""
+    with a fresh forward pass bit for bit after every block trial, after
+    every commit, restores after a failed Armijo search included, and at the
+    start of every block visit. Returns how many commits kept the latest
+    trial's outputs ("adopted"), how many propagated ("propagated") and how
+    many searches failed ("failed")."""
     paths = Counter()
     real_block_eval = batch._block_eval
     real_forward_partial = batch.forward_partial
@@ -441,17 +488,24 @@ def check_commits(w, X, Y, cfg, armijo):
             [z.tobytes() for z in fresh.z[1:]]
         assert cache.versions == weights.versions()
 
-    def checking_block_eval(weights, cache, *args):
+    def checking_block_eval(weights, cache, Y, cfg, l, base_sq):
         check_current(weights, cache)
-        value, evaluate, start, commit = real_block_eval(weights, cache, *args)
+        evaluate, start, commit = real_block_eval(weights, cache, Y, cfg, l,
+                                                  base_sq)
+
+        def checked_evaluate(Wl):
+            pair = evaluate(Wl)
+            check_current(weights, cache)
+            return pair
 
         def checked_commit(Wl):
             before = paths["forward_partial"]
             commit(Wl)
             paths["propagated" if paths["forward_partial"] > before
                   else "adopted"] += 1
+            assert weights.block(l).tobytes() == Wl.tobytes()
             check_current(weights, cache)
-        return value, evaluate, start, checked_commit
+        return checked_evaluate, start, checked_commit
 
     def counting_search(*args):
         try:
@@ -468,7 +522,7 @@ def check_commits(w, X, Y, cfg, armijo):
         r = run_b2ld(w, X, Y, cfg, max_cycles=4,
                      acceptance=AcceptanceParams(armijo=armijo))
     assert paths["adopted"] + paths["propagated"] == \
-        sum(r.layer_update_counts)
+        sum(r.layer_update_counts) + paths["failed"]
     return paths
 
 
@@ -505,12 +559,12 @@ def test_commit_check_covers_adoption_and_propagation():
 
 
 def test_commit_check_covers_failed_searches():
-    """Visits whose Armijo search fails leave the cache as a fresh forward
-    pass would, between visits that commit."""
+    """Visits whose Armijo search fails restore their block and leave the
+    cache as a fresh forward pass would, between visits that commit."""
     w, X, Y, cfg = make_problem([5, 4, 1], 3, 20, seed=0)
     paths = check_commits(w, X, Y, cfg, FAILING_ARMIJO)
     assert paths["failed"] > 0
-    assert paths["adopted"] + paths["propagated"] > 0
+    assert paths["adopted"] + paths["propagated"] > paths["failed"]
 
 
 class TestStopPaths:

@@ -129,6 +129,28 @@ class TestConfig:
         with pytest.raises(ConfigError, match="seeds"):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("where, key, value", [
+        ("dataset", "samples", 40.0), ("dataset", "samples", 0),
+        ("dataset", "samples", True), ("dataset", "data_seed", -1),
+        ("dataset", "data_seed", 1.0), ("dataset", "data_seed", False),
+        ("dataset", "noise_sd", "0.05"), ("dataset", "noise_sd", -0.05),
+        ("dataset", "noise_sd", float("nan")),
+        ("dataset", "noise_sd", float("inf")),
+        ("dataset", "noise_sd", True), ("dataset", "test_fraction", 0.0),
+        ("dataset", "test_fraction", 1.0), ("dataset", "test_fraction", "0.2"),
+        ("dataset", "kind", "sql"), ("top", "seeds", [-1]),
+        ("top", "seeds", [True]), ("top", "seeds", [1, False])])
+    def test_malformed_dataset_field_or_seed_rejected_up_front(
+            self, where, key, value):
+        """Loaded before: a bad type then raised a bare TypeError while the
+        data was made, a negative or NaN noise_sd gave noise-free data, and
+        a negative seed made every task an error row."""
+        raw = self.minimal()
+        (raw["datasets"][0] if where == "dataset" else raw)[key] = value
+        name = r"dataset 'toy': " if where == "dataset" else ""
+        with pytest.raises(ConfigError, match=f"^{name}{key} "):
+            ExperimentConfig.from_dict(raw)
+
     def test_string_architectures_rejected_up_front(self):
         # loaded before, then ran one error row per character
         raw = self.minimal()
@@ -306,6 +328,24 @@ class TestRunExperiment:
         assert set(ratios["toy"].keys()) == set(ALGORITHMS)
         for v in ratios["toy"].values():
             assert v is None or v > 0
+
+    def test_best_ranks_a_non_finite_objective_last(self):
+        """A diverged run's NaN objective, first or not, is never the best
+        of a cell; a cell of diverged runs only still has a best row."""
+        def row(seed, f, arch="[1x4]"):
+            return RunRow(dataset="toy", architecture=arch, algorithm="IG",
+                          seed=seed, final_objective=f, grad_norm=f,
+                          test_mse=f, elapsed_seconds=0.0,
+                          stop_reason="non_finite" if f != f else "f_tol",
+                          layer_update_counts=[1], init_digest="")
+        nan, inf = float("nan"), float("inf")
+        report = ExperimentReport(rows=[
+            row(0, nan), row(1, 0.5), row(2, 0.7), row(3, inf),
+            row(0, nan, "[2x4]"), row(1, nan, "[2x4]")])
+        assert report.best("toy", "[1x4]", "IG").seed == 1
+        assert report.best("toy", "[2x4]", "IG").seed == 0
+        assert np.isnan(depth_ratio(report, "[2x4]", "[1x4]")["toy"]["IG"])
+        assert depth_ratio(report, "[1x4]", "[1x4]")["toy"]["IG"] == 1.0
 
     def test_depth_ratio_missing_cell_is_none(self, report):
         ratios = depth_ratio(report, "[9x9]", "[1x4]")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +35,19 @@ class TestArchitecture:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_architecture("not-an-arch")
+
+    @pytest.mark.parametrize("text", [
+        "3-[2x3x4]-1", "3-[2x]-1", "3-[x5]-1", "3-[2,x]-1", "3-[2,]-1",
+        "3-[ ]-1", "3-[2x0]-1", "0-[2x5]-1"])
+    def test_every_parse_error_names_the_string(self, text):
+        """Before, "[2x3x4]" failed on a tuple unpack and "[2x]" on int('')
+        with messages that did not name the string."""
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            parse_architecture(text)
+
+    def test_parse_allows_spaces_inside_the_brackets(self):
+        assert parse_architecture(" 3-[ 2 x 4 ]-1 ").layer_widths == (4, 4, 1)
+        assert parse_architecture("3-[4 , 5]-2").layer_widths == (4, 5, 2)
 
     def test_variable_count(self):
         arch = parse_architecture("13-[1x50]-1")

@@ -144,8 +144,8 @@ class TestFullGradient:
         """Every full sweep forms its block gradients as its deltas appear;
         each equals the per-block call bit for bit: full_gradient on a
         forward pass's own cache and on one handed to it, full_gradient of a
-        component on a subset of the rows, and the gradient of B2LD's block
-        closure."""
+        component on a subset of the rows, and the start and trial
+        gradients of B2LD's block closures at the current block."""
         w, X, Y, cfg = case
         L = w.num_layers
         _, cache = forward(w, X)
@@ -163,9 +163,9 @@ class TestFullGradient:
 
         base_sq = weights_squared_norm(w)
         for l in range(1, L + 1):
-            # each trial leaves the cache stale, so every block gets a fresh one
-            _, evaluate, (_, g_start), _ = _block_eval(
-                w, forward(w, X)[1], Y, cfg, l, base_sq)
+            # a trial at the block it holds leaves the cache current
+            evaluate, (_, g_start), _ = _block_eval(w, cache, Y, cfg, l,
+                                                    base_sq)
             _, grad = evaluate(w.block(l).copy())
             assert same_bits([g_start, grad()], [per_block[l - 1]] * 2)
 

@@ -22,7 +22,9 @@ script runs the tree it sits in. It writes one record per run, every float as
 - ``deep-failing-armijo``: B2LD on the ``deep`` runs, with a reference
   Armijo search that starts at a = 1e3 and may halve three times, so that
   20 of its 99 searches fail: these records move if a visit whose search
-  failed leaves the run's forward cache other than it found it;
+  failed leaves the run's forward cache other than it found it, and, as
+  each failed search's trials set the block and the visit sets it back,
+  if it leaves the weights other than it found them;
 - ``file``: the demo's data written by ``save_dataset`` to a temporary
   file, targets first, and read back as a ``kind: "file"`` dataset, all
   four methods on ``[2x20]`` at init seeds 0 and 1: these records move if
@@ -109,8 +111,9 @@ def b2ld_failing_armijo(algorithm, weights0, train, test, stop, rho=None,
                         batch_size=None, seed=0):
     """``run_single``'s B2LD, with an Armijo reference search that starts at
     a = 1e3 and may halve three times."""
-    cfg = ObjectiveConfig(rho=default_rho(weights0.arch.num_variables),
-                          sample_count=train.num_samples)
+    if rho is None:
+        rho = default_rho(weights0.arch.num_variables)
+    cfg = ObjectiveConfig(rho=rho, sample_count=train.num_samples)
     run = b2ld_run(weights0, train.X, train.Y, cfg,
                    BlockSelectionRule(BlockSelectionRule.BACKWARD),
                    AcceptanceParams(armijo=ArmijoParams(a=1e3, max_halvings=3)),
