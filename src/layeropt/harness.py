@@ -58,6 +58,18 @@ class DatasetSpec:
         for key, ok, need in (
                 ("kind", self.kind in ("synthetic", "file"),
                  "must be 'synthetic' or 'file'"),
+                ("teacher_arch", isinstance(self.teacher_arch, str),
+                 "must be a string"),
+                ("path", self.kind != "file"
+                 or (isinstance(self.path, str) and self.path != ""),
+                 "must be a non-empty string"),
+                ("delimiter", isinstance(self.delimiter, str)
+                 and len(self.delimiter) == 1, "must be one character"),
+                ("target_columns", isinstance(self.target_columns, (list, tuple))
+                 and len(self.target_columns) > 0
+                 and all(_is_a(c, numbers.Integral) and c >= 1
+                         for c in self.target_columns),
+                 "must be a non-empty list of ints >= 1"),
                 ("samples", _is_a(self.samples, numbers.Integral)
                  and self.samples >= 1, "must be an int >= 1"),
                 ("data_seed", _is_a(self.data_seed, numbers.Integral)

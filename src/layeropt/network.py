@@ -7,8 +7,14 @@ is y = w_L' g(w_{L-1}' g(... g(w_1' x))) acting on samples-as-rows batches,
 so a batch Z propagates as Z @ w_1, g(.), @ w_2, ...
 """
 
+import ctypes
 import enum
+import functools
+import multiprocessing
+import os
+import queue
 import re
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +46,13 @@ def sigmoid(a, out=None):
     a = np.asarray(a, dtype=np.float64)
     fresh = out is None
     out, num = (np.empty_like(a), np.empty_like(a)) if fresh else (out, a)
+    _logistic(a, out, num)
+    return float(out) if fresh and not out.ndim else out
+
+
+def _logistic(a, out, num):
+    """The passes of `sigmoid`: the logistic of `a` into `out`, with `num`,
+    which may be `a` itself, as scratch for the numerator."""
     np.negative(a, out=out)
     np.minimum(a, out, out=out)         # -|a|
     np.greater_equal(a, 0.0, out=num)   # 1.0 where a >= 0, else 0.0
@@ -47,7 +60,6 @@ def sigmoid(a, out=None):
     np.maximum(out, num, out=num)       # np.where(a >= 0, 1.0, e)
     out += 1.0
     np.divide(num, out, out=out)
-    return float(out) if fresh and not out.ndim else out
 
 
 def sigmoid_prime(a):
@@ -195,6 +207,107 @@ class StaleCacheError(RuntimeError):
     """Partial forward requested against a cache whose lower layers are outdated."""
 
 
+# A weight block's products, z @ W forward and delta @ W' backward, run by
+# row halves, one half on a helper thread, when three things hold:
+# - Each output has _SPLIT_MIN or more rows x width elements. With BLAS on
+#   one thread, serial -> halves, in us, for a layer's matmul and sigmoid:
+#   25 -> 63 at 128x50, 41 -> 74 at 640x20, 106 -> 92 at 2000x20, 153 -> 106
+#   at 800x50, 260 -> 149 at 1311x50 and 310 -> 219 at 1600x50. Layers break
+#   even near 25,000 elements; 2^16 splits a deep student's 1600x50 layers
+#   and leaves serial a data set's 2000x20 teacher pass, which would start
+#   the thread for one forward.
+# - Each half does _HALF_PRODUCT_MIN or more multiply-adds. OpenBLAS forms
+#   products of up to 100^3 with other kernels, whose bits differ: halves of
+#   1311x16 @ 16x50 do not give the bits of one call; halves above 2^20 did
+#   in every shape tried, with BLAS on one thread or two.
+# - Both widths are 2 or more: BLAS forms a matrix-vector product in other
+#   ways, and its halves did not keep the bits.
+_SPLIT_MIN = 65_536
+_HALF_PRODUCT_MIN = 2 ** 20
+
+
+def _can_split() -> bool:
+    """Whether a CPU is idle for the helper: BLAS runs on one thread, the
+    process may run on two or more CPUs, and it is no multiprocessing
+    worker, whose pool keeps every CPU busy. A threaded BLAS keeps the CPUs
+    busy in every product and then spins on them: with OpenBLAS on two
+    threads a 1600x50 layer took 304 us in halves against 282 us whole."""
+    return _blas_threads() == 1 and len(os.sched_getaffinity(0)) >= 2 \
+        and multiprocessing.parent_process() is None
+
+
+@functools.cache
+def _blas_threads():
+    """The thread count the OpenBLAS that numpy loaded reports, once per
+    process, or None where no OpenBLAS is mapped into it or the platform
+    has no /proc."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:     # a "(deleted)" mapping, for one
+            continue
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+            query = getattr(lib, name, None)
+            if query is not None:
+                query.argtypes, query.restype = [], ctypes.c_int
+                return query()
+    return None
+
+
+class _Helper:
+    """A daemon thread that runs one half of a split at a time, for the
+    thread that holds `busy`."""
+
+    def __init__(self):
+        self.pid = os.getpid()
+        self.busy = threading.Lock()
+        self.jobs = queue.SimpleQueue()
+        self.done = queue.SimpleQueue()
+        threading.Thread(target=self._serve, name="layeropt-halves",
+                         daemon=True).start()
+
+    def _serve(self):
+        while True:
+            body, lo, hi = self.jobs.get()
+            try:
+                body(lo, hi)
+                self.done.put(None)
+            except BaseException as exc:    # re-raised in the caller
+                self.done.put(exc)
+
+
+_helper = None
+
+
+def _in_halves(n: int, body, here=None):
+    """Run body(lo, hi) over [n // 2, n) on the helper thread and
+    (here or body)(0, n // 2) on this one, and return when both are done;
+    an exception of the helper's half is raised here. The helper starts on
+    the first call of a process, so a forked child starts its own, and
+    serves one calling thread at a time. The halves must write disjoint
+    ranges, and the helper's must call only numpy and private functions: a
+    tracer that wraps the public ones keeps no lock."""
+    global _helper
+    helper = _helper
+    if helper is None or helper.pid != os.getpid():
+        helper = _helper = _Helper()
+    with helper.busy:
+        helper.jobs.put((body, n // 2, n))
+        try:
+            (here or body)(0, n // 2)
+        finally:
+            failed = helper.done.get()
+    if failed is not None:
+        raise failed
+
+
 @dataclass
 class ForwardCache:
     """Per-layer outputs `z` for one input batch, with the buffers that
@@ -219,12 +332,21 @@ class ForwardCache:
     included, which go through `forward_partial` like any other. For the
     `10-[10x50]-1` student that is 12 arrays of rows x 50: ten outputs and
     one pair of buffers.
+
+    `split` holds the weight blocks l whose products run by row halves, one
+    half on a helper thread: forward layer l and backward step l-1. Block
+    gradients, which sum over the rows, stay whole. `for_rows` fills it with
+    the blocks large enough (see `_SPLIT_MIN`) when a CPU is idle for the
+    helper (see `_can_split`). The halves give the serial kernels' bits and
+    add no array. Other layers run the serial kernels, picked by one lookup
+    each.
     """
 
     z: list = field(default_factory=list)
     deltas: list = field(default_factory=list)    # None at 0
     slopes: list = field(default_factory=list)    # None at 0 and at L
     versions: tuple = ()
+    split: tuple = ()
 
     @classmethod
     def for_rows(cls, arch: Architecture, rows: int) -> "ForwardCache":
@@ -233,11 +355,17 @@ class ForwardCache:
         pairs = {n: (np.empty((rows, n)), np.empty((rows, n)))
                  for n in widths[:-1]}
         hidden = list(enumerate(widths[:-1], start=1))
+        dims = (arch.input_dim,) + widths
+        split = tuple(
+            l for l, (k, n) in enumerate(zip(dims, widths), start=1)
+            if min(k, n) >= 2 and rows * min(k, n) >= _SPLIT_MIN
+            and rows // 2 * k * n >= _HALF_PRODUCT_MIN)
         return cls(z=[None] + [np.empty((rows, n)) for n in widths],
                    deltas=[None] + [pairs[n][l % 2] for l, n in hidden]
                    + [np.empty((rows, widths[-1]))],
                    slopes=[None] + [pairs[n][1 - l % 2] for l, n in hidden]
-                   + [None])
+                   + [None],
+                   split=split if split and _can_split() else ())
 
     @property
     def outputs(self) -> np.ndarray:
@@ -300,7 +428,23 @@ def _propagate(weights: NetworkWeights, z, start: int, cache: ForwardCache):
         W = weights.block(l)
         if l == L:
             z = np.matmul(z, W, out=cache.z[L])
+        elif l in cache.split:
+            z = _layer_in_halves(z, W, cache.deltas[l], cache.z[l])
         else:
             z = sigmoid(np.matmul(z, W, out=cache.deltas[l]), out=cache.z[l])
     return z
 
+
+def _layer_in_halves(z, W, pre, out):
+    """sigmoid(z @ W) into `out` by row halves, through `pre`. Rows of a
+    product do not mix, and BLAS gives each half the bits of one call. This
+    thread's half goes through `sigmoid`, so a tracer counts one call per
+    layer, as on the serial path; the helper's calls `_logistic`."""
+    def helpers(lo, hi):
+        a = np.matmul(z[lo:hi], W, out=pre[lo:hi])
+        _logistic(a, out[lo:hi], a)
+
+    def mine(lo, hi):
+        sigmoid(np.matmul(z[lo:hi], W, out=pre[lo:hi]), out=out[lo:hi])
+    _in_halves(len(out), helpers, mine)
+    return out

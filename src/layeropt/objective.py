@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import (ForwardCache, NetworkWeights, StaleCacheError,
-                      _sigmoid_slope, forward)
+                      _in_halves, _sigmoid_slope, forward)
 
 
 @dataclass(frozen=True)
@@ -117,12 +117,27 @@ def backprop_deltas(weights: NetworkWeights, cache: ForwardCache, Y, down_to: in
     for l in range(L, down_to - 1, -1):
         if l == L:  # linear output layer: g'(a_L) = 1
             delta = np.subtract(cache.z[L], Y, out=cache.deltas[L])
+        elif l + 1 in cache.split:
+            delta = _step_in_halves(delta, weights.block(l + 1), cache, l)
         else:
             delta = np.matmul(delta, weights.block(l + 1).T, out=cache.deltas[l])
             delta *= _sigmoid_slope(cache.z[l], out=cache.slopes[l])
         if consume is not None:
             consume(l, delta)
     return delta
+
+
+def _step_in_halves(delta, W, cache: ForwardCache, l: int):
+    """backprop_deltas' hidden step l by row halves. slopes[l] may be the
+    buffer of `delta`; each half reads its rows of it, then overwrites them,
+    as the serial step does with all rows."""
+    out, z, slope = cache.deltas[l], cache.z[l], cache.slopes[l]
+
+    def half(lo, hi):
+        d = np.matmul(delta[lo:hi], W.T, out=out[lo:hi])
+        d *= _sigmoid_slope(z[lo:hi], out=slope[lo:hi])
+    _in_halves(len(out), half)
+    return out
 
 
 def block_gradient(weights: NetworkWeights, Y, cfg: ObjectiveConfig, l: int,

@@ -139,15 +139,27 @@ class TestConfig:
         ("dataset", "noise_sd", True), ("dataset", "test_fraction", 0.0),
         ("dataset", "test_fraction", 1.0), ("dataset", "test_fraction", "0.2"),
         ("dataset", "kind", "sql"), ("top", "seeds", [-1]),
-        ("top", "seeds", [True]), ("top", "seeds", [1, False])])
+        ("top", "seeds", [True]), ("top", "seeds", [1, False]),
+        ("dataset", "teacher_arch", 5), ("dataset", "teacher_arch", None),
+        ("file", "path", 7), ("file", "path", ""), ("file", "path", None),
+        ("dataset", "delimiter", 5), ("dataset", "delimiter", ""),
+        ("dataset", "delimiter", ", "), ("dataset", "target_columns", 1),
+        ("dataset", "target_columns", []),
+        ("dataset", "target_columns", [0]),
+        ("dataset", "target_columns", [1.0]),
+        ("dataset", "target_columns", [True]),
+        ("dataset", "target_columns", "1")])
     def test_malformed_dataset_field_or_seed_rejected_up_front(
             self, where, key, value):
         """Loaded before: a bad type then raised a bare TypeError while the
         data was made, a negative or NaN noise_sd gave noise-free data, and
-        a negative seed made every task an error row."""
+        a negative seed made every task an error row. A path of 7 read file
+        descriptor 7. "file" puts the key on a file dataset."""
         raw = self.minimal()
-        (raw["datasets"][0] if where == "dataset" else raw)[key] = value
-        name = r"dataset 'toy': " if where == "dataset" else ""
+        if where == "file":
+            raw["datasets"][0]["kind"] = "file"
+        (raw if where == "top" else raw["datasets"][0])[key] = value
+        name = r"dataset 'toy': " if where != "top" else ""
         with pytest.raises(ConfigError, match=f"^{name}{key} "):
             ExperimentConfig.from_dict(raw)
 

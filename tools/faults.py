@@ -16,14 +16,19 @@ size (``ru_maxrss``) after both runs, in MB: each method's own memory high
 mark, with the interpreter, numpy and the dataset included. Then a third,
 identical run goes under ``tracemalloc``, and ``traced_peak_b`` is the peak
 of the bytes it allocated, numpy buffers included. Unlike ``ru_maxrss``, it
-repeats exactly from run to run, so a memory change can cite it as a count.
-BLAS is pinned to one thread.
+repeats from run to run, so a memory change can cite it as a count: exactly
+for BLInG and IG, and within about 100 bytes for B2LD and LBFGS, whose peak
+may or may not catch the helper thread's slice views alive.
+``threads`` is ``threading.active_count()`` after the measured run: 2 where
+the method's layers ran by halves on the helper thread, 1 where they did
+not. BLAS is pinned to one thread.
 """
 
 import argparse
 import resource
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -42,9 +47,9 @@ SEED = 0
 
 
 def measure(method):
-    """(seconds, minor faults) of the second of two identical runs, the
-    process's peak RSS in MB after them, and the traced peak bytes of a
-    third."""
+    """(seconds, minor faults, live threads) of the second of two identical
+    runs, the process's peak RSS in MB after them, and the traced peak bytes
+    of a third."""
     train, test = prepare_dataset(DEEP["dataset"])
     arch = resolve_architecture(DEEP["architectures"][0], train.num_features,
                                 train.num_targets)
@@ -59,6 +64,7 @@ def measure(method):
     start = time.perf_counter()
     run()
     seconds = time.perf_counter() - start
+    threads = threading.active_count()
     usage = resource.getrusage(resource.RUSAGE_SELF)
     tracemalloc.start()
     try:
@@ -66,7 +72,8 @@ def measure(method):
         traced_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return seconds, usage.ru_minflt - faults, usage.ru_maxrss / 1024, traced_peak
+    return (seconds, usage.ru_minflt - faults, threads, usage.ru_maxrss / 1024,
+            traced_peak)
 
 
 def main(argv=None):
@@ -76,17 +83,17 @@ def main(argv=None):
                              "one tab-separated line")
     args = parser.parse_args(argv)
     if args.method:
-        seconds, faults, peak_mb, traced_peak = measure(args.method)
-        print(f"{args.method}\t{seconds:.3f}\t{faults}\t{peak_mb:.1f}"
-              f"\t{traced_peak}")
+        seconds, faults, threads, peak_mb, traced_peak = measure(args.method)
+        print(f"{args.method}\t{seconds:.3f}\t{faults}\t{threads}"
+              f"\t{peak_mb:.1f}\t{traced_peak}")
         return
-    print(f"{'method':<8}{'warm_run_s':>12}{'minor_faults':>14}"
+    print(f"{'method':<8}{'warm_run_s':>12}{'minor_faults':>14}{'threads':>9}"
           f"{'peak_rss_mb':>13}{'traced_peak_b':>15}")
     for method in ALGORITHMS:
         line = subprocess.run([sys.executable, __file__, "--method", method],
                               capture_output=True, text=True, check=True).stdout
-        name, seconds, faults, peak_mb, traced_peak = line.split()
-        print(f"{name:<8}{seconds:>12}{faults:>14}{peak_mb:>13}"
+        name, seconds, faults, threads, peak_mb, traced_peak = line.split()
+        print(f"{name:<8}{seconds:>12}{faults:>14}{threads:>9}{peak_mb:>13}"
               f"{int(traced_peak):>15,}")
 
 

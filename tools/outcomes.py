@@ -5,7 +5,7 @@ change that should not move any result.
 
 layeropt is imported from the ``src/`` beside this file's directory, so the
 script runs the tree it sits in. It writes one record per run, every float as
-``float.hex()``, for five sets:
+``float.hex()``, for six sets:
 
 - ``deep``: the criterion-10 instance (a ``10-[2x20]-1`` teacher, 2000
   samples, noise 0.05, data seed 99, an 80/20 split, min-max scaling, a
@@ -28,7 +28,11 @@ script runs the tree it sits in. It writes one record per run, every float as
 - ``file``: the demo's data written by ``save_dataset`` to a temporary
   file, targets first, and read back as a ``kind: "file"`` dataset, all
   four methods on ``[2x20]`` at init seeds 0 and 1: these records move if
-  ``load_delimited`` or the min-max scaling changes what a run is given.
+  ``load_delimited`` or the min-max scaling changes what a run is given;
+- ``odd-rows``: B2LD and LBFGS on the ``deep`` student at init seed 0,
+  trained on the first 1,599 of its training rows, so that each layer that
+  runs by row halves splits into 799 and 800 rows: these records move if
+  uneven halves lose the bits of one call.
 
 Each record holds the init and final-weight digests, the final objective and
 gradient norm, the trajectory, the stop reason, the update counts, the inner
@@ -39,6 +43,10 @@ leaves a seed unpaired), and of the two files again after a ``load_report``
 round trip; they train nothing more. To check a change, run the script in a copy of
 the parent commit and in the change, and compare the two files with ``cmp``.
 BLAS is pinned to one thread, so the records do not depend on its threading.
+On two or more CPUs the B2LD and LBFGS runs of ``deep``,
+``deep-failing-armijo`` and ``odd-rows`` then split their large layers over
+the helper thread, and a tree without it runs them whole: equal records show
+that the halves keep the bits.
 """
 
 import os
@@ -58,7 +66,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from layeropt.batch import (AcceptanceParams,  # noqa: E402
                             BlockSelectionRule, StoppingCriteria, b2ld_run)
-from layeropt.data import save_dataset, synth_teacher_dataset  # noqa: E402
+from layeropt.data import (Dataset, save_dataset,  # noqa: E402
+                           synth_teacher_dataset)
 from layeropt.harness import (ALGORITHMS, DatasetSpec,  # noqa: E402
                               ExperimentReport, RunRow, emit_report,
                               load_report, prepare_dataset,
@@ -123,6 +132,8 @@ def b2ld_failing_armijo(algorithm, weights0, train, test, stop, rho=None,
 
 FAILING_ARMIJO = dict(DEEP, algorithms=("B2LD",), run=b2ld_failing_armijo)
 
+ODD_ROWS = dict(DEEP, seeds=[0], algorithms=("B2LD", "LBFGS"), rows=1599)
+
 
 def file_set(tmp):
     """The demo's data as a file in directory `tmp`, and the set that runs it."""
@@ -144,6 +155,8 @@ def _hex(values):
 def records(name, spec, rows):
     """The records of one set; appends each run's report row to `rows`."""
     train, test = prepare_dataset(spec["dataset"])
+    if "rows" in spec:
+        train = Dataset(train.X[:spec["rows"]], train.Y[:spec["rows"]])
     for arch_text in spec["architectures"]:
         arch = resolve_architecture(arch_text, train.num_features,
                                     train.num_targets)
@@ -211,6 +224,7 @@ def main(argv=None):
     out += records("deep-failing-armijo", FAILING_ARMIJO, [])
     with tempfile.TemporaryDirectory(prefix="outcomes-") as tmp:
         out += records("file", file_set(tmp), [])
+    out += records("odd-rows", ODD_ROWS, [])
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")
