@@ -370,9 +370,12 @@ def run_experiment(config: ExperimentConfig, workers: int = None) -> ExperimentR
     depend on scheduling). Every architecture is resolved against every
     dataset before any task is queued, and a ConfigError naming both stops
     the experiment before any run. A task that fails, or whose worker dies,
-    becomes an error row; the rows of the other tasks are kept."""
+    becomes an error row; the rows of the other tasks are kept. `workers`
+    defaults to the CPUs this process may run on; fewer than 1 is refused."""
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = len(os.sched_getaffinity(0))
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
     tasks = []
     for spec in config.datasets:
         train, test = prepare_dataset(spec)

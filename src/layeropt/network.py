@@ -262,8 +262,8 @@ def _blas_threads():
 
 
 class _Helper:
-    """A daemon thread that runs one half of a split at a time, for the
-    thread that holds `busy`."""
+    """A daemon thread that runs one job at a time, for the thread that
+    holds `busy`."""
 
     def __init__(self):
         self.pid = os.getpid()
@@ -274,38 +274,57 @@ class _Helper:
                          daemon=True).start()
 
     def _serve(self):
+        # No local outlives a job: its closure holds the caller's arrays, a
+        # whole forward cache in a full sweep, which must be freed when the
+        # caller drops them.
         while True:
-            body, lo, hi = self.jobs.get()
-            try:
-                body(lo, hi)
-                self.done.put(None)
-            except BaseException as exc:    # re-raised in the caller
-                self.done.put(exc)
+            self.done.put(self._run(self.jobs.get()))
+
+    @staticmethod
+    def _run(job):
+        """None, or the exception job raised, which the caller re-raises."""
+        try:
+            job()
+        except BaseException as exc:
+            return exc
 
 
 _helper = None
+_helper_lock = threading.Lock()     # held only while a helper starts
 
 
-def _in_halves(n: int, body, here=None):
-    """Run body(lo, hi) over [n // 2, n) on the helper thread and
-    (here or body)(0, n // 2) on this one, and return when both are done;
-    an exception of the helper's half is raised here. The helper starts on
-    the first call of a process, so a forked child starts its own, and
-    serves one calling thread at a time. The halves must write disjoint
-    ranges, and the helper's must call only numpy and private functions: a
-    tracer that wraps the public ones keeps no lock."""
+def _alongside(job, mine):
+    """Run job() on the helper thread and mine() on this one, and return
+    when both are done. An exception of mine's is raised once job is done;
+    otherwise one of job's is raised here. The helper starts on the first
+    call of a process, under a lock, so that threads whose first calls
+    overlap share one, and a forked child starts its own. It serves one
+    calling thread at a time. Neither may write what the other reads or
+    writes, and job must call only numpy and private functions: a tracer
+    that wraps the public ones keeps no lock."""
     global _helper
     helper = _helper
     if helper is None or helper.pid != os.getpid():
-        helper = _helper = _Helper()
+        with _helper_lock:
+            helper = _helper
+            if helper is None or helper.pid != os.getpid():
+                helper = _helper = _Helper()
     with helper.busy:
-        helper.jobs.put((body, n // 2, n))
+        helper.jobs.put(job)
         try:
-            (here or body)(0, n // 2)
+            mine()
         finally:
             failed = helper.done.get()
     if failed is not None:
         raise failed
+
+
+def _in_halves(n: int, body, here=None):
+    """Run body(lo, hi) over [n // 2, n) on the helper thread and
+    (here or body)(0, n // 2) on this one, through `_alongside`; the halves
+    must write disjoint ranges."""
+    h = n // 2
+    _alongside(lambda: body(h, n), lambda: (here or body)(0, h))
 
 
 @dataclass
@@ -333,13 +352,16 @@ class ForwardCache:
     `10-[10x50]-1` student that is 12 arrays of rows x 50: ten outputs and
     one pair of buffers.
 
-    `split` holds the weight blocks l whose products run by row halves, one
-    half on a helper thread: forward layer l and backward step l-1. Block
-    gradients, which sum over the rows, stay whole. `for_rows` fills it with
-    the blocks large enough (see `_SPLIT_MIN`) when a CPU is idle for the
-    helper (see `_can_split`). The halves give the serial kernels' bits and
-    add no array. Other layers run the serial kernels, picked by one lookup
-    each.
+    `split` holds the weight blocks l whose products use the helper thread:
+    forward layer l runs by row halves, and so does backward step l-1, or,
+    in a full sweep, the helper forms block l's gradient whole while this
+    thread forms delta_{l-1}'s product whole, and the slope and multiply
+    then run by halves. A block gradient sums over the rows, so it is never
+    split. `for_rows` fills `split` with the blocks large enough (see
+    `_SPLIT_MIN`) when a CPU is idle for the helper (see `_can_split`).
+    Either way each product is the serial kernel's call or row halves of
+    it, so the bits are the serial ones, and no array is added. Other
+    layers run the serial kernels, picked by one lookup each.
     """
 
     z: list = field(default_factory=list)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import (ForwardCache, NetworkWeights, StaleCacheError,
-                      _in_halves, _sigmoid_slope, forward)
+                      _alongside, _in_halves, _sigmoid_slope, forward)
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,21 @@ def _loss(outputs, Y, cfg: ObjectiveConfig, sq_norm: float) -> float:
     return _squared_error(outputs, Y) / cfg.sample_count + cfg.rho * sq_norm
 
 
-def _block_grad(z_prev, delta, W, cfg: ObjectiveConfig) -> np.ndarray:
-    """The one block-gradient product: d/dW of `_loss`, from the input z_prev
-    of the block and the delta at its output."""
-    return (2.0 / cfg.sample_count) * (z_prev.T @ delta) + 2.0 * cfg.rho * W
+def _block_grad(z_prev, delta, cfg: ObjectiveConfig, out=None) -> np.ndarray:
+    """The data term of the one block gradient, d/dW of `_loss` less its
+    rho * ||w||^2: (2/P) z_prev' delta, from the input z_prev of the block
+    and the delta at its output, in a new array or written into `out`.
+    With `out` it allocates no array, and the helper thread may run it."""
+    g = np.matmul(z_prev.T, delta, out=out)
+    g *= 2.0 / cfg.sample_count
+    return g
+
+
+def _add_decay(g, W, cfg: ObjectiveConfig) -> np.ndarray:
+    """Complete `_block_grad`'s term g of block W in place with the
+    regularizer's 2 rho W."""
+    g += 2.0 * cfg.rho * W
+    return g
 
 
 def _check_current(weights: NetworkWeights, cache: ForwardCache):
@@ -110,31 +121,47 @@ def backprop_deltas(weights: NetworkWeights, cache: ForwardCache, Y, down_to: in
     g'(z_l) into cache.slopes[l], which is delta_{l+1}'s buffer when layer
     l+1 is hidden and as wide: delta_{l+1} holds only until delta_l's matmul
     has read it, and the returned delta until the next pass on the cache,
-    forward or backward. `consume(l, delta_l)`, when given, is called as soon
-    as delta_l exists, which is where a full sweep forms each block gradient.
+    forward or backward.
+
+    `consume(l, delta_l)`, when given, is called for l = L down to down_to,
+    in that order, each before delta_l's buffer is next written; a full
+    sweep forms each block gradient there. Where block l+1 is in
+    `cache.split`, consume(l+1, delta_{l+1}) runs on the helper thread while
+    this one forms delta_{l+1} W_{l+1}' into deltas[l]. So `consume` must
+    only read its delta, write arrays of its own and call only numpy and
+    private functions (see `network._alongside`).
     """
     L = weights.num_layers
-    for l in range(L, down_to - 1, -1):
-        if l == L:  # linear output layer: g'(a_L) = 1
-            delta = np.subtract(cache.z[L], Y, out=cache.deltas[L])
-        elif l + 1 in cache.split:
-            delta = _step_in_halves(delta, weights.block(l + 1), cache, l)
-        else:
-            delta = np.matmul(delta, weights.block(l + 1).T, out=cache.deltas[l])
-            delta *= _sigmoid_slope(cache.z[l], out=cache.slopes[l])
+    delta = np.subtract(cache.z[L], Y, out=cache.deltas[L])
+    for l in range(L - 1, down_to - 1, -1):
+        W = weights.block(l + 1)
+        if l + 1 in cache.split:
+            delta = _step_in_halves(delta, W, cache, l, consume)
+            continue
         if consume is not None:
-            consume(l, delta)
+            consume(l + 1, delta)
+        delta = np.matmul(delta, W.T, out=cache.deltas[l])
+        delta *= _sigmoid_slope(cache.z[l], out=cache.slopes[l])
+    if consume is not None:
+        consume(down_to, delta)
     return delta
 
 
-def _step_in_halves(delta, W, cache: ForwardCache, l: int):
-    """backprop_deltas' hidden step l by row halves. slopes[l] may be the
-    buffer of `delta`; each half reads its rows of it, then overwrites them,
-    as the serial step does with all rows."""
+def _step_in_halves(delta, W, cache: ForwardCache, l: int, consume):
+    """backprop_deltas' hidden step l with the helper thread. Without
+    `consume` it runs by row halves. With it, the helper runs
+    consume(l + 1, delta) while this thread forms delta W' whole; the slope
+    and multiply then run by halves. slopes[l] may be the buffer of `delta`:
+    each half overwrites only its own rows of it, and only after every read
+    of them, as the serial step does with all rows."""
     out, z, slope = cache.deltas[l], cache.z[l], cache.slopes[l]
+    if consume is not None:
+        _alongside(lambda: consume(l + 1, delta),
+                   lambda: np.matmul(delta, W.T, out=out))
 
     def half(lo, hi):
-        d = np.matmul(delta[lo:hi], W.T, out=out[lo:hi])
+        d = out[lo:hi] if consume is not None \
+            else np.matmul(delta[lo:hi], W.T, out=out[lo:hi])
         d *= _sigmoid_slope(z[lo:hi], out=slope[lo:hi])
     _in_halves(len(out), half)
     return out
@@ -149,21 +176,27 @@ def block_gradient(weights: NetworkWeights, Y, cfg: ObjectiveConfig, l: int,
     """
     _check_current(weights, cache)
     delta = backprop_deltas(weights, cache, Y, l)
-    return _block_grad(cache.z[l - 1], delta, weights.block(l), cfg)
+    return _add_decay(_block_grad(cache.z[l - 1], delta, cfg),
+                      weights.block(l), cfg)
 
 
 def full_gradient(weights: NetworkWeights, Y, cfg: ObjectiveConfig,
                   cache: ForwardCache):
     """Per-block gradients of the objective, as a list indexed l-1, from one
-    backward sweep over a cache that is current for the weights; each block
-    gradient is formed as its delta appears."""
+    backward sweep over a cache that is current for the weights. Each block's
+    data term is formed as its delta is consumed; a block that splits gets
+    an array allocated here, as its term is formed on the helper thread. The
+    regularizer's terms are added after the sweep, one block at a time."""
     _check_current(weights, cache)
-    grads = [None] * weights.num_layers
+    L = weights.num_layers
+    grads = [np.empty(weights.arch.block_shape(l)) if l in cache.split
+             else None for l in range(1, L + 1)]
 
     def consume(l, delta):
-        grads[l - 1] = _block_grad(cache.z[l - 1], delta, weights.block(l), cfg)
+        grads[l - 1] = _block_grad(cache.z[l - 1], delta, cfg, grads[l - 1])
     backprop_deltas(weights, cache, Y, 1, consume)
-    return grads
+    return [_add_decay(g, weights.block(l), cfg)
+            for l, g in enumerate(grads, start=1)]
 
 
 def gradient_norm(grads) -> float:

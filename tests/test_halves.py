@@ -7,6 +7,8 @@ import select
 import subprocess
 import sys
 import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_problem
-from layeropt import network
+from layeropt import network, objective
 from layeropt.batch import StoppingCriteria
 from layeropt.harness import ExperimentConfig, prepare_dataset, run_experiment
 from layeropt.minibatch import (BlingParams, MinibatchSelectionRule,
@@ -107,6 +109,82 @@ def test_block_gradient_has_the_bits_of_the_full_sweep(helper_allowed):
         assert same_bits(block_gradient(w, Y, cfg, l, cache), full[l - 1])
 
 
+MIXED = [50, 100, 50, 1]
+
+
+@pytest.mark.parametrize("widths", [MIXED, [50] * 3 + [1]])
+@pytest.mark.parametrize("rows", [1311, 1601, 2001])
+def test_full_sweep_gives_the_bits_of_one_numpy_call(helper_allowed, widths,
+                                                     rows):
+    """The overlapped sweep, where delta_{l+1} shares a buffer with
+    slopes[l] (equal widths) and where it does not (mixed), on odd row
+    counts."""
+    w, X, Y, cfg = make_problem(widths, 10, rows, 11)
+    _, cache = forward(w, X)
+    assert cache.split == (2, 3)
+    _, _, grads = reference(w, X, Y, cfg)
+    for _ in range(2):
+        got = full_gradient(w, Y, cfg, cache)
+        assert all(same_bits(g, r) for g, r in zip(got, grads))
+    for l in range(1, 5):
+        assert same_bits(block_gradient(w, Y, cfg, l, cache), grads[l - 1])
+
+
+@pytest.mark.parametrize("widths", [MIXED, [50] * 3 + [1]])
+def test_each_consumer_call_sees_its_delta_before_it_is_overwritten(
+        helper_allowed, widths):
+    """Calls run L..1; those of split blocks on the helper, slowly, while
+    this thread forms the next delta, and each still copies its delta's
+    bits."""
+    w, X, Y, cfg = make_problem(widths, 10, 1601, 12)
+    _, cache = forward(w, X)
+    _, deltas, _ = reference(w, X, Y, cfg)
+    seen = []
+
+    def consume(l, delta):
+        on_helper = threading.current_thread().name == "layeropt-halves"
+        if on_helper:
+            time.sleep(0.01)
+        seen.append((l, on_helper, delta.copy()))
+    backprop_deltas(w, cache, Y, 1, consume)
+    assert [(l, h) for l, h, _ in seen] == [(4, False), (3, True), (2, True),
+                                            (1, False)]
+    assert all(same_bits(d, deltas[l]) for l, _, d in seen)
+
+
+def test_an_error_in_the_helpers_gradient_reaches_the_caller(monkeypatch,
+                                                             helper_allowed):
+    w, X, Y, cfg = make_problem(MIXED, 10, 1601, 13)
+    _, cache = forward(w, X)
+    _, _, grads = reference(w, X, Y, cfg)
+    block_grad = objective._block_grad
+
+    def failing(z_prev, delta, cfg, out):
+        if threading.current_thread().name == "layeropt-halves" \
+                and out.shape == (100, 50):
+            raise FloatingPointError("block 3 on the helper")
+        return block_grad(z_prev, delta, cfg, out)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(objective, "_block_grad", failing)
+        with pytest.raises(FloatingPointError, match="block 3 on the helper"):
+            full_gradient(w, Y, cfg, cache)
+    got = full_gradient(w, Y, cfg, cache)
+    assert all(same_bits(g, r) for g, r in zip(got, grads))
+
+
+def test_the_helper_holds_no_array_past_its_job(helper_allowed):
+    """Once a sweep is done, dropping the cache frees all its arrays: the
+    helper keeps no closure of its last job alive."""
+    w, X, Y, cfg = make_problem(MIXED, 10, 1601, 14)
+    cache = forward(w, X)[1]
+    full_gradient(w, Y, cfg, cache)
+    held = [weakref.ref(a) for a in cache.z[1:] + cache.deltas[1:]
+            + cache.slopes[1:-1]] + [weakref.ref(cache)]
+    del cache
+    assert [r() is None for r in held] == [True] * len(held)
+
+
 @pytest.mark.parametrize("cpus, blas_threads", [({0}, 1), ({0, 1}, 2),
                                                  ({0, 1}, None)])
 def test_no_idle_cpu_runs_serially(monkeypatch, cpus, blas_threads):
@@ -178,6 +256,40 @@ def test_calling_threads_take_turns_on_the_helper(helper_allowed):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == [True] * 12
+
+
+def test_threads_whose_first_calls_overlap_share_one_helper(monkeypatch):
+    """Each thread sees no helper yet; a slow start must not let both make
+    one, which would leave a second thread parked for good."""
+    made = []
+
+    class SlowHelper(network._Helper):
+        def __init__(self):
+            made.append(self)
+            time.sleep(0.05)
+            super().__init__()
+
+    def helpers():
+        return sum(t.name == "layeropt-halves" for t in threading.enumerate())
+
+    monkeypatch.setattr(network, "_helper", None)
+    monkeypatch.setattr(network, "_Helper", SlowHelper)
+    before = helpers()
+    start = threading.Barrier(2)
+    ran = []
+
+    def first_call():
+        start.wait(timeout=60)
+        network._in_halves(10, lambda lo, hi: ran.append((lo, hi)))
+    threads = [threading.Thread(target=first_call) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert len(made) == 1 and network._helper is made[0]
+    assert helpers() == before + 1
+    assert sorted(ran) == [(0, 5), (0, 5), (5, 10), (5, 10)]
 
 
 def test_forked_child_starts_its_own_helper(helper_allowed):

@@ -3,6 +3,7 @@ import os
 import re
 import struct
 import tempfile
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -424,6 +425,45 @@ class TestRunExperiment:
             assert (a.algorithm, a.seed, a.error, a.stop_reason) == \
                 (b.algorithm, b.seed, b.error, b.stop_reason)
             assert bits(a.final_objective) == bits(b.final_objective)
+
+    @pytest.mark.parametrize("cpus, pools", [({0}, []), ({0, 2, 5}, [3])])
+    def test_default_pool_size_is_the_cpu_affinity(self, monkeypatch, cpus,
+                                                   pools):
+        """workers=None runs as many workers as the CPUs the process may run
+        on, not the host's CPU count: inline on one CPU."""
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, task):
+                done = Future()
+                done.set_result(fn(task))
+                return done
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        tasks = []
+        monkeypatch.setattr(harness, "_execute_task", tasks.append)
+        run_experiment(small_experiment())
+        assert sizes == pools and len(tasks) == 24
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_refused(self, monkeypatch, workers):
+        tasks = []
+        monkeypatch.setattr(harness, "_execute_task", tasks.append)
+        with pytest.raises(ValueError, match=rf"workers must be >= 1, got "
+                           rf"{workers}$"):
+            run_experiment(small_experiment(), workers=workers)
+        assert tasks == []
 
     def test_parallel_matches_serial(self):
         cfg = small_experiment()

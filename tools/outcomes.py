@@ -5,7 +5,7 @@ change that should not move any result.
 
 layeropt is imported from the ``src/`` beside this file's directory, so the
 script runs the tree it sits in. It writes one record per run, every float as
-``float.hex()``, for six sets:
+``float.hex()``, for seven sets:
 
 - ``deep``: the criterion-10 instance (a ``10-[2x20]-1`` teacher, 2000
   samples, noise 0.05, data seed 99, an 80/20 split, min-max scaling, a
@@ -32,7 +32,13 @@ script runs the tree it sits in. It writes one record per run, every float as
 - ``odd-rows``: B2LD and LBFGS on the ``deep`` student at init seed 0,
   trained on the first 1,599 of its training rows, so that each layer that
   runs by row halves splits into 799 and 800 rows: these records move if
-  uneven halves lose the bits of one call.
+  uneven halves lose the bits of one call;
+- ``mixed-widths``: B2LD and LBFGS on a ``10-[50,100,50]-1`` student over
+  the ``deep`` data's 1,600 training rows at init seed 0: in a full
+  backward sweep the helper thread forms block l+1's gradient while the
+  caller forms delta_l, and in this net delta_{l+1} does not share a buffer
+  with slopes[l], so these records pin that overlap where the two do not
+  alias.
 
 Each record holds the init and final-weight digests, the final objective and
 gradient norm, the trajectory, the stop reason, the update counts, the inner
@@ -44,9 +50,9 @@ round trip; they train nothing more. To check a change, run the script in a copy
 the parent commit and in the change, and compare the two files with ``cmp``.
 BLAS is pinned to one thread, so the records do not depend on its threading.
 On two or more CPUs the B2LD and LBFGS runs of ``deep``,
-``deep-failing-armijo`` and ``odd-rows`` then split their large layers over
-the helper thread, and a tree without it runs them whole: equal records show
-that the halves keep the bits.
+``deep-failing-armijo``, ``odd-rows`` and ``mixed-widths`` then split their
+large layers over the helper thread, and a tree without it runs them whole:
+equal records show that the halves keep the bits.
 """
 
 import os
@@ -133,6 +139,9 @@ def b2ld_failing_armijo(algorithm, weights0, train, test, stop, rho=None,
 FAILING_ARMIJO = dict(DEEP, algorithms=("B2LD",), run=b2ld_failing_armijo)
 
 ODD_ROWS = dict(DEEP, seeds=[0], algorithms=("B2LD", "LBFGS"), rows=1599)
+
+MIXED_WIDTHS = dict(DEEP, architectures=["10-[50,100,50]-1"], seeds=[0],
+                    algorithms=("B2LD", "LBFGS"))
 
 
 def file_set(tmp):
@@ -225,6 +234,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="outcomes-") as tmp:
         out += records("file", file_set(tmp), [])
     out += records("odd-rows", ODD_ROWS, [])
+    out += records("mixed-widths", MIXED_WIDTHS, [])
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")
