@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import frobenius_norm
+from .linalg import _is_a, frobenius_norm
 # `sigmoid` is not called here; bench/tests/test_bench.py looks it up as
 # `batch.sigmoid`.
 from .network import (ForwardCache, NetworkWeights, forward, forward_partial,
@@ -93,13 +93,8 @@ class StoppingCriteria:
             raise ValueError(f"f_tol {self.f_tol!r} must be a number, not NaN")
         # below 0 every run stops at once; NaN disables the deadline
         t = self.time_limit_seconds
-        if t is not None and not t >= 0:
-            raise ValueError(f"time_limit_seconds {t!r} must be >= 0 or null")
-
-
-def _is_a(value, kind) -> bool:
-    """isinstance(value, kind), with a bool counted as no number."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+        if t is not None and not (_is_a(t, numbers.Real) and t >= 0):
+            raise ValueError(f"time_limit_seconds {t!r} must be a number >= 0 or null")
 
 
 @dataclass
@@ -149,7 +144,7 @@ def _block_eval(weights, cache, Y, cfg, l, base_sq):
     return evaluate, (f, grad()), commit
 
 
-# `rule` has one order; bench/tests/test_bench.py still passes it.
+# `rule` has one order; bench/workloads.py still passes it.
 def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
              rule: BlockSelectionRule, acceptance: AcceptanceParams,
              lbfgs: LbfgsParams, stop: StoppingCriteria,

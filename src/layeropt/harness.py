@@ -17,10 +17,10 @@ from dataclasses import dataclass, field, fields
 from itertools import combinations, product
 
 from .batch import (AcceptanceParams, BlockSelectionRule, StoppingCriteria,
-                    _is_a, b2ld_run, lbfgs_baseline_run)
+                    b2ld_run, lbfgs_baseline_run)
 from .data import (Dataset, fit_apply_normalization, load_delimited,
                    synth_teacher_dataset, train_test_split)
-from .linalg import SeededRng
+from .linalg import SeededRng, _is_a
 from .minibatch import (BlingParams, MinibatchSelectionRule, bling_run,
                         check_epoch_bound, ig_run, make_partition)
 from .network import Architecture, init_weights, parse_architecture
@@ -131,7 +131,7 @@ class ExperimentConfig:
         repeated = sorted({n for n in names if names.count(n) > 1})
         if repeated:
             raise ConfigError(f"dataset names {repeated} repeat")
-        if not isinstance(cfg.batch_size, int) or cfg.batch_size < 1:
+        if not _is_a(cfg.batch_size, int) or cfg.batch_size < 1:
             raise ConfigError(f"batch_size {cfg.batch_size!r} must be an "
                               "integer >= 1")
         if cfg.rho is not None:
@@ -139,6 +139,9 @@ class ExperimentConfig:
                 ObjectiveConfig(rho=cfg.rho, sample_count=1)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad rho {cfg.rho!r}: {exc}") from exc
+        if not (isinstance(cfg.output_path, str) and cfg.output_path):
+            raise ConfigError(f"output_path {cfg.output_path!r} must be a "
+                              "non-empty string")
         unknown = set(cfg.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ConfigError(f"unknown algorithms {sorted(unknown)}")

@@ -26,6 +26,11 @@ def frobenius_norm(a: np.ndarray) -> float:
     return math.sqrt(float(np.dot(r, r)))
 
 
+def _is_a(value, kind) -> bool:
+    """isinstance(value, kind), with a bool counted as no number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 class SeededRng:
     """Deterministic random stream backed by numpy's PCG64.
 

@@ -186,7 +186,7 @@ def _run_epochs(algorithm, step, weights0, X, Y, cfg, partition, rule, params,
                         inner_iterations=k)
 
 
-# `rule` has one order; bench/tests/test_bench.py still passes it.
+# `rule` has one order; bench/workloads.py still passes it.
 def bling_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
               partition: Partition, rule: MinibatchSelectionRule,
               params: BlingParams, stop: StoppingCriteria,
@@ -198,7 +198,7 @@ def bling_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
                        rule, params, stop, seed)
 
 
-# `rule` has one order; bench/tests/test_bench.py still passes it.
+# `rule` has one order; bench/workloads.py still passes it.
 def ig_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
            partition: Partition, rule: MinibatchSelectionRule,
            params: BlingParams, stop: StoppingCriteria,

@@ -103,6 +103,8 @@ class Architecture:
 
     def block_shape(self, layer: int):
         """Shape of weight block `layer` (1-based)."""
+        if not 1 <= layer <= self.num_layers:
+            raise ValueError(f"layer {layer} outside 1..{self.num_layers}")
         fan_in = self.input_dim if layer == 1 else self.layer_widths[layer - 2]
         return (fan_in, self.layer_widths[layer - 1])
 
@@ -275,7 +277,7 @@ class _Helper:
 
     def _serve(self):
         # No local outlives a job: its closure holds the caller's arrays, a
-        # whole forward cache in a full sweep, which must be freed when the
+        # forward cache's buffers among them, which must be freed when the
         # caller drops them.
         while True:
             self.done.put(self._run(self.jobs.get()))
@@ -352,16 +354,12 @@ class ForwardCache:
     `10-[10x50]-1` student that is 12 arrays of rows x 50: ten outputs and
     one pair of buffers.
 
-    `split` holds the weight blocks l whose products use the helper thread:
-    forward layer l runs by row halves, and so does backward step l-1, or,
-    in a full sweep, the helper forms block l's gradient whole while this
-    thread forms delta_{l-1}'s product whole, and the slope and multiply
-    then run by halves. A block gradient sums over the rows, so it is never
-    split. `for_rows` fills `split` with the blocks large enough (see
-    `_SPLIT_MIN`) when a CPU is idle for the helper (see `_can_split`).
-    Either way each product is the serial kernel's call or row halves of
-    it, so the bits are the serial ones, and no array is added. Other
-    layers run the serial kernels, picked by one lookup each.
+    `split` holds the weight blocks l whose products use the helper thread,
+    in forward layer l and backward step l-1 (see `_layer_in_halves` and
+    `_back_in_halves`). `for_rows` fills it with the blocks large enough
+    (see `_SPLIT_MIN`) when a CPU is idle for the helper (see `_can_split`).
+    Each product is the serial kernel's call or row halves of it, so the
+    bits are the serial ones, and no array is added.
     """
 
     z: list = field(default_factory=list)
@@ -469,4 +467,44 @@ def _layer_in_halves(z, W, pre, out):
     def mine(lo, hi):
         sigmoid(np.matmul(z[lo:hi], W, out=pre[lo:hi]), out=out[lo:hi])
     _in_halves(len(out), helpers, mine)
+    return out
+
+
+def _backpropagate(weights: NetworkWeights, delta, down_to: int,
+                   cache: ForwardCache, products):
+    """The layer loop of `objective.backprop_deltas`, `_propagate`'s twin:
+    carry delta_L down to delta_{down_to} and write the products asked for,
+    as that function says."""
+    for l in range(weights.num_layers - 1, down_to - 1, -1):
+        W = weights.block(l + 1)
+        if l + 1 in cache.split:
+            delta = _back_in_halves(delta, W, cache, l, products.get(l + 1))
+            continue
+        if l + 1 in products:
+            np.matmul(cache.z[l].T, delta, out=products[l + 1])
+        delta = np.matmul(delta, W.T, out=cache.deltas[l])
+        delta *= _sigmoid_slope(cache.z[l], out=cache.slopes[l])
+    if down_to in products:
+        np.matmul(cache.z[down_to - 1].T, delta, out=products[down_to])
+    return delta
+
+
+def _back_in_halves(delta, W, cache: ForwardCache, l: int, g):
+    """Backward step l, (delta W') * sigmoid'(z_l) into cache.deltas[l],
+    with the helper thread. Without a product `g` it runs by row halves.
+    With one, the helper forms z_l' delta into g whole, as it sums over the
+    rows, while this thread forms delta W' whole; the slope and multiply
+    then run by halves. slopes[l] may be the buffer of `delta`: each half
+    overwrites only its own rows of it, and only after every read of them,
+    as the serial step does with all rows."""
+    out, z, slope = cache.deltas[l], cache.z[l], cache.slopes[l]
+    if g is not None:
+        _alongside(lambda: np.matmul(z.T, delta, out=g),
+                   lambda: np.matmul(delta, W.T, out=out))
+
+    def half(lo, hi):
+        d = out[lo:hi] if g is not None \
+            else np.matmul(delta[lo:hi], W.T, out=out[lo:hi])
+        d *= _sigmoid_slope(z[lo:hi], out=slope[lo:hi])
+    _in_halves(len(out), half)
     return out

@@ -14,12 +14,14 @@ weights; only `objective_value` and `mse_value` run their own forward pass.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _is_a
 from .network import (ForwardCache, NetworkWeights, StaleCacheError,
-                      _alongside, _in_halves, _sigmoid_slope, forward)
+                      _backpropagate, forward)
 
 
 @dataclass(frozen=True)
@@ -28,8 +30,9 @@ class ObjectiveConfig:
     sample_count: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.rho) and self.rho >= 0):
-            raise ValueError(f"rho must be finite and nonnegative, got {self.rho!r}")
+        if not (_is_a(self.rho, numbers.Real) and math.isfinite(self.rho)
+                and self.rho >= 0):
+            raise ValueError(f"rho must be a finite number >= 0, got {self.rho!r}")
         if self.sample_count < 1:
             raise ValueError("sample_count must be positive")
 
@@ -64,19 +67,10 @@ def _loss(outputs, Y, cfg: ObjectiveConfig, sq_norm: float) -> float:
     return _squared_error(outputs, Y) / cfg.sample_count + cfg.rho * sq_norm
 
 
-def _block_grad(z_prev, delta, cfg: ObjectiveConfig, out=None) -> np.ndarray:
-    """The data term of the one block gradient, d/dW of `_loss` less its
-    rho * ||w||^2: (2/P) z_prev' delta, from the input z_prev of the block
-    and the delta at its output, in a new array or written into `out`.
-    With `out` it allocates no array, and the helper thread may run it."""
-    g = np.matmul(z_prev.T, delta, out=out)
+def _finish(g, W, cfg: ObjectiveConfig) -> np.ndarray:
+    """Turn g, block W's product z_prev' delta from `backprop_deltas`, into
+    the block's gradient of `_loss` in place: (2/P) g + 2 rho W."""
     g *= 2.0 / cfg.sample_count
-    return g
-
-
-def _add_decay(g, W, cfg: ObjectiveConfig) -> np.ndarray:
-    """Complete `_block_grad`'s term g of block W in place with the
-    regularizer's 2 rho W."""
     g += 2.0 * cfg.rho * W
     return g
 
@@ -109,7 +103,7 @@ def cached_value(weights: NetworkWeights, cache: ForwardCache, Y,
 
 
 def backprop_deltas(weights: NetworkWeights, cache: ForwardCache, Y, down_to: int,
-                    consume=None):
+                    products=None):
     """Propagate the error backward from the output layer down to `down_to`
     and return the delta at `down_to`.
 
@@ -117,54 +111,24 @@ def backprop_deltas(weights: NetworkWeights, cache: ForwardCache, Y, down_to: in
     are never touched, which is what makes per-block gradients cheaper than
     the full gradient. Reads the cached outputs z[down_to..L] only: the
     sigmoid's derivative is taken from z, so the pre-activations are not
-    needed. Each delta_l is written into cache.deltas[l] and the derivative
-    g'(z_l) into cache.slopes[l], which is delta_{l+1}'s buffer when layer
-    l+1 is hidden and as wide: delta_{l+1} holds only until delta_l's matmul
-    has read it, and the returned delta until the next pass on the cache,
-    forward or backward.
+    needed. Each delta_l is written into cache.deltas[l] and g'(z_l) into
+    cache.slopes[l], so the returned delta holds only until the next pass
+    on the cache (see `ForwardCache`).
 
-    `consume(l, delta_l)`, when given, is called for l = L down to down_to,
-    in that order, each before delta_l's buffer is next written; a full
-    sweep forms each block gradient there. Where block l+1 is in
-    `cache.split`, consume(l+1, delta_{l+1}) runs on the helper thread while
-    this one forms delta_{l+1} W_{l+1}' into deltas[l]. So `consume` must
-    only read its delta, write arrays of its own and call only numpy and
-    private functions (see `network._alongside`).
+    `products`, when given, maps blocks l in down_to..L to arrays of block
+    l's shape, and the sweep writes z_{l-1}' delta_l into each: the data
+    term of block l's gradient, before its 2/P. Where block l > down_to is
+    in `cache.split`, the helper thread writes it while this one forms
+    delta_l W_l' (see `network._back_in_halves`).
     """
     L = weights.num_layers
+    if not 1 <= down_to <= L:
+        raise ValueError(f"down_to {down_to} outside 1..{L}")
+    for l in products or ():
+        if not down_to <= l <= L:
+            raise ValueError(f"products block {l} outside {down_to}..{L}")
     delta = np.subtract(cache.z[L], Y, out=cache.deltas[L])
-    for l in range(L - 1, down_to - 1, -1):
-        W = weights.block(l + 1)
-        if l + 1 in cache.split:
-            delta = _step_in_halves(delta, W, cache, l, consume)
-            continue
-        if consume is not None:
-            consume(l + 1, delta)
-        delta = np.matmul(delta, W.T, out=cache.deltas[l])
-        delta *= _sigmoid_slope(cache.z[l], out=cache.slopes[l])
-    if consume is not None:
-        consume(down_to, delta)
-    return delta
-
-
-def _step_in_halves(delta, W, cache: ForwardCache, l: int, consume):
-    """backprop_deltas' hidden step l with the helper thread. Without
-    `consume` it runs by row halves. With it, the helper runs
-    consume(l + 1, delta) while this thread forms delta W' whole; the slope
-    and multiply then run by halves. slopes[l] may be the buffer of `delta`:
-    each half overwrites only its own rows of it, and only after every read
-    of them, as the serial step does with all rows."""
-    out, z, slope = cache.deltas[l], cache.z[l], cache.slopes[l]
-    if consume is not None:
-        _alongside(lambda: consume(l + 1, delta),
-                   lambda: np.matmul(delta, W.T, out=out))
-
-    def half(lo, hi):
-        d = out[lo:hi] if consume is not None \
-            else np.matmul(delta[lo:hi], W.T, out=out[lo:hi])
-        d *= _sigmoid_slope(z[lo:hi], out=slope[lo:hi])
-    _in_halves(len(out), half)
-    return out
+    return _backpropagate(weights, delta, down_to, cache, products or {})
 
 
 def block_gradient(weights: NetworkWeights, Y, cfg: ObjectiveConfig, l: int,
@@ -175,28 +139,21 @@ def block_gradient(weights: NetworkWeights, Y, cfg: ObjectiveConfig, l: int,
     output layer down to l and no further.
     """
     _check_current(weights, cache)
-    delta = backprop_deltas(weights, cache, Y, l)
-    return _add_decay(_block_grad(cache.z[l - 1], delta, cfg),
-                      weights.block(l), cfg)
+    g = np.empty(weights.arch.block_shape(l))
+    backprop_deltas(weights, cache, Y, l, {l: g})
+    return _finish(g, weights.block(l), cfg)
 
 
 def full_gradient(weights: NetworkWeights, Y, cfg: ObjectiveConfig,
                   cache: ForwardCache):
     """Per-block gradients of the objective, as a list indexed l-1, from one
-    backward sweep over a cache that is current for the weights. Each block's
-    data term is formed as its delta is consumed; a block that splits gets
-    an array allocated here, as its term is formed on the helper thread. The
-    regularizer's terms are added after the sweep, one block at a time."""
+    backward sweep over a cache that is current for the weights, which
+    writes every block's product into an array allocated here."""
     _check_current(weights, cache)
-    L = weights.num_layers
-    grads = [np.empty(weights.arch.block_shape(l)) if l in cache.split
-             else None for l in range(1, L + 1)]
-
-    def consume(l, delta):
-        grads[l - 1] = _block_grad(cache.z[l - 1], delta, cfg, grads[l - 1])
-    backprop_deltas(weights, cache, Y, 1, consume)
-    return [_add_decay(g, weights.block(l), cfg)
-            for l, g in enumerate(grads, start=1)]
+    grads = {l: np.empty(weights.arch.block_shape(l))
+             for l in range(1, weights.num_layers + 1)}
+    backprop_deltas(weights, cache, Y, 1, grads)
+    return [_finish(g, weights.block(l), cfg) for l, g in grads.items()]
 
 
 def gradient_norm(grads) -> float:

@@ -239,6 +239,22 @@ class TestBenchmark:
         assert "max_epochs '2' must be an int" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("output_path", [5, ""])
+    def test_bad_output_path_exits_1_before_any_task(self, tmp_path, capsys,
+                                                     monkeypatch, output_path):
+        # ran every task before, then failed writing the report
+        monkeypatch.setattr(harness, "run_single", raise_boom)
+        p = tmp_path / "exp.json"
+        p.write_text(json.dumps({
+            "datasets": [{"name": "toy", "kind": "synthetic",
+                          "teacher_arch": "3-[1x4]-1", "samples": 40}],
+            "architectures": ["[1x4]"], "algorithms": ["IG"], "seeds": [0],
+            "stopping": {"max_epochs": 1}, "output_path": output_path}))
+        assert main(["benchmark", str(p), "--workers", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"output_path {output_path!r} must be" in err
+        assert "boom" not in err
+
     def test_missing_config_exits_1(self):
         assert main(["benchmark", "/no/such/config.json"]) == 1
 

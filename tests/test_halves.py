@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_problem
-from layeropt import network, objective
+from layeropt import network
 from layeropt.batch import StoppingCriteria
 from layeropt.harness import ExperimentConfig, prepare_dataset, run_experiment
 from layeropt.minibatch import (BlingParams, MinibatchSelectionRule,
@@ -87,9 +87,11 @@ def test_halves_give_the_bits_of_one_numpy_call(width, offset, seed):
     z, deltas, grads = reference(w, X, Y, cfg)
     assert all(same_bits(cache.z[l], z[l]) for l in range(1, 5))
 
-    got = {}
-    backprop_deltas(w, cache, Y, 1, lambda l, d: got.setdefault(l, d.copy()))
-    assert all(same_bits(got[l], deltas[l]) for l in range(1, 5))
+    assert all(same_bits(backprop_deltas(w, cache, Y, l), deltas[l])
+               for l in range(1, 5))
+    got = {l: np.empty(w.arch.block_shape(l)) for l in range(1, 5)}
+    backprop_deltas(w, cache, Y, 1, got)
+    assert all(same_bits(got[l], z[l - 1].T @ deltas[l]) for l in range(1, 5))
     forward(w, X, cache)
     assert all(same_bits(g, r) for g, r in zip(full_gradient(w, Y, cfg, cache),
                                                grads))
@@ -131,44 +133,41 @@ def test_full_sweep_gives_the_bits_of_one_numpy_call(helper_allowed, widths,
 
 
 @pytest.mark.parametrize("widths", [MIXED, [50] * 3 + [1]])
-def test_each_consumer_call_sees_its_delta_before_it_is_overwritten(
-        helper_allowed, widths):
-    """Calls run L..1; those of split blocks on the helper, slowly, while
-    this thread forms the next delta, and each still copies its delta's
-    bits."""
+def test_each_product_is_written_before_its_delta_is_overwritten(
+        monkeypatch, helper_allowed, widths):
+    """The products of split blocks are formed on the helper, slowly, while
+    this thread forms the next delta, and each still has the bits of one
+    numpy call on its delta."""
     w, X, Y, cfg = make_problem(widths, 10, 1601, 12)
     _, cache = forward(w, X)
-    _, deltas, _ = reference(w, X, Y, cfg)
-    seen = []
+    z, deltas, _ = reference(w, X, Y, cfg)
+    got = {l: np.full(w.arch.block_shape(l), np.nan) for l in range(1, 5)}
+    written = []
+    alongside = network._alongside
 
-    def consume(l, delta):
-        on_helper = threading.current_thread().name == "layeropt-halves"
-        if on_helper:
+    def slowed(job, mine):
+        def slow_job():
             time.sleep(0.01)
-        seen.append((l, on_helper, delta.copy()))
-    backprop_deltas(w, cache, Y, 1, consume)
-    assert [(l, h) for l, h, _ in seen] == [(4, False), (3, True), (2, True),
-                                            (1, False)]
-    assert all(same_bits(d, deltas[l]) for l, _, d in seen)
+            unwritten = [l for l, g in got.items() if np.isnan(g).all()]
+            job()
+            written.extend((l, threading.current_thread().name)
+                           for l in unwritten if not np.isnan(got[l]).all())
+        alongside(slow_job, mine)
+    monkeypatch.setattr(network, "_alongside", slowed)
+    backprop_deltas(w, cache, Y, 1, got)
+    assert written == [(3, "layeropt-halves"), (2, "layeropt-halves")]
+    assert all(same_bits(got[l], z[l - 1].T @ deltas[l]) for l in range(1, 5))
 
 
-def test_an_error_in_the_helpers_gradient_reaches_the_caller(monkeypatch,
-                                                             helper_allowed):
+def test_an_error_in_the_helpers_gradient_reaches_the_caller(helper_allowed):
+    """A product buffer of the wrong shape for split block 3 fails in the
+    helper's job; the error reaches the caller and the next sweep holds."""
     w, X, Y, cfg = make_problem(MIXED, 10, 1601, 13)
     _, cache = forward(w, X)
     _, _, grads = reference(w, X, Y, cfg)
-    block_grad = objective._block_grad
-
-    def failing(z_prev, delta, cfg, out):
-        if threading.current_thread().name == "layeropt-halves" \
-                and out.shape == (100, 50):
-            raise FloatingPointError("block 3 on the helper")
-        return block_grad(z_prev, delta, cfg, out)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(objective, "_block_grad", failing)
-        with pytest.raises(FloatingPointError, match="block 3 on the helper"):
-            full_gradient(w, Y, cfg, cache)
+    with pytest.raises(ValueError) as failed:
+        backprop_deltas(w, cache, Y, 1, {3: np.empty((50, 100))})
+    assert "_run" in [entry.name for entry in failed.traceback]
     got = full_gradient(w, Y, cfg, cache)
     assert all(same_bits(g, r) for g, r in zip(got, grads))
 

@@ -20,6 +20,7 @@ from layeropt.harness import (ALGORITHMS, ConfigError, DatasetSpec,
                               run_experiment, run_single, tally_wins)
 from layeropt.linalg import SeededRng
 from layeropt.network import init_weights
+from layeropt.objective import ObjectiveConfig
 
 
 class TestTallyWins:
@@ -109,14 +110,16 @@ class TestConfig:
             ExperimentConfig.from_dict(raw)
 
     @pytest.mark.parametrize("rho", [float("nan"), float("inf"),
-                                     float("-inf"), -1.0, "0.1"])
+                                     float("-inf"), -1.0, "0.1", True, False])
     def test_bad_rho_rejected_up_front(self, rho):
         raw = self.minimal()
         raw["rho"] = rho
         with pytest.raises(ConfigError, match="rho"):
             ExperimentConfig.from_dict(raw)
+        with pytest.raises(ValueError, match="rho"):
+            ObjectiveConfig(rho=rho, sample_count=1)
 
-    @pytest.mark.parametrize("batch_size", [0, -3, 1.5, "64", None])
+    @pytest.mark.parametrize("batch_size", [0, -3, 1.5, "64", None, True])
     def test_bad_batch_size_rejected_up_front(self, batch_size):
         raw = self.minimal()
         raw["batch_size"] = batch_size
@@ -189,6 +192,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{key}.*repeats"):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("output_path", [5, "", None])
+    def test_bad_output_path_rejected_up_front(self, output_path):
+        raw = self.minimal()
+        raw["output_path"] = output_path
+        with pytest.raises(ConfigError, match="output_path"):
+            ExperimentConfig.from_dict(raw)
+
     def test_repeated_dataset_name_rejected_up_front(self):
         # both loaded, and their rows merged under one dataset key
         raw = self.minimal()
@@ -196,7 +206,8 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"dataset names \['toy'\]"):
             ExperimentConfig.from_dict(raw)
 
-    @pytest.mark.parametrize("limit", [-5.0, float("nan"), float("-inf")])
+    @pytest.mark.parametrize("limit", [-5.0, float("nan"), float("-inf"),
+                                       True, "5"])
     def test_bad_time_limit_rejected_up_front(self, limit):
         raw = self.minimal()
         raw["stopping"]["time_limit_seconds"] = limit

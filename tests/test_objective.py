@@ -83,13 +83,17 @@ class TestBlockGradient:
             cached_value(w, cache, Y, cfg)
 
     def test_delta_recursion_stops_at_block(self):
-        """A sweep down to block l forms the deltas of layers L..l, in that
-        order, and touches nothing below l: with the outputs, weight blocks
-        and delta buffers of the layers below l filled with NaN, it returns
-        the bits of a clean sweep and those buffers stay NaN."""
+        """A sweep down to block l forms the deltas of layers L..l and the
+        products of the blocks above l, and touches nothing below l: with
+        the outputs, weight blocks and delta buffers of the layers below l
+        filled with NaN, it returns the bits of a clean sweep and those
+        buffers stay NaN."""
         w, X, Y, cfg = make_problem([3, 3, 3, 1], 2, 5, seed=8)
         _, cache = forward(w, X)
         L = w.num_layers
+        products = {l: np.empty(w.arch.block_shape(l))
+                    for l in range(1, L + 1)}
+        backprop_deltas(w, cache, Y, 1, products)
         for l in range(1, L + 1):
             want = backprop_deltas(w, cache, Y, l).tobytes()
             poisoned_w = w.copy()
@@ -100,12 +104,31 @@ class TestBlockGradient:
                 z=[np.full_like(z, np.nan) for z in cache.z[:l]] + cache.z[l:],
                 deltas=[None] + below + cache.deltas[l:],
                 slopes=cache.slopes)
-            seen = []
-            got = backprop_deltas(poisoned_w, poisoned, Y, l,
-                                  lambda j, delta: seen.append(j))
-            assert seen == list(range(L, l - 1, -1))
+            above = {j: np.empty(w.arch.block_shape(j))
+                     for j in range(l + 1, L + 1)}
+            got = backprop_deltas(poisoned_w, poisoned, Y, l, above)
             assert got is poisoned.deltas[l] and got.tobytes() == want
             assert all(np.isnan(d).all() for d in below)
+            assert all(np.array_equal(g, products[j])
+                       for j, g in above.items())
+
+    @pytest.mark.parametrize("l", [0, 4, -1])
+    def test_block_outside_1_to_L_rejected(self, l):
+        # l = 0 failed deep in numpy, l = L + 1 with a bare IndexError
+        w, X, Y, cfg = make_problem([3, 3, 1], 2, 5, seed=10)
+        _, cache = forward(w, X)
+        with pytest.raises(ValueError, match=f"{l} outside 1..3"):
+            block_gradient(w, Y, cfg, l, cache)
+        with pytest.raises(ValueError, match=f"down_to {l} outside 1..3"):
+            backprop_deltas(w, cache, Y, l)
+
+    @pytest.mark.parametrize("down_to, l", [(2, 1), (1, 4), (1, 0)])
+    def test_product_outside_down_to_L_rejected(self, down_to, l):
+        w, X, Y, cfg = make_problem([3, 3, 1], 2, 5, seed=10)
+        _, cache = forward(w, X)
+        with pytest.raises(ValueError,
+                           match=f"products block {l} outside {down_to}..3"):
+            backprop_deltas(w, cache, Y, down_to, {l: np.empty((3, 3))})
 
     def test_output_delta_is_raw_residual(self):
         w, X, Y, cfg = make_problem([3, 2], 2, 5, seed=9)

@@ -15,10 +15,14 @@ wall time alone hides. It also prints the process's peak resident set
 size (``ru_maxrss``) after both runs, in MB: each method's own memory high
 mark, with the interpreter, numpy and the dataset included. Then a third,
 identical run goes under ``tracemalloc``, and ``traced_peak_b`` is the peak
-of the bytes it allocated, numpy buffers included. Unlike ``ru_maxrss``, it
-repeats from run to run, so a memory change can cite it as a count: exactly
-for BLInG and IG, and within about 100 bytes for B2LD and LBFGS, whose peak
-may or may not catch the helper thread's slice views alive.
+of the bytes it allocated, numpy buffers and Python objects included.
+Unlike ``ru_maxrss``, it repeats from run to run, so a memory change can
+cite it as a count. For BLInG and IG it repeats exactly. B2LD and LBFGS
+run large layers on the helper thread, whose slice views the peak may or
+may not catch alive, so theirs can move by up to about 100 bytes; at
+2 CPUs both repeated exactly over three runs. B2LD's peak falls inside a
+``full_gradient`` sweep, so the objects a sweep holds, such as the map of
+its products, count there.
 ``threads`` is ``threading.active_count()`` after the measured run: 2 where
 the method's layers ran by halves on the helper thread, 1 where they did
 not. BLAS is pinned to one thread.

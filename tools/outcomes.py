@@ -35,10 +35,10 @@ script runs the tree it sits in. It writes one record per run, every float as
   uneven halves lose the bits of one call;
 - ``mixed-widths``: B2LD and LBFGS on a ``10-[50,100,50]-1`` student over
   the ``deep`` data's 1,600 training rows at init seed 0: in a full
-  backward sweep the helper thread forms block l+1's gradient while the
-  caller forms delta_l, and in this net delta_{l+1} does not share a buffer
-  with slopes[l], so these records pin that overlap where the two do not
-  alias.
+  backward sweep the helper thread writes block l+1's product
+  z_l' delta_{l+1} while the caller forms delta_{l+1} W_{l+1}', and in this
+  net delta_{l+1} does not share a buffer with slopes[l], so these records
+  pin that overlap where the two do not alias.
 
 Each record holds the init and final-weight digests, the final objective and
 gradient norm, the trajectory, the stop reason, the update counts, the inner
