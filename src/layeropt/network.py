@@ -60,6 +60,7 @@ def _logistic(a, out, num):
     np.maximum(out, num, out=num)       # np.where(a >= 0, 1.0, e)
     out += 1.0
     np.divide(num, out, out=out)
+    return out
 
 
 def sigmoid_prime(a):
@@ -158,7 +159,11 @@ class NetworkWeights:
         return self.arch.num_layers
 
     def block(self, layer: int) -> np.ndarray:
-        """Read weight block `layer` (1-based)."""
+        """Read weight block `layer` (1-based), refusing a layer outside
+        1..L as `block_shape` does. This module's kernels index the blocks
+        directly."""
+        if not 1 <= layer <= len(self._blocks):
+            raise ValueError(f"layer {layer} outside 1..{len(self._blocks)}")
         return self._blocks[layer - 1]
 
     def set_block(self, layer: int, value: np.ndarray):
@@ -354,12 +359,17 @@ class ForwardCache:
     `10-[10x50]-1` student that is 12 arrays of rows x 50: ten outputs and
     one pair of buffers.
 
-    `split` holds the weight blocks l whose products use the helper thread,
-    in forward layer l and backward step l-1 (see `_layer_in_halves` and
-    `_back_in_halves`). `for_rows` fills it with the blocks large enough
-    (see `_SPLIT_MIN`) when a CPU is idle for the helper (see `_can_split`).
-    Each product is the serial kernel's call or row halves of it, so the
-    bits are the serial ones, and no array is added.
+    `split` holds the weight blocks l whose products, z @ W in forward
+    layer l and delta @ W' in backward step l-1, run by row halves with the
+    helper thread; `for_rows` fills it with the blocks large enough (see
+    `_SPLIT_MIN`) when a CPU is idle for the helper (see `_can_split`). A
+    pass hands the helper one job per run of split layers, or of split
+    steps whose block products are not asked for, and one per split step
+    whose product is (see `_propagate` and `_backpropagate`). Each product
+    is the serial kernel's call or row halves of it, so the bits are the
+    serial ones. Such a step writes its slope into `scratch`, one rows x n
+    array per width n of a layer that a split block reads, and empty when
+    nothing splits: 640,000 bytes for the student on 1,600 rows.
     """
 
     z: list = field(default_factory=list)
@@ -367,6 +377,7 @@ class ForwardCache:
     slopes: list = field(default_factory=list)    # None at 0 and at L
     versions: tuple = ()
     split: tuple = ()
+    scratch: dict = field(default_factory=dict)   # width -> rows x width
 
     @classmethod
     def for_rows(cls, arch: Architecture, rows: int) -> "ForwardCache":
@@ -380,12 +391,15 @@ class ForwardCache:
             l for l, (k, n) in enumerate(zip(dims, widths), start=1)
             if min(k, n) >= 2 and rows * min(k, n) >= _SPLIT_MIN
             and rows // 2 * k * n >= _HALF_PRODUCT_MIN)
+        split = split if split and _can_split() else ()
         return cls(z=[None] + [np.empty((rows, n)) for n in widths],
                    deltas=[None] + [pairs[n][l % 2] for l, n in hidden]
                    + [np.empty((rows, widths[-1]))],
                    slopes=[None] + [pairs[n][1 - l % 2] for l, n in hidden]
                    + [None],
-                   split=split if split and _can_split() else ())
+                   split=split,
+                   scratch={n: np.empty((rows, n))
+                            for n in {dims[l - 1] for l in split if l > 1}})
 
     @property
     def outputs(self) -> np.ndarray:
@@ -442,69 +456,110 @@ def _propagate(weights: NetworkWeights, z, start: int, cache: ForwardCache):
     caller propagates: carry z, the output of layer start-1, through layers
     start..L, writing each layer's output into cache.z, and return the
     network outputs. Hidden layer l's pre-activation passes through
-    cache.deltas[l], overwriting any delta held there, and is not kept."""
-    L = weights.num_layers
-    for l in range(start, L + 1):
-        W = weights.block(l)
-        if l == L:
-            z = np.matmul(z, W, out=cache.z[L])
-        elif l in cache.split:
-            z = _layer_in_halves(z, W, cache.deltas[l], cache.z[l])
+    cache.deltas[l], overwriting any delta held there, and is not kept.
+    Each run of split hidden layers, with the hidden layer below it, is one
+    job of `_forward_in_halves`."""
+    blocks, L, split = weights._blocks, weights.num_layers, cache.split
+    l = start
+    while l < L:
+        stop = l + 1
+        while stop < L and stop in split:
+            stop += 1
+        if stop > l + 1 or l in split:
+            z = _forward_in_halves(blocks, z, l, stop, cache)
         else:
-            z = sigmoid(np.matmul(z, W, out=cache.deltas[l]), out=cache.z[l])
-    return z
+            z = sigmoid(np.matmul(z, blocks[l - 1], out=cache.deltas[l]),
+                        out=cache.z[l])
+        l = stop
+    return np.matmul(z, blocks[L - 1], out=cache.z[L])
 
 
-def _layer_in_halves(z, W, pre, out):
-    """sigmoid(z @ W) into `out` by row halves, through `pre`. Rows of a
-    product do not mix, and BLAS gives each half the bits of one call. This
-    thread's half goes through `sigmoid`, so a tracer counts one call per
-    layer, as on the serial path; the helper's calls `_logistic`."""
-    def helpers(lo, hi):
-        a = np.matmul(z[lo:hi], W, out=pre[lo:hi])
-        _logistic(a, out[lo:hi], a)
+def _forward_in_halves(blocks, z, first: int, stop: int, cache: ForwardCache):
+    """Hidden layers first..stop-1 by row halves, each thread carrying its
+    own rows through every layer; returns z_{stop-1}. Rows of a product do
+    not mix, and BLAS gives each half the bits of one call. A block `first`
+    that does not split forms its product whole, and only its sigmoid runs
+    by halves. This thread's half goes through `sigmoid`, so a tracer counts
+    one call per layer, as on the serial path; the helper's calls
+    `_logistic`."""
+    split = cache.split
+    if first not in split:
+        np.matmul(z, blocks[first - 1], out=cache.deltas[first])
 
-    def mine(lo, hi):
-        sigmoid(np.matmul(z[lo:hi], W, out=pre[lo:hi]), out=out[lo:hi])
-    _in_halves(len(out), helpers, mine)
-    return out
+    def rows(act):
+        def half(lo, hi):
+            x = z[lo:hi]
+            for l in range(first, stop):
+                a = cache.deltas[l][lo:hi]
+                if l in split:
+                    np.matmul(x, blocks[l - 1], out=a)
+                x = act(a, cache.z[l][lo:hi])
+        return half
+    _in_halves(len(z), rows(lambda a, out: _logistic(a, out, a)),
+               rows(sigmoid))
+    return cache.z[stop - 1]
 
 
 def _backpropagate(weights: NetworkWeights, delta, down_to: int,
                    cache: ForwardCache, products):
     """The layer loop of `objective.backprop_deltas`, `_propagate`'s twin:
     carry delta_L down to delta_{down_to} and write the products asked for,
-    as that function says."""
-    for l in range(weights.num_layers - 1, down_to - 1, -1):
-        W = weights.block(l + 1)
-        if l + 1 in cache.split:
-            delta = _back_in_halves(delta, W, cache, l, products.get(l + 1))
-            continue
-        if l + 1 in products:
-            np.matmul(cache.z[l].T, delta, out=products[l + 1])
-        delta = np.matmul(delta, W.T, out=cache.deltas[l])
-        delta *= _sigmoid_slope(cache.z[l], out=cache.slopes[l])
+    as that function says. Step l forms delta_l with block l+1. Steps whose
+    blocks do not split run here; each run of split steps whose products
+    are not asked for is one job of `_back_in_halves`, and each split step
+    whose product is asked for one of `_back_beside_product`."""
+    blocks, split = weights._blocks, cache.split
+    l = weights.num_layers - 1
+    while l >= down_to:
+        stop = l - 1
+        if l + 1 not in split:
+            while stop >= down_to and stop + 1 not in split:
+                stop -= 1
+            for k in range(l, stop, -1):
+                if k + 1 in products:
+                    np.matmul(cache.z[k].T, delta, out=products[k + 1])
+                delta = np.matmul(delta, blocks[k].T, out=cache.deltas[k])
+                delta *= _sigmoid_slope(cache.z[k], out=cache.slopes[k])
+        elif l + 1 in products:
+            delta = _back_beside_product(delta, blocks[l], cache, l,
+                                         products[l + 1])
+        else:
+            while stop >= down_to and stop + 1 in split \
+                    and stop + 1 not in products:
+                stop -= 1
+            delta = _back_in_halves(blocks, delta, l, stop, cache)
+        l = stop
     if down_to in products:
         np.matmul(cache.z[down_to - 1].T, delta, out=products[down_to])
     return delta
 
 
-def _back_in_halves(delta, W, cache: ForwardCache, l: int, g):
-    """Backward step l, (delta W') * sigmoid'(z_l) into cache.deltas[l],
-    with the helper thread. Without a product `g` it runs by row halves.
-    With one, the helper forms z_l' delta into g whole, as it sums over the
-    rows, while this thread forms delta W' whole; the slope and multiply
-    then run by halves. slopes[l] may be the buffer of `delta`: each half
-    overwrites only its own rows of it, and only after every read of them,
-    as the serial step does with all rows."""
-    out, z, slope = cache.deltas[l], cache.z[l], cache.slopes[l]
-    if g is not None:
-        _alongside(lambda: np.matmul(z.T, delta, out=g),
-                   lambda: np.matmul(delta, W.T, out=out))
-
+def _back_in_halves(blocks, delta, first: int, stop: int,
+                    cache: ForwardCache):
+    """Steps first down to stop+1 by row halves, each thread carrying its
+    own rows of delta down every step; returns delta_{stop+1}. slopes[l]
+    may be the buffer of delta_{l+1}: each half overwrites only its own
+    rows of it, and only after every read of them, as the serial step does
+    with all rows."""
     def half(lo, hi):
-        d = out[lo:hi] if g is not None \
-            else np.matmul(delta[lo:hi], W.T, out=out[lo:hi])
-        d *= _sigmoid_slope(z[lo:hi], out=slope[lo:hi])
-    _in_halves(len(out), half)
+        d = delta[lo:hi]
+        for l in range(first, stop, -1):
+            d = np.matmul(d, blocks[l].T, out=cache.deltas[l][lo:hi])
+            d *= _sigmoid_slope(cache.z[l][lo:hi],
+                                out=cache.slopes[l][lo:hi])
+    _in_halves(len(delta), half)
+    return cache.deltas[stop + 1]
+
+
+def _back_beside_product(delta, W, cache: ForwardCache, l: int, g):
+    """Step l with block l+1's product: the helper forms z_l' delta into g
+    whole, as it sums over the rows, while this thread takes the step
+    whole. Its slope goes into the scratch array for the width, not into
+    slopes[l], which may be the buffer of the delta the helper reads."""
+    z, out = cache.z[l], cache.deltas[l]
+
+    def mine():
+        d = np.matmul(delta, W.T, out=out)
+        d *= _sigmoid_slope(z, out=cache.scratch[W.shape[0]])
+    _alongside(lambda: np.matmul(z.T, delta, out=g), mine)
     return out

@@ -33,8 +33,10 @@ class ObjectiveConfig:
         if not (_is_a(self.rho, numbers.Real) and math.isfinite(self.rho)
                 and self.rho >= 0):
             raise ValueError(f"rho must be a finite number >= 0, got {self.rho!r}")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be positive")
+        if not (_is_a(self.sample_count, numbers.Integral)
+                and self.sample_count >= 1):
+            raise ValueError(f"sample_count must be an integer >= 1, got "
+                             f"{self.sample_count!r}")
 
     def component(self, rows: int) -> "ObjectiveConfig":
         """The config of f_B for a minibatch of `rows` samples, rho scaled to
@@ -112,14 +114,14 @@ def backprop_deltas(weights: NetworkWeights, cache: ForwardCache, Y, down_to: in
     the full gradient. Reads the cached outputs z[down_to..L] only: the
     sigmoid's derivative is taken from z, so the pre-activations are not
     needed. Each delta_l is written into cache.deltas[l] and g'(z_l) into
-    cache.slopes[l], so the returned delta holds only until the next pass
-    on the cache (see `ForwardCache`).
+    cache.slopes[l] or the cache's scratch, so the returned delta holds
+    only until the next pass on the cache (see `ForwardCache`).
 
     `products`, when given, maps blocks l in down_to..L to arrays of block
     l's shape, and the sweep writes z_{l-1}' delta_l into each: the data
     term of block l's gradient, before its 2/P. Where block l > down_to is
-    in `cache.split`, the helper thread writes it while this one forms
-    delta_l W_l' (see `network._back_in_halves`).
+    in `cache.split`, the helper thread writes it while this one takes the
+    step to delta_{l-1} (see `network._back_beside_product`).
     """
     L = weights.num_layers
     if not 1 <= down_to <= L:

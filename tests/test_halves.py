@@ -111,6 +111,67 @@ def test_block_gradient_has_the_bits_of_the_full_sweep(helper_allowed):
         assert same_bits(block_gradient(w, Y, cfg, l, cache), full[l - 1])
 
 
+def count_handoffs(mp):
+    """A list that grows by one for each job handed to the helper."""
+    jobs = []
+    alongside = network._alongside
+
+    def counted(job, mine):
+        jobs.append(job)
+        alongside(job, mine)
+    mp.setattr(network, "_alongside", counted)
+    return jobs
+
+
+def test_a_pass_hands_the_helper_one_job_per_run(monkeypatch,
+                                                helper_allowed):
+    """Blocks 2-10 of the student split and block 1 does not: each thread
+    carries its rows through layers 1-10 of a forward pass (layer 1 by its
+    sigmoid alone), and through the eight split delta steps of a one-block
+    sweep.
+    A step whose product is asked for hands off once, the product beside
+    the whole step, and ends a run."""
+    w, X, Y, cfg = make_problem([50] * 10 + [1], 10, 1600, 15)
+    _, cache = forward(w, X)
+    assert cache.split == tuple(range(2, 11))
+    got = {l: np.full(w.arch.block_shape(l), np.nan) for l in (3, 6, 9)}
+    jobs = count_handoffs(monkeypatch)
+    for call, want in [(lambda: forward(w, X, cache), 1),
+                       (lambda: forward_partial(w, cache, 5), 1),
+                       (lambda: block_gradient(w, Y, cfg, 2, cache), 1),
+                       (lambda: full_gradient(w, Y, cfg, cache), 9),
+                       (lambda: backprop_deltas(w, cache, Y, 1, got), 7)]:
+        jobs.clear()
+        call()
+        assert len(jobs) == want
+    z, deltas, _ = reference(w, X, Y, cfg)
+    assert all(same_bits(g, z[l - 1].T @ deltas[l]) for l, g in got.items())
+
+
+@pytest.mark.parametrize("rows", [1600, 1601])
+def test_runs_broken_by_whole_layers_give_the_bits_of_one_numpy_call(
+        monkeypatch, helper_allowed, rows):
+    """Split blocks 2 and 5 are not consecutive: a pass joins the helper
+    after layer 2, runs layer 3 whole and starts a second run at layer 4,
+    whose product is whole and whose sigmoid goes by halves."""
+    w, X, Y, cfg = make_problem([50, 50, 20, 50, 50, 1], 10, rows, 16)
+    jobs = count_handoffs(monkeypatch)
+    _, cache = forward(w, X)
+    assert cache.split == (2, 5) and len(jobs) == 2
+    z, deltas, grads = reference(w, X, Y, cfg)
+    assert all(same_bits(cache.z[l], z[l]) for l in range(1, 7))
+    for l in range(1, 7):
+        assert same_bits(backprop_deltas(w, cache, Y, l), deltas[l])
+        assert same_bits(block_gradient(w, Y, cfg, l, cache), grads[l - 1])
+    assert all(same_bits(g, r) for g, r in zip(full_gradient(w, Y, cfg, cache),
+                                               grads))
+    for start in range(1, 7):
+        w.set_block(start, w.block(start) * 0.75)
+        forward_partial(w, cache, start)
+        z, _, _ = reference(w, X, Y, cfg)
+        assert all(same_bits(cache.z[l], z[l]) for l in range(1, 7))
+
+
 MIXED = [50, 100, 50, 1]
 
 

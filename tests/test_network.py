@@ -153,6 +153,16 @@ class TestInitWeights:
         w2 = init_weights(arch, SeededRng(2))
         assert not np.array_equal(w1.block(1), w2.block(1))
 
+    @pytest.mark.parametrize("l", [0, 4, -1])
+    def test_block_outside_1_to_L_rejected(self, l):
+        # block(0) read block L and block(-1) block L-1
+        arch = parse_architecture("3-[2x4]-2")
+        w = init_weights(arch, SeededRng(0))
+        with pytest.raises(ValueError, match=f"layer {l} outside 1..3"):
+            w.block(l)
+        with pytest.raises(ValueError, match=f"layer {l} outside 1..3"):
+            arch.block_shape(l)
+
 
 class TestForward:
     def test_identity_linear_network(self):

@@ -141,6 +141,15 @@ class TestBlockGradient:
         with pytest.raises(ValueError, match="rho"):
             ObjectiveConfig(rho=rho, sample_count=5)
 
+    @pytest.mark.parametrize("count", [True, False, 2.5, 0, -3, "5", None])
+    def test_bad_sample_count_rejected(self, count):
+        # a bool or a fraction was taken, and 1/P divided by it
+        with pytest.raises(ValueError, match="sample_count"):
+            ObjectiveConfig(rho=0.1, sample_count=count)
+
+    def test_integer_sample_count_of_any_kind_accepted(self):
+        assert ObjectiveConfig(0.1, np.int64(5)).sample_count == 5
+
 
 @st.composite
 def layered_instance(draw):

@@ -5,7 +5,7 @@ change that should not move any result.
 
 layeropt is imported from the ``src/`` beside this file's directory, so the
 script runs the tree it sits in. It writes one record per run, every float as
-``float.hex()``, for seven sets:
+``float.hex()``, for eight sets:
 
 - ``deep``: the criterion-10 instance (a ``10-[2x20]-1`` teacher, 2000
   samples, noise 0.05, data seed 99, an 80/20 split, min-max scaling, a
@@ -38,7 +38,12 @@ script runs the tree it sits in. It writes one record per run, every float as
   backward sweep the helper thread writes block l+1's product
   z_l' delta_{l+1} while the caller forms delta_{l+1} W_{l+1}', and in this
   net delta_{l+1} does not share a buffer with slopes[l], so these records
-  pin that overlap where the two do not alias.
+  pin that overlap where the two do not alias;
+- ``broken-chain``: B2LD and LBFGS on a ``10-[50,50,20,50,50]-1`` student
+  over the same rows at init seed 0, whose split blocks, 2 and 5, are not
+  consecutive: a pass hands the helper one job per run of split layers,
+  each thread carrying its rows through the run, so these records pin
+  where runs begin and end, with whole layers between them.
 
 Each record holds the init and final-weight digests, the final objective and
 gradient norm, the trajectory, the stop reason, the update counts, the inner
@@ -50,9 +55,9 @@ round trip; they train nothing more. To check a change, run the script in a copy
 the parent commit and in the change, and compare the two files with ``cmp``.
 BLAS is pinned to one thread, so the records do not depend on its threading.
 On two or more CPUs the B2LD and LBFGS runs of ``deep``,
-``deep-failing-armijo``, ``odd-rows`` and ``mixed-widths`` then split their
-large layers over the helper thread, and a tree without it runs them whole:
-equal records show that the halves keep the bits.
+``deep-failing-armijo``, ``odd-rows``, ``mixed-widths`` and ``broken-chain``
+then split their large layers over the helper thread, and a tree without it
+runs them whole: equal records show that the halves keep the bits.
 """
 
 import os
@@ -142,6 +147,8 @@ ODD_ROWS = dict(DEEP, seeds=[0], algorithms=("B2LD", "LBFGS"), rows=1599)
 
 MIXED_WIDTHS = dict(DEEP, architectures=["10-[50,100,50]-1"], seeds=[0],
                     algorithms=("B2LD", "LBFGS"))
+
+BROKEN_CHAIN = dict(MIXED_WIDTHS, architectures=["10-[50,50,20,50,50]-1"])
 
 
 def file_set(tmp):
@@ -235,6 +242,7 @@ def main(argv=None):
         out += records("file", file_set(tmp), [])
     out += records("odd-rows", ODD_ROWS, [])
     out += records("mixed-widths", MIXED_WIDTHS, [])
+    out += records("broken-chain", BROKEN_CHAIN, [])
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")
