@@ -86,13 +86,17 @@ class Architecture:
 
     input_dim: int
     layer_widths: tuple  # N_1..N_L, last entry is the output dim
+    block_shapes: tuple = field(init=False, repr=False, compare=False)  # (N_{l-1}, N_l)
 
     def __post_init__(self):
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
         if len(self.layer_widths) < 1 or any(w < 1 for w in self.layer_widths):
             raise ValueError("need at least one layer, all widths >= 1")
-        object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
+        widths = tuple(int(w) for w in self.layer_widths)
+        object.__setattr__(self, "layer_widths", widths)
+        object.__setattr__(self, "block_shapes",
+                           tuple(zip((self.input_dim,) + widths, widths)))
 
     @property
     def num_layers(self) -> int:
@@ -104,14 +108,13 @@ class Architecture:
 
     def block_shape(self, layer: int):
         """Shape of weight block `layer` (1-based)."""
-        if not 1 <= layer <= self.num_layers:
+        if not 1 <= layer <= len(self.block_shapes):
             raise ValueError(f"layer {layer} outside 1..{self.num_layers}")
-        fan_in = self.input_dim if layer == 1 else self.layer_widths[layer - 2]
-        return (fan_in, self.layer_widths[layer - 1])
+        return self.block_shapes[layer - 1]
 
     @property
     def num_variables(self) -> int:
-        return sum(r * c for r, c in (self.block_shape(l) for l in range(1, self.num_layers + 1)))
+        return sum(r * c for r, c in self.block_shapes)
 
 
 _ARCH_RE = re.compile(r"(\d+)-\[\s*(?:(\d+)\s*x\s*(\d+)|(\d+(?:\s*,\s*\d+)*))"
@@ -139,8 +142,10 @@ def parse_architecture(text: str) -> Architecture:
 class NetworkWeights:
     """Ordered list of per-layer weight blocks with per-block version tags.
 
-    Version tags let a ForwardCache detect when layers below a partial
-    recompute point have been silently modified.
+    A tag is a fresh object() for every block a net is built with or set
+    to, equal only to itself. A ForwardCache keeps the tags of the weights
+    that filled it, so a cache read with other weights, a copy or another
+    net included, or with a block set since, is refused as stale.
     """
 
     def __init__(self, arch: Architecture, blocks):
@@ -148,15 +153,15 @@ class NetworkWeights:
         blocks = [np.array(b, dtype=np.float64, order="C") for b in blocks]
         if len(blocks) != arch.num_layers:
             raise ValueError(f"expected {arch.num_layers} blocks, got {len(blocks)}")
-        for l, b in enumerate(blocks, start=1):
-            if b.shape != arch.block_shape(l):
-                raise ShapeMismatchError(f"weights block {l}", b.shape, arch.block_shape(l))
+        for l, (b, shape) in enumerate(zip(blocks, arch.block_shapes), start=1):
+            if b.shape != shape:
+                raise ShapeMismatchError(f"weights block {l}", b.shape, shape)
         self._blocks = blocks
-        self._versions = [0] * len(blocks)
+        self._versions = [object() for _ in blocks]
 
     @property
     def num_layers(self) -> int:
-        return self.arch.num_layers
+        return len(self._blocks)
 
     def block(self, layer: int) -> np.ndarray:
         """Read weight block `layer` (1-based), refusing a layer outside
@@ -166,13 +171,18 @@ class NetworkWeights:
             raise ValueError(f"layer {layer} outside 1..{len(self._blocks)}")
         return self._blocks[layer - 1]
 
+    @property
+    def blocks(self) -> tuple:
+        """Blocks 1..L, in order, as a tuple the caller cannot reorder."""
+        return tuple(self._blocks)
+
     def set_block(self, layer: int, value: np.ndarray):
         value = np.array(value, dtype=np.float64, order="C")
         if value.shape != self.arch.block_shape(layer):
             raise ShapeMismatchError(f"weights block {layer}", value.shape,
                                      self.arch.block_shape(layer))
         self._blocks[layer - 1] = value
-        self._versions[layer - 1] += 1
+        self._versions[layer - 1] = object()
 
     def versions(self):
         return tuple(self._versions)
@@ -185,8 +195,7 @@ class NetworkWeights:
 
     def set_from_flat(self, vec: np.ndarray):
         pos = 0
-        for l in range(1, self.num_layers + 1):
-            r, c = self.arch.block_shape(l)
+        for l, (r, c) in enumerate(self.arch.block_shapes, start=1):
             self.set_block(l, vec[pos:pos + r * c].reshape(r, c))
             pos += r * c
         if pos != vec.size:
@@ -203,8 +212,7 @@ class NetworkWeights:
 def init_weights(arch: Architecture, rng: SeededRng) -> NetworkWeights:
     """Uniform fan-in-scaled init: block l entries in [-1/sqrt(N_{l-1}), +1/sqrt(N_{l-1})]."""
     blocks = []
-    for l in range(1, arch.num_layers + 1):
-        r, c = arch.block_shape(l)
+    for r, c in arch.block_shapes:
         bound = 1.0 / np.sqrt(r)
         blocks.append(rng.uniform(-bound, bound, size=(r, c)))
     return NetworkWeights(arch, blocks)
@@ -347,8 +355,8 @@ class ForwardCache:
     hidden and as wide, slopes[l] is deltas[l+1]: delta_{l+1} is dead once
     delta_l's matmul has read it. The output layer's delta is an array of
     its own. A delta therefore holds only until the next pass on the cache,
-    forward or backward. `versions` records the weight-block versions z was
-    computed from.
+    forward or backward. `versions` holds the block tags z was computed from,
+    () before a forward pass, and `geometry` the (rows, widths) z last fit.
 
     Passes write into these buffers in place: a cache handed to `forward`,
     `forward_partial` or `objective.backprop_deltas` is overwritten, and
@@ -376,6 +384,7 @@ class ForwardCache:
     deltas: list = field(default_factory=list)    # None at 0
     slopes: list = field(default_factory=list)    # None at 0 and at L
     versions: tuple = ()
+    geometry: tuple = ()
     split: tuple = ()
     scratch: dict = field(default_factory=dict)   # width -> rows x width
 
@@ -386,9 +395,8 @@ class ForwardCache:
         pairs = {n: (np.empty((rows, n)), np.empty((rows, n)))
                  for n in widths[:-1]}
         hidden = list(enumerate(widths[:-1], start=1))
-        dims = (arch.input_dim,) + widths
         split = tuple(
-            l for l, (k, n) in enumerate(zip(dims, widths), start=1)
+            l for l, (k, n) in enumerate(arch.block_shapes, start=1)
             if min(k, n) >= 2 and rows * min(k, n) >= _SPLIT_MIN
             and rows // 2 * k * n >= _HALF_PRODUCT_MIN)
         split = split if split and _can_split() else ()
@@ -397,9 +405,9 @@ class ForwardCache:
                    + [np.empty((rows, widths[-1]))],
                    slopes=[None] + [pairs[n][1 - l % 2] for l, n in hidden]
                    + [None],
-                   split=split,
+                   geometry=(rows, widths), split=split,
                    scratch={n: np.empty((rows, n))
-                            for n in {dims[l - 1] for l in split if l > 1}})
+                            for n in {widths[l - 2] for l in split if l > 1}})
 
     @property
     def outputs(self) -> np.ndarray:
@@ -420,11 +428,12 @@ def forward(weights: NetworkWeights, inputs: np.ndarray, cache: ForwardCache = N
                                  (inputs.shape[0], arch.input_dim))
     if cache is None:
         cache = ForwardCache.for_rows(arch, inputs.shape[0])
-    else:
+    elif cache.geometry != (inputs.shape[0], arch.layer_widths):
         got = [b.shape for b in cache.z[1:]]
         want = [(inputs.shape[0], n) for n in arch.layer_widths]
         if got != want:
             raise ShapeMismatchError("forward cache", got, want)
+        cache.geometry = (inputs.shape[0], arch.layer_widths)
     cache.z[0] = inputs
     _propagate(weights, inputs, 1, cache)
     cache.versions = weights.versions()
@@ -436,16 +445,18 @@ def forward_partial(weights: NetworkWeights, cache: ForwardCache, from_layer: in
 
     Layers below from_layer must still match the weight versions the cache
     was built from; otherwise the cached prefix is silently wrong and a
-    StaleCacheError is raised.
+    StaleCacheError is raised, as it is for a cache that holds no forward
+    pass.
     """
     L = weights.num_layers
     if not 1 <= from_layer <= L:
         raise ValueError(f"from_layer {from_layer} outside 1..{L}")
+    if not cache.versions:
+        raise StaleCacheError("cache holds no forward pass")
     cur = weights.versions()
-    for l in range(1, from_layer):
-        if cache.versions[l - 1] != cur[l - 1]:
-            raise StaleCacheError(
-                f"cache stale at layer {l}: version {cache.versions[l - 1]} != {cur[l - 1]}")
+    if cache.versions[:from_layer - 1] != cur[:from_layer - 1]:
+        l = next(l for l, (a, b) in enumerate(zip(cache.versions, cur), 1) if a != b)
+        raise StaleCacheError(f"cache stale at layer {l}: not filled by this block")
     _propagate(weights, cache.z[from_layer - 1], from_layer, cache)
     cache.versions = cur
     return cache.outputs, cache

@@ -54,8 +54,7 @@ def default_rho(num_variables: int) -> float:
 
 
 def weights_squared_norm(weights: NetworkWeights) -> float:
-    return sum(float(np.dot(b.ravel(), b.ravel()))
-               for b in (weights.block(l) for l in range(1, weights.num_layers + 1)))
+    return sum(float(np.dot(b.ravel(), b.ravel())) for b in weights.blocks)
 
 
 def _squared_error(outputs, Y) -> float:
@@ -152,10 +151,10 @@ def full_gradient(weights: NetworkWeights, Y, cfg: ObjectiveConfig,
     backward sweep over a cache that is current for the weights, which
     writes every block's product into an array allocated here."""
     _check_current(weights, cache)
-    grads = {l: np.empty(weights.arch.block_shape(l))
-             for l in range(1, weights.num_layers + 1)}
+    grads = {l: np.empty(shape)
+             for l, shape in enumerate(weights.arch.block_shapes, start=1)}
     backprop_deltas(weights, cache, Y, 1, grads)
-    return [_finish(g, weights.block(l), cfg) for l, g in grads.items()]
+    return [_finish(g, W, cfg) for g, W in zip(grads.values(), weights.blocks)]
 
 
 def gradient_norm(grads) -> float:

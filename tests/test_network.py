@@ -59,6 +59,26 @@ class TestArchitecture:
         assert arch.block_shape(2) == (4, 5)
         assert arch.block_shape(3) == (5, 2)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 20), st.lists(st.integers(1, 20), min_size=1,
+                                        max_size=8))
+    def test_stored_block_shapes_are_fan_in_by_width(self, input_dim, widths):
+        """The shapes formed at construction are (fan-in, width) for every
+        block, the variable count is their sum, and block numbers outside
+        1..L are still refused."""
+        arch = Architecture(input_dim, tuple(widths))
+        fan_in = [input_dim] + widths[:-1]
+        L = len(widths)
+        for l in range(1, L + 1):
+            assert arch.block_shape(l) == (fan_in[l - 1], widths[l - 1])
+        assert arch.num_variables == sum(k * n for k, n in zip(fan_in, widths))
+        w = init_weights(arch, SeededRng(0))
+        assert [w.block(l).shape for l in range(1, L + 1)] == \
+            list(arch.block_shapes)
+        for l in (0, L + 1):
+            with pytest.raises(ValueError, match=f"layer {l} outside 1..{L}"):
+                arch.block_shape(l)
+
 
 class TestSigmoid:
     def test_symmetry_point(self):
@@ -163,6 +183,15 @@ class TestInitWeights:
         with pytest.raises(ValueError, match=f"layer {l} outside 1..3"):
             arch.block_shape(l)
 
+    def test_blocks_view_follows_set_block(self):
+        arch = parse_architecture("3-[2x4]-2")
+        w = init_weights(arch, SeededRng(0))
+        view = w.blocks
+        assert isinstance(view, tuple)
+        assert all(v is w.block(l) for l, v in enumerate(view, start=1))
+        w.set_block(2, np.zeros((4, 4)))
+        assert w.blocks[1] is w.block(2) and view[1] is not w.block(2)
+
 
 class TestForward:
     def test_identity_linear_network(self):
@@ -251,6 +280,38 @@ class TestForward:
         with pytest.raises(ShapeMismatchError, match="forward cache"):
             forward(w, X, ForwardCache.for_rows(arch, 6))
 
+    def test_cache_for_other_widths_is_rejected(self):
+        """As many rows, layers and outputs, but a hidden width that
+        differs."""
+        arch, w, X = random_net([4, 5, 1], seed=1, input_dim=3, P=5)
+        other = ForwardCache.for_rows(Architecture(3, (4, 6, 1)), 5)
+        with pytest.raises(ShapeMismatchError, match="forward cache"):
+            forward(w, X, other)
+        _, cache = forward(w, X)
+        with pytest.raises(ShapeMismatchError, match="forward cache"):
+            forward(init_weights(Architecture(3, (4, 6, 1)), SeededRng(1)),
+                    X, cache)
+
+    def test_hand_built_cache_is_checked_by_its_buffers(self):
+        """A cache not made by `for_rows` has no recorded geometry: its
+        buffers are checked, it then works like any other, and one whose
+        buffers do not fit is refused."""
+        arch, w, X = random_net([4, 5, 1], seed=2, input_dim=3, P=5)
+
+        def hand_built(widths):
+            def fresh(ns):
+                return [None] + [np.empty((5, n)) for n in ns]
+            return ForwardCache(z=fresh(widths), deltas=fresh(widths),
+                                slopes=fresh(widths[:-1]) + [None])
+        cache = hand_built(arch.layer_widths)
+        for _ in range(2):
+            out, got = forward(w, X, cache)
+            assert got is cache
+            assert out.tobytes() == forward(w, X)[0].tobytes()
+        assert cache.geometry == (5, arch.layer_widths)
+        with pytest.raises(ShapeMismatchError, match="forward cache"):
+            forward(w, X, hand_built((4, 6, 1)))
+
 
 class TestForwardPartial:
     @pytest.mark.parametrize("widths,input_dim", [
@@ -288,6 +349,24 @@ class TestForwardPartial:
         w.set_block(1, w.block(1) * 1.5)  # below from_layer=2
         with pytest.raises(StaleCacheError):
             forward_partial(w, cache, 2)
+
+    def test_stale_layer_is_named(self):
+        arch, w, X = random_net([4, 4, 4, 1], seed=4, input_dim=3)
+        _, cache = forward(w, X)
+        w.set_block(2, w.block(2) * 1.5)
+        forward_partial(w, cache, 2)
+        w.set_block(3, w.block(3) * 1.5)
+        with pytest.raises(StaleCacheError, match="stale at layer 3"):
+            forward_partial(w, cache, 4)
+
+    @pytest.mark.parametrize("from_layer", [1, 2, 3])
+    def test_cache_with_no_forward_pass_is_refused(self, from_layer):
+        # from layer 1 numpy raised on the empty input slot (dtype('O')),
+        # from layer 2 up the version check raised a bare IndexError
+        arch, w, X = random_net([4, 4, 1], seed=4, input_dim=3)
+        for cache in (ForwardCache.for_rows(arch, X.shape[0]), ForwardCache()):
+            with pytest.raises(StaleCacheError, match="no forward pass"):
+                forward_partial(w, cache, from_layer)
 
 
 @st.composite

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from conftest import fd_block_gradient, make_problem, rel_error
 from layeropt.batch import _block_eval
+from layeropt.linalg import SeededRng
 from layeropt.network import (Architecture, ForwardCache, NetworkWeights,
                               StaleCacheError, forward, forward_partial,
-                              sigmoid, sigmoid_prime)
+                              init_weights, sigmoid, sigmoid_prime)
 from layeropt.objective import (ObjectiveConfig, backprop_deltas,
                                 block_gradient, cached_value, default_rho,
                                 full_gradient, gradient_norm, objective_value,
@@ -81,6 +82,25 @@ class TestBlockGradient:
             full_gradient(w, Y, cfg, cache)
         with pytest.raises(StaleCacheError):
             cached_value(w, cache, Y, cfg)
+
+    @pytest.mark.parametrize("other", ["another draw", "a copy"])
+    @pytest.mark.parametrize("entry", [
+        "block_gradient", "full_gradient", "cached_value", "forward_partial"])
+    def test_cache_filled_by_other_weights_rejected(self, other, entry):
+        """Each net's blocks carried the version tags (0, ..., 0), so a cache
+        filled by one init_weights draw passed as current for another, and
+        block_gradient mixed w1's activations with w2's blocks."""
+        w1, X, Y, cfg = make_problem([4, 3, 1], 3, 6, seed=21)
+        _, cache = forward(w1, X)
+        w2 = init_weights(w1.arch, SeededRng(22)) if other == "another draw" \
+            else w1.copy()
+        calls = {"block_gradient": lambda w: block_gradient(w, Y, cfg, 2, cache),
+                 "full_gradient": lambda w: full_gradient(w, Y, cfg, cache),
+                 "cached_value": lambda w: cached_value(w, cache, Y, cfg),
+                 "forward_partial": lambda w: forward_partial(w, cache, 2)}
+        with pytest.raises(StaleCacheError):
+            calls[entry](w2)
+        calls[entry](w1)
 
     def test_delta_recursion_stops_at_block(self):
         """A sweep down to block l forms the deltas of layers L..l and the
