@@ -11,6 +11,7 @@ import ctypes
 import enum
 import functools
 import multiprocessing
+import numbers
 import os
 import queue
 import re
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SeededRng, ShapeMismatchError
+from .linalg import SeededRng, ShapeMismatchError, _is_a
 
 
 # One member: hidden layers are sigmoid; bench/tests/test_bench.py reads it.
@@ -50,9 +51,10 @@ def sigmoid(a, out=None):
     return float(out) if fresh and not out.ndim else out
 
 
-def _logistic(a, out, num):
+def _logistic(a, out, num=None):
     """The passes of `sigmoid`: the logistic of `a` into `out`, with `num`,
-    which may be `a` itself, as scratch for the numerator."""
+    `a` itself unless given, as scratch for the numerator."""
+    num = a if num is None else num
     np.negative(a, out=out)
     np.minimum(a, out, out=out)         # -|a|
     np.greater_equal(a, 0.0, out=num)   # 1.0 where a >= 0, else 0.0
@@ -89,10 +91,13 @@ class Architecture:
     block_shapes: tuple = field(init=False, repr=False, compare=False)  # (N_{l-1}, N_l)
 
     def __post_init__(self):
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
-        if len(self.layer_widths) < 1 or any(w < 1 for w in self.layer_widths):
-            raise ValueError("need at least one layer, all widths >= 1")
+        if not (_is_a(self.input_dim, numbers.Integral) and self.input_dim >= 1):
+            raise ValueError(f"input_dim must be an integer >= 1, got "
+                             f"{self.input_dim!r}")
+        if len(self.layer_widths) < 1 or not all(
+                _is_a(w, numbers.Integral) and w >= 1 for w in self.layer_widths):
+            raise ValueError(f"layer_widths must be one or more integers >= 1, "
+                             f"got {self.layer_widths!r}")
         widths = tuple(int(w) for w in self.layer_widths)
         object.__setattr__(self, "layer_widths", widths)
         object.__setattr__(self, "block_shapes",
@@ -334,12 +339,11 @@ def _alongside(job, mine):
         raise failed
 
 
-def _in_halves(n: int, body, here=None):
-    """Run body(lo, hi) over [n // 2, n) on the helper thread and
-    (here or body)(0, n // 2) on this one, through `_alongside`; the halves
-    must write disjoint ranges."""
+def _in_halves(n: int, body):
+    """Run body(n // 2, n) on the helper thread and body(0, n // 2) on this
+    one, through `_alongside`; the halves must write disjoint ranges."""
     h = n // 2
-    _alongside(lambda: body(h, n), lambda: (here or body)(0, h))
+    _alongside(lambda: body(h, n), lambda: body(0, h))
 
 
 @dataclass
@@ -370,14 +374,12 @@ class ForwardCache:
     `split` holds the weight blocks l whose products, z @ W in forward
     layer l and delta @ W' in backward step l-1, run by row halves with the
     helper thread; `for_rows` fills it with the blocks large enough (see
-    `_SPLIT_MIN`) when a CPU is idle for the helper (see `_can_split`). A
-    pass hands the helper one job per run of split layers, or of split
-    steps whose block products are not asked for, and one per split step
-    whose product is (see `_propagate` and `_backpropagate`). Each product
-    is the serial kernel's call or row halves of it, so the bits are the
-    serial ones. Such a step writes its slope into `scratch`, one rows x n
-    array per width n of a layer that a split block reads, and empty when
-    nothing splits: 640,000 bytes for the student on 1,600 rows.
+    `_SPLIT_MIN`) when a CPU is idle for the helper (see `_can_split`).
+    `_propagate` and `_backpropagate` plan the hand-offs. Each product is
+    the serial call or row halves of it, so the bits are the serial ones. A
+    split step whose product is asked for writes its slope into `scratch`,
+    one rows x n array per width n of a layer that a split block reads, and
+    empty when nothing splits: 640,000 bytes for the student on 1,600 rows.
     """
 
     z: list = field(default_factory=list)
@@ -423,9 +425,9 @@ def forward(weights: NetworkWeights, inputs: np.ndarray, cache: ForwardCache = N
     and returned, and the outputs are its z[L]."""
     inputs = np.asarray(inputs, dtype=np.float64)
     arch = weights.arch
-    if inputs.shape[1] != arch.input_dim:
+    if inputs.shape[1:] != (arch.input_dim,):
         raise ShapeMismatchError("forward inputs", inputs.shape,
-                                 (inputs.shape[0], arch.input_dim))
+                                 inputs.shape[:1] + (arch.input_dim,))
     if cache is None:
         cache = ForwardCache.for_rows(arch, inputs.shape[0])
     elif cache.geometry != (inputs.shape[0], arch.layer_widths):
@@ -465,60 +467,63 @@ def forward_partial(weights: NetworkWeights, cache: ForwardCache, from_layer: in
 def _propagate(weights: NetworkWeights, z, start: int, cache: ForwardCache):
     """The layer loop of `forward` and `forward_partial`, the one way any
     caller propagates: carry z, the output of layer start-1, through layers
-    start..L, writing each layer's output into cache.z, and return the
-    network outputs. Hidden layer l's pre-activation passes through
-    cache.deltas[l], overwriting any delta held there, and is not kept.
-    Each run of split hidden layers, with the hidden layer below it, is one
-    job of `_forward_in_halves`."""
+    start..L and return the network outputs. Each run of hidden layers that
+    do not split is one `_layers` call over all rows; each run of split
+    ones, with the hidden layer below it, one call by halves. A block below
+    the run and the output block form their products whole."""
     blocks, L, split = weights._blocks, weights.num_layers, cache.split
+    if split and split[-1] == L:       # the output product stays whole
+        split = split[:-1]
     l = start
     while l < L:
         stop = l + 1
-        while stop < L and stop in split:
-            stop += 1
-        if stop > l + 1 or l in split:
-            z = _forward_in_halves(blocks, z, l, stop, cache)
+        if l in split or stop in split:
+            while stop in split:
+                stop += 1
+            if l not in split:
+                np.matmul(z, blocks[l - 1], out=cache.deltas[l])
+            _in_halves(len(z),
+                       functools.partial(_layers, blocks, z, l, stop, cache))
         else:
-            z = sigmoid(np.matmul(z, blocks[l - 1], out=cache.deltas[l]),
-                        out=cache.z[l])
-        l = stop
+            while stop < L and stop not in split and stop + 1 not in split:
+                stop += 1
+            _layers(blocks, z, l, stop, cache)
+        z, l = cache.z[stop - 1], stop
     return np.matmul(z, blocks[L - 1], out=cache.z[L])
 
 
-def _forward_in_halves(blocks, z, first: int, stop: int, cache: ForwardCache):
-    """Hidden layers first..stop-1 by row halves, each thread carrying its
-    own rows through every layer; returns z_{stop-1}. Rows of a product do
-    not mix, and BLAS gives each half the bits of one call. A block `first`
-    that does not split forms its product whole, and only its sigmoid runs
-    by halves. This thread's half goes through `sigmoid`, so a tracer counts
-    one call per layer, as on the serial path; the helper's calls
-    `_logistic`."""
-    split = cache.split
-    if first not in split:
-        np.matmul(z, blocks[first - 1], out=cache.deltas[first])
-
-    def rows(act):
-        def half(lo, hi):
-            x = z[lo:hi]
-            for l in range(first, stop):
-                a = cache.deltas[l][lo:hi]
-                if l in split:
-                    np.matmul(x, blocks[l - 1], out=a)
-                x = act(a, cache.z[l][lo:hi])
-        return half
-    _in_halves(len(z), rows(lambda a, out: _logistic(a, out, a)),
-               rows(sigmoid))
-    return cache.z[stop - 1]
+def _layers(blocks, z, first: int, stop: int, cache: ForwardCache, lo=0,
+            hi=None):
+    """Hidden layers first..stop-1 over rows lo..hi-1 of z_{first-1}, or all
+    rows when hi is None, into cache.z. Layer l's pre-activation passes
+    through cache.deltas[l], overwriting any delta held there. By halves
+    only split blocks form products here: rows of a product do not mix, and
+    BLAS gives each half the bits of one call. Rows from 0 go through
+    `sigmoid`, which a tracer counts once per layer; the helper's half,
+    which starts past 0, calls no public function."""
+    split, act = cache.split, _logistic if lo else sigmoid
+    if hi is not None:
+        z = z[lo:hi]
+    for l in range(first, stop):
+        a, out = cache.deltas[l], cache.z[l]
+        if hi is not None:
+            a, out = a[lo:hi], out[lo:hi]
+        if hi is None or l in split:
+            np.matmul(z, blocks[l - 1], out=a)
+        z = act(a, out)
 
 
 def _backpropagate(weights: NetworkWeights, delta, down_to: int,
                    cache: ForwardCache, products):
     """The layer loop of `objective.backprop_deltas`, `_propagate`'s twin:
     carry delta_L down to delta_{down_to} and write the products asked for,
-    as that function says. Step l forms delta_l with block l+1. Steps whose
-    blocks do not split run here; each run of split steps whose products
-    are not asked for is one job of `_back_in_halves`, and each split step
-    whose product is asked for one of `_back_beside_product`."""
+    as that function says. Step l forms delta_l with block l+1. Each run of
+    steps whose blocks do not split is one `_steps` call over all rows,
+    products included; each run of split steps whose products are not asked
+    for, one call by halves. A split step whose product is asked for is one
+    whole call beside the helper, which forms the product whole, as it sums
+    over the rows; its slope goes into the scratch array for the width, as
+    slopes[l] may be the buffer of the delta the helper reads."""
     blocks, split = weights._blocks, cache.split
     l = weights.num_layers - 1
     while l >= down_to:
@@ -526,51 +531,40 @@ def _backpropagate(weights: NetworkWeights, delta, down_to: int,
         if l + 1 not in split:
             while stop >= down_to and stop + 1 not in split:
                 stop -= 1
-            for k in range(l, stop, -1):
-                if k + 1 in products:
-                    np.matmul(cache.z[k].T, delta, out=products[k + 1])
-                delta = np.matmul(delta, blocks[k].T, out=cache.deltas[k])
-                delta *= _sigmoid_slope(cache.z[k], out=cache.slopes[k])
+            _steps(blocks, delta, l, stop, cache, products=products)
         elif l + 1 in products:
-            delta = _back_beside_product(delta, blocks[l], cache, l,
-                                         products[l + 1])
+            z = cache.z[l]
+            _alongside(functools.partial(np.matmul, z.T, delta,
+                                         out=products[l + 1]),
+                       functools.partial(_steps, blocks, delta, l, stop, cache,
+                                         slopes={l: cache.scratch[z.shape[1]]}))
         else:
             while stop >= down_to and stop + 1 in split \
                     and stop + 1 not in products:
                 stop -= 1
-            delta = _back_in_halves(blocks, delta, l, stop, cache)
-        l = stop
+            _in_halves(len(delta),
+                       functools.partial(_steps, blocks, delta, l, stop, cache))
+        delta, l = cache.deltas[stop + 1], stop
     if down_to in products:
         np.matmul(cache.z[down_to - 1].T, delta, out=products[down_to])
     return delta
 
 
-def _back_in_halves(blocks, delta, first: int, stop: int,
-                    cache: ForwardCache):
-    """Steps first down to stop+1 by row halves, each thread carrying its
-    own rows of delta down every step; returns delta_{stop+1}. slopes[l]
-    may be the buffer of delta_{l+1}: each half overwrites only its own
-    rows of it, and only after every read of them, as the serial step does
-    with all rows."""
-    def half(lo, hi):
-        d = delta[lo:hi]
-        for l in range(first, stop, -1):
-            d = np.matmul(d, blocks[l].T, out=cache.deltas[l][lo:hi])
-            d *= _sigmoid_slope(cache.z[l][lo:hi],
-                                out=cache.slopes[l][lo:hi])
-    _in_halves(len(delta), half)
-    return cache.deltas[stop + 1]
-
-
-def _back_beside_product(delta, W, cache: ForwardCache, l: int, g):
-    """Step l with block l+1's product: the helper forms z_l' delta into g
-    whole, as it sums over the rows, while this thread takes the step
-    whole. Its slope goes into the scratch array for the width, not into
-    slopes[l], which may be the buffer of the delta the helper reads."""
-    z, out = cache.z[l], cache.deltas[l]
-
-    def mine():
-        d = np.matmul(delta, W.T, out=out)
-        d *= _sigmoid_slope(z, out=cache.scratch[W.shape[0]])
-    _alongside(lambda: np.matmul(z.T, delta, out=g), mine)
-    return out
+def _steps(blocks, delta, first: int, stop: int, cache: ForwardCache, lo=0,
+           hi=None, products=(), slopes=None):
+    """Steps first down to stop+1 over rows lo..hi-1 of delta_{first+1}, or
+    all rows when hi is None. Step l writes delta_l into cache.deltas[l]
+    and sigmoid'(z_l) into `slopes`[l], cache.slopes unless given, after
+    its last read of delta_{l+1}, whose buffer that may be. Over all rows it
+    first forms a product asked for."""
+    slopes = slopes or cache.slopes
+    if hi is not None:
+        delta = delta[lo:hi]
+    for l in range(first, stop, -1):
+        if l + 1 in products:
+            np.matmul(cache.z[l].T, delta, out=products[l + 1])
+        d, z, s = cache.deltas[l], cache.z[l], slopes[l]
+        if hi is not None:
+            d, z, s = d[lo:hi], z[lo:hi], s[lo:hi]
+        delta = np.matmul(delta, blocks[l].T, out=d)
+        delta *= _sigmoid_slope(z, out=s)

@@ -120,7 +120,7 @@ def backprop_deltas(weights: NetworkWeights, cache: ForwardCache, Y, down_to: in
     l's shape, and the sweep writes z_{l-1}' delta_l into each: the data
     term of block l's gradient, before its 2/P. Where block l > down_to is
     in `cache.split`, the helper thread writes it while this one takes the
-    step to delta_{l-1} (see `network._back_beside_product`).
+    step to delta_{l-1} (see `network._backpropagate`).
     """
     L = weights.num_layers
     if not 1 <= down_to <= L:

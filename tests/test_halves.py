@@ -12,7 +12,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_problem
@@ -425,3 +425,56 @@ def test_only_blocks_with_large_products_split(helper_allowed):
     # a matrix-vector product never splits
     narrow = network.parse_architecture("64-[1,64]-1")
     assert ForwardCache.for_rows(narrow, 70000).split == ()
+
+
+def block_split_rows(k, n):
+    """The fewest rows at which a k x n block runs by halves."""
+    return max(-(-network._SPLIT_MIN // min(k, n)),
+               2 * -(-network._HALF_PRODUCT_MIN // (k * n)))
+
+
+@st.composite
+def planner_cases(draw):
+    """A net with widths from {10, 20, 50, 100}, rows from 1 below to 2
+    above where one of its blocks starts to split, a sweep's down_to and the
+    products it asks for, and a layer that forward_partial restarts from."""
+    d = draw(st.sampled_from([50, 10]))
+    widths = draw(st.lists(st.sampled_from([50, 100, 20, 10]), min_size=1,
+                           max_size=4)) + [draw(st.sampled_from([16, 1]))]
+    edges = sorted({block_split_rows(k, n)
+                    for k, n in zip([d] + widths, widths) if min(k, n) >= 2})
+    rows = draw(st.sampled_from([r for r in edges if r < 4200] or [1600])) \
+        + draw(st.integers(-1, 2))
+    L = len(widths)
+    down_to = draw(st.integers(1, L))
+    products = draw(st.sets(st.integers(down_to, L)))
+    return d, widths, rows, down_to, products, draw(st.integers(1, L))
+
+
+@settings(max_examples=40, deadline=None)
+@example((50, [50, 20, 50, 50, 1], 1600, 1, {1, 4, 5}, 4))  # split (1, 4)
+@example((50, [50, 20, 50, 50, 1], 1600, 2, set(), 3))
+@example((10, [50, 50, 16], 4100, 1, {2, 3}, 2))         # split (2, 3)
+@example((10, [50, 50, 16], 4100, 2, set(), 1))
+@given(case=planner_cases())
+def test_planners_give_the_bits_of_one_numpy_call(case):
+    """Forward passes from any layer, and a sweep down to any block asking
+    for any products, give `reference`'s bits wherever the runs begin and
+    end. The examples split block 1 with runs broken by whole layers, and
+    an output block."""
+    d, widths, rows, down_to, products, start = case
+    with pytest.MonkeyPatch.context() as mp:
+        idle_cpu(mp)
+        w, X, Y, cfg = make_problem(widths, d, rows, rows)
+        _, cache = forward(w, X)
+        z, deltas, _ = reference(w, X, Y, cfg)
+        assert all(same_bits(cache.z[l], z[l]) for l in range(1, len(z)))
+        got = {l: np.full(w.arch.block_shape(l), np.nan) for l in products}
+        assert same_bits(backprop_deltas(w, cache, Y, down_to, got),
+                         deltas[down_to])
+        assert all(same_bits(g, z[l - 1].T @ deltas[l])
+                   for l, g in got.items())
+        w.set_block(start, w.block(start) * 0.5)
+        forward_partial(w, cache, start)
+    z, _, _ = reference(w, X, Y, cfg)
+    assert all(same_bits(cache.z[l], z[l]) for l in range(1, len(z)))

@@ -49,6 +49,22 @@ class TestArchitecture:
         assert parse_architecture(" 3-[ 2 x 4 ]-1 ").layer_widths == (4, 4, 1)
         assert parse_architecture("3-[4 , 5]-2").layer_widths == (4, 5, 2)
 
+    @pytest.mark.parametrize("input_dim, widths, name", [
+        (3.0, (4, 1), "input_dim"), (True, (4, 1), "input_dim"),
+        ("3", (4, 1), "input_dim"), (0, (4, 1), "input_dim"),
+        (3, (4.7, 1), "layer_widths"), (3, (4, True), "layer_widths"),
+        (3, (4, 1.0), "layer_widths"), (3, (4, 0), "layer_widths"),
+        (3, (), "layer_widths")])
+    def test_non_integral_or_bool_dims_rejected(self, input_dim, widths, name):
+        """Before, 3.0 and True built a net and a width of 4.7 became 4."""
+        with pytest.raises(ValueError, match=name):
+            Architecture(input_dim, widths)
+
+    def test_numpy_integer_dims_accepted(self):
+        arch = Architecture(np.int64(3), (np.int32(4), np.uint8(1)))
+        assert arch.block_shapes == ((3, 4), (4, 1))
+        assert [type(n) for n in arch.layer_widths] == [int, int]
+
     def test_variable_count(self):
         arch = parse_architecture("13-[1x50]-1")
         assert arch.num_variables == 13 * 50 + 50 * 1 == 700
@@ -224,6 +240,16 @@ class TestForward:
         arch, w, _ = random_net([3, 1], seed=0, input_dim=5)
         with pytest.raises(Exception):
             forward(w, np.ones((2, 4)))
+
+    @pytest.mark.parametrize("inputs, want", [
+        (np.ones(3), (3, 3)), (np.ones((2, 4)), (2, 3)),
+        (np.ones((2, 3, 1)), (2, 3)), (1.0, (3,))])
+    def test_inputs_not_rows_by_input_dim_are_refused(self, inputs, want):
+        """Before, a 1-D batch raised a bare IndexError."""
+        _, w, _ = random_net([4, 1], seed=0, input_dim=3)
+        with pytest.raises(ShapeMismatchError, match="forward inputs") as err:
+            forward(w, inputs)
+        assert err.value.shape_b == want
 
     def test_given_cache_keeps_its_buffers_and_equals_a_fresh_pass(self):
         arch, w, X = random_net([7, 5, 6, 2], seed=13, input_dim=3, P=9)

@@ -5,7 +5,7 @@ change that should not move any result.
 
 layeropt is imported from the ``src/`` beside this file's directory, so the
 script runs the tree it sits in. It writes one record per run, every float as
-``float.hex()``, for eight sets:
+``float.hex()``, for nine sets:
 
 - ``deep``: the criterion-10 instance (a ``10-[2x20]-1`` teacher, 2000
   samples, noise 0.05, data seed 99, an 80/20 split, min-max scaling, a
@@ -43,7 +43,14 @@ script runs the tree it sits in. It writes one record per run, every float as
   over the same rows at init seed 0, whose split blocks, 2 and 5, are not
   consecutive: a pass hands the helper one job per run of split layers,
   each thread carrying its rows through the run, so these records pin
-  where runs begin and end, with whole layers between them.
+  where runs begin and end, with whole layers between them;
+- ``wide-output``: B2LD and LBFGS on a ``10-[50,50]-16`` student at init
+  seed 0 over the 4,100 training rows of a 16-target ``10-[2x20]-16``
+  teacher set (5,125 samples, otherwise as ``deep``), whose split blocks, 2
+  and 3, include the output block: a backward sweep then takes its first
+  step by halves or beside block 3's product, while the forward pass forms
+  the output layer's product whole, so these records pin a split output
+  block, which the one-output sets never have.
 
 Each record holds the init and final-weight digests, the final objective and
 gradient norm, the trajectory, the stop reason, the update counts, the inner
@@ -55,9 +62,10 @@ round trip; they train nothing more. To check a change, run the script in a copy
 the parent commit and in the change, and compare the two files with ``cmp``.
 BLAS is pinned to one thread, so the records do not depend on its threading.
 On two or more CPUs the B2LD and LBFGS runs of ``deep``,
-``deep-failing-armijo``, ``odd-rows``, ``mixed-widths`` and ``broken-chain``
-then split their large layers over the helper thread, and a tree without it
-runs them whole: equal records show that the halves keep the bits.
+``deep-failing-armijo``, ``odd-rows``, ``mixed-widths``, ``broken-chain`` and
+``wide-output`` then split their large layers over the helper thread, and a
+tree without it runs them whole: equal records show that the halves keep the
+bits.
 """
 
 import os
@@ -149,6 +157,12 @@ MIXED_WIDTHS = dict(DEEP, architectures=["10-[50,100,50]-1"], seeds=[0],
                     algorithms=("B2LD", "LBFGS"))
 
 BROKEN_CHAIN = dict(MIXED_WIDTHS, architectures=["10-[50,50,20,50,50]-1"])
+
+WIDE_OUTPUT = dict(MIXED_WIDTHS, architectures=["10-[50,50]-16"],
+                   dataset=DatasetSpec(name="wide-output",
+                                       teacher_arch="10-[2x20]-16",
+                                       samples=5125, noise_sd=0.05,
+                                       data_seed=99, test_fraction=0.2))
 
 
 def file_set(tmp):
@@ -243,6 +257,7 @@ def main(argv=None):
     out += records("odd-rows", ODD_ROWS, [])
     out += records("mixed-widths", MIXED_WIDTHS, [])
     out += records("broken-chain", BROKEN_CHAIN, [])
+    out += records("wide-output", WIDE_OUTPUT, [])
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")
