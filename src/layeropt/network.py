@@ -13,9 +13,8 @@ import functools
 import multiprocessing
 import numbers
 import os
-import queue
 import re
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +81,12 @@ def _sigmoid_slope(z, out=None):
 _ACT = {Activation.SIGMOID: (sigmoid, _sigmoid_slope)}
 
 
+def _check_layer(l, name: str, lo: int, hi: int):
+    """Refuse a block number l outside lo..hi, a bool or float included."""
+    if not ((type(l) is int or _is_a(l, numbers.Integral)) and lo <= l <= hi):
+        raise ValueError(f"{name} {l} outside {lo}..{hi}")
+
+
 @dataclass(frozen=True)
 class Architecture:
     """Widths of a feedforward net: input dim, hidden+output layer widths."""
@@ -113,8 +118,7 @@ class Architecture:
 
     def block_shape(self, layer: int):
         """Shape of weight block `layer` (1-based)."""
-        if not 1 <= layer <= len(self.block_shapes):
-            raise ValueError(f"layer {layer} outside 1..{self.num_layers}")
+        _check_layer(layer, "layer", 1, len(self.block_shapes))
         return self.block_shapes[layer - 1]
 
     @property
@@ -172,8 +176,7 @@ class NetworkWeights:
         """Read weight block `layer` (1-based), refusing a layer outside
         1..L as `block_shape` does. This module's kernels index the blocks
         directly."""
-        if not 1 <= layer <= len(self._blocks):
-            raise ValueError(f"layer {layer} outside 1..{len(self._blocks)}")
+        _check_layer(layer, "layer", 1, len(self._blocks))
         return self._blocks[layer - 1]
 
     @property
@@ -199,12 +202,13 @@ class NetworkWeights:
         return np.concatenate([b.ravel() for b in self._blocks])
 
     def set_from_flat(self, vec: np.ndarray):
+        """Set the blocks from `vec`; one of the wrong length sets none."""
+        if vec.size != (n := self.arch.num_variables):
+            raise ValueError(f"flat vector length {vec.size} != {n}")
         pos = 0
         for l, (r, c) in enumerate(self.arch.block_shapes, start=1):
             self.set_block(l, vec[pos:pos + r * c].reshape(r, c))
             pos += r * c
-        if pos != vec.size:
-            raise ValueError(f"flat vector length {vec.size} != {pos}")
 
     def digest(self) -> str:
         import hashlib
@@ -281,67 +285,42 @@ def _blas_threads():
     return None
 
 
-class _Helper:
-    """A daemon thread that runs one job at a time, for the thread that
-    holds `busy`."""
-
-    def __init__(self):
-        self.pid = os.getpid()
-        self.busy = threading.Lock()
-        self.jobs = queue.SimpleQueue()
-        self.done = queue.SimpleQueue()
-        threading.Thread(target=self._serve, name="layeropt-halves",
-                         daemon=True).start()
-
-    def _serve(self):
-        # No local outlives a job: its closure holds the caller's arrays, a
-        # forward cache's buffers among them, which must be freed when the
-        # caller drops them.
-        while True:
-            self.done.put(self._run(self.jobs.get()))
-
-    @staticmethod
-    def _run(job):
-        """None, or the exception job raised, which the caller re-raises."""
-        try:
-            job()
-        except BaseException as exc:
-            return exc
+def _start_helper():
+    """A new `_helper`, at import and in a forked child: a fork copies no
+    thread but the caller's, so the parent's worker is not there."""
+    global _helper
+    _helper = ThreadPoolExecutor(1, thread_name_prefix="layeropt-halves")
 
 
-_helper = None
-_helper_lock = threading.Lock()     # held only while a helper starts
+_start_helper()
+os.register_at_fork(after_in_child=_start_helper)
 
 
 def _alongside(job, mine):
     """Run job() on the helper thread and mine() on this one, and return
     when both are done. An exception of mine's is raised once job is done;
-    otherwise one of job's is raised here. The helper starts on the first
-    call of a process, under a lock, so that threads whose first calls
-    overlap share one, and a forked child starts its own. It serves one
-    calling thread at a time. Neither may write what the other reads or
-    writes, and job must call only numpy and private functions: a tracer
-    that wraps the public ones keeps no lock."""
-    global _helper
-    helper = _helper
-    if helper is None or helper.pid != os.getpid():
-        with _helper_lock:
-            helper = _helper
-            if helper is None or helper.pid != os.getpid():
-                helper = _helper = _Helper()
-    with helper.busy:
-        helper.jobs.put(job)
-        try:
-            mine()
-        finally:
-            failed = helper.done.get()
+    otherwise one of job's is raised here. The helper is `_helper`'s one
+    worker, started at the first job; jobs of several calling threads queue
+    on it. Once the interpreter begins to exit, before any atexit hook, it
+    takes no job, and job() then mine() run here. Neither may
+    write what the other reads or writes, and job must call only numpy and
+    private functions: a tracer that wraps the public ones keeps no lock."""
+    try:
+        done = _helper.submit(job)
+    except RuntimeError:        # "cannot schedule new futures after shutdown"
+        job()
+        return mine()
+    try:
+        mine()
+    finally:
+        failed = done.exception()
     if failed is not None:
         raise failed
 
 
 def _in_halves(n: int, body):
-    """Run body(n // 2, n) on the helper thread and body(0, n // 2) on this
-    one, through `_alongside`; the halves must write disjoint ranges."""
+    """Run body(n // 2, n) as `_alongside`'s job, on the helper thread, and
+    body(0, n // 2) on this one; the halves must write disjoint ranges."""
     h = n // 2
     _alongside(lambda: body(h, n), lambda: body(0, h))
 
@@ -450,9 +429,7 @@ def forward_partial(weights: NetworkWeights, cache: ForwardCache, from_layer: in
     StaleCacheError is raised, as it is for a cache that holds no forward
     pass.
     """
-    L = weights.num_layers
-    if not 1 <= from_layer <= L:
-        raise ValueError(f"from_layer {from_layer} outside 1..{L}")
+    _check_layer(from_layer, "from_layer", 1, weights.num_layers)
     if not cache.versions:
         raise StaleCacheError("cache holds no forward pass")
     cur = weights.versions()

@@ -21,7 +21,7 @@ import numpy as np
 
 from .linalg import _is_a
 from .network import (ForwardCache, NetworkWeights, StaleCacheError,
-                      _backpropagate, forward)
+                      _backpropagate, _check_layer, forward)
 
 
 @dataclass(frozen=True)
@@ -123,11 +123,9 @@ def backprop_deltas(weights: NetworkWeights, cache: ForwardCache, Y, down_to: in
     step to delta_{l-1} (see `network._backpropagate`).
     """
     L = weights.num_layers
-    if not 1 <= down_to <= L:
-        raise ValueError(f"down_to {down_to} outside 1..{L}")
+    _check_layer(down_to, "down_to", 1, L)
     for l in products or ():
-        if not down_to <= l <= L:
-            raise ValueError(f"products block {l} outside {down_to}..{L}")
+        _check_layer(l, "products block", down_to, L)
     delta = np.subtract(cache.z[L], Y, out=cache.deltas[L])
     return _backpropagate(weights, delta, down_to, cache, products or {})
 

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -51,8 +52,13 @@ def reference(weights, X, Y, cfg):
 
 
 class NoHelper:
-    def __init__(self):
-        raise AssertionError("a helper thread was started")
+    """An executor that takes no job, for `network.ThreadPoolExecutor`."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def submit(self, job):
+        raise AssertionError("a job was handed to the helper")
 
 
 def idle_cpu(mp):
@@ -216,19 +222,32 @@ def test_each_product_is_written_before_its_delta_is_overwritten(
         alongside(slow_job, mine)
     monkeypatch.setattr(network, "_alongside", slowed)
     backprop_deltas(w, cache, Y, 1, got)
-    assert written == [(3, "layeropt-halves"), (2, "layeropt-halves")]
+    assert written == [(3, "layeropt-halves_0"), (2, "layeropt-halves_0")]
     assert all(same_bits(got[l], z[l - 1].T @ deltas[l]) for l in range(1, 5))
 
 
-def test_an_error_in_the_helpers_gradient_reaches_the_caller(helper_allowed):
+def test_an_error_in_the_helpers_gradient_reaches_the_caller(
+        monkeypatch, helper_allowed):
     """A product buffer of the wrong shape for split block 3 fails in the
     helper's job; the error reaches the caller and the next sweep holds."""
     w, X, Y, cfg = make_problem(MIXED, 10, 1601, 13)
     _, cache = forward(w, X)
     _, _, grads = reference(w, X, Y, cfg)
-    with pytest.raises(ValueError) as failed:
+    raised_on = []
+    alongside = network._alongside
+
+    def watched(job, mine):
+        def watched_job():
+            try:
+                job()
+            except ValueError:
+                raised_on.append(threading.current_thread().name)
+                raise
+        alongside(watched_job, mine)
+    monkeypatch.setattr(network, "_alongside", watched)
+    with pytest.raises(ValueError):
         backprop_deltas(w, cache, Y, 1, {3: np.empty((50, 100))})
-    assert "_run" in [entry.name for entry in failed.traceback]
+    assert raised_on == ["layeropt-halves_0"]
     got = full_gradient(w, Y, cfg, cache)
     assert all(same_bits(g, r) for g, r in zip(got, grads))
 
@@ -250,8 +269,7 @@ def test_the_helper_holds_no_array_past_its_job(helper_allowed):
 def test_no_idle_cpu_runs_serially(monkeypatch, cpus, blas_threads):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     monkeypatch.setattr(network, "_blas_threads", lambda: blas_threads)
-    monkeypatch.setattr(network, "_helper", None)
-    monkeypatch.setattr(network, "_Helper", NoHelper)
+    monkeypatch.setattr(network, "_helper", NoHelper())
     w, X, Y, cfg = make_problem([50, 50, 1], 10, 1600, 4)
     out, cache = forward(w, X)
     assert cache.split == ()
@@ -319,50 +337,55 @@ def test_calling_threads_take_turns_on_the_helper(helper_allowed):
 
 
 def test_threads_whose_first_calls_overlap_share_one_helper(monkeypatch):
-    """Each thread sees no helper yet; a slow start must not let both make
-    one, which would leave a second thread parked for good."""
-    made = []
-
-    class SlowHelper(network._Helper):
-        def __init__(self):
-            made.append(self)
-            time.sleep(0.05)
-            super().__init__()
-
+    """Two threads hand a fresh executor their first jobs at once: one
+    worker thread starts, and it runs both."""
     def helpers():
-        return sum(t.name == "layeropt-halves" for t in threading.enumerate())
+        return {t for t in threading.enumerate()
+                if t.name.startswith("layeropt-halves")}
 
-    monkeypatch.setattr(network, "_helper", None)
-    monkeypatch.setattr(network, "_Helper", SlowHelper)
     before = helpers()
+    monkeypatch.setattr(network, "_helper", None)
+    network._start_helper()
     start = threading.Barrier(2)
     ran = []
 
     def first_call():
         start.wait(timeout=60)
-        network._in_halves(10, lambda lo, hi: ran.append((lo, hi)))
+        network._in_halves(10, lambda lo, hi: ran.append(
+            (lo, hi, threading.current_thread() in helpers())))
     threads = [threading.Thread(target=first_call) for _ in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        started = helpers() - before
+    finally:
+        sys.setswitchinterval(interval)
+        network._helper.shutdown()
     assert not any(t.is_alive() for t in threads)
-    assert len(made) == 1 and network._helper is made[0]
-    assert helpers() == before + 1
-    assert sorted(ran) == [(0, 5), (0, 5), (5, 10), (5, 10)]
+    assert len(started) == 1
+    assert sorted(ran) == [(0, 5, False), (0, 5, False), (5, 10, True),
+                           (5, 10, True)]
 
 
 def test_forked_child_starts_its_own_helper(helper_allowed):
+    """The parent's helper has run a job when it forks; the child's
+    `_helper` is a new executor, whose worker gives the parent's bits."""
     w, X, _, _ = make_problem([50, 50, 1], 10, 1600, 6)
     out, cache = forward(w, X)
-    assert cache.split and network._helper.pid == os.getpid()
+    assert cache.split
+    parents = network._helper
     r, wr = os.pipe()
     pid = os.fork()
     if pid == 0:                                    # the child
         try:
-            child_out, _ = forward(w, X)
+            child_out, child_cache = forward(w, X)
+            own = network._helper is not parents and bool(child_cache.split)
             os.write(wr, hashlib.sha256(bits(child_out)).hexdigest().encode()
-                     + str(network._helper.pid).encode())
+                     + str(own).encode())
         finally:
             os._exit(0)
     os.close(wr)
@@ -373,7 +396,63 @@ def test_forked_child_starts_its_own_helper(helper_allowed):
     finally:
         os.close(r)
         os.waitpid(pid, 0)
-    assert reply == hashlib.sha256(bits(out)).hexdigest() + str(pid)
+    assert reply == hashlib.sha256(bits(out)).hexdigest() + "True"
+
+
+EXIT_SCRIPT = """
+import atexit, os, sys
+import numpy as np
+from conftest import make_problem
+from layeropt import network
+
+os.sched_getaffinity = lambda pid: {0, 1}
+network._blas_threads = lambda: 1
+w, X, _, _ = make_problem([50, 50, 1], 10, 1600, 17)
+W = w.blocks
+serial = network.sigmoid(network.sigmoid(X @ W[0]) @ W[1]) @ W[2]
+
+
+def refused():
+    try:
+        network._helper.submit(int)
+    except RuntimeError:
+        return True
+    return False
+
+
+def split_forward(when):
+    out, cache = network.forward(w, X)
+    same = np.array_equal(out.view(np.uint64), serial.view(np.uint64))
+    print(when, cache.split, same, refused(), flush=True)
+
+
+split_forward("main")
+if sys.argv[1:] == ["atexit"]:
+    atexit.register(split_forward, "atexit")
+"""
+
+
+def run_exit_script(*args):
+    """The stdout of EXIT_SCRIPT, which must exit with status 0 in time."""
+    here = os.path.dirname(__file__)
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    done = subprocess.run([sys.executable, "-c", EXIT_SCRIPT, *args],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_a_process_whose_layers_split_exits():
+    """The helper is no daemon: the interpreter joins it at exit."""
+    assert run_exit_script() == "main (2,) True False\n"
+
+
+def test_a_split_pass_in_an_atexit_hook_gives_the_serial_bits():
+    """By then the executor takes no job, and both halves run here."""
+    assert run_exit_script("atexit") == ("main (2,) True False\n"
+                                         "atexit (2,) True True\n")
 
 
 def test_pool_workers_start_no_helper_and_match_one_worker(monkeypatch,
@@ -387,11 +466,11 @@ def test_pool_workers_start_no_helper_and_match_one_worker(monkeypatch,
     config = ExperimentConfig.from_dict(raw)
     assert prepare_dataset(config.datasets[0])[0].num_samples == 1600
     with monkeypatch.context() as mp:
-        mp.setattr(network, "_helper", None)
-        mp.setattr(network, "_Helper", NoHelper)   # forked workers inherit it
+        # the at-fork hook makes each forked worker's _helper a NoHelper
+        mp.setattr(network, "ThreadPoolExecutor", NoHelper)
         pooled = run_experiment(config, workers=2).rows
     inline = run_experiment(config, workers=1).rows
-    assert network._helper is not None and network._helper.pid == os.getpid()
+    assert type(network._helper) is ThreadPoolExecutor
     assert not any(r.error for r in pooled + inline)
     for a, b in zip(pooled, inline):
         a.elapsed_seconds = b.elapsed_seconds = 0.0

@@ -199,6 +199,16 @@ class TestInitWeights:
         with pytest.raises(ValueError, match=f"layer {l} outside 1..3"):
             arch.block_shape(l)
 
+    @pytest.mark.parametrize("size", [12, 33])
+    def test_flat_vector_of_wrong_length_sets_no_block(self, size):
+        # 12 overwrote block 1 and then failed to reshape, 33 overwrote all
+        w = init_weights(parse_architecture("3-[4,4]-1"), SeededRng(0))
+        before = w.digest()
+        with pytest.raises(ValueError,
+                           match=f"flat vector length {size} != 32"):
+            w.set_from_flat(np.zeros(size))
+        assert w.digest() == before
+
     def test_blocks_view_follows_set_block(self):
         arch = parse_architecture("3-[2x4]-2")
         w = init_weights(arch, SeededRng(0))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,6 +171,47 @@ class TestBlockGradient:
 
     def test_integer_sample_count_of_any_kind_accepted(self):
         assert ObjectiveConfig(0.1, np.int64(5)).sample_count == 5
+
+
+def block_number_calls(w, cache, Y, cfg):
+    """Each public call that takes a block number of the 2-[3,3]-1 net, as
+    (the argument's name in an error, the call)."""
+    return {
+        "block_shape": ("layer", w.arch.block_shape),
+        "block": ("layer", w.block),
+        "set_block": ("layer", lambda l: w.set_block(l, np.zeros((3, 3)))),
+        "forward_partial": ("from_layer",
+                            lambda l: forward_partial(w, cache, l)),
+        "backprop_deltas": ("down_to",
+                            lambda l: backprop_deltas(w, cache, Y, l)),
+        "products": ("products block", lambda l: backprop_deltas(
+            w, cache, Y, 1, {l: np.empty((3, 3))})),
+        "block_gradient": ("layer",
+                           lambda l: block_gradient(w, Y, cfg, l, cache)),
+    }
+
+
+CALLS = ["block_shape", "block", "set_block", "forward_partial",
+         "backprop_deltas", "products", "block_gradient"]
+
+
+@pytest.mark.parametrize("call", CALLS)
+@pytest.mark.parametrize("l", [2.0, True, 0, 4])
+def test_block_number_no_integer_in_1_to_L_rejected(call, l):
+    # 2.0 failed in indexing or, given to backprop_deltas, ran; True was
+    # taken as block 1
+    w, X, Y, cfg = make_problem([3, 3, 1], 2, 5, seed=10)
+    _, cache = forward(w, X)
+    name, fn = block_number_calls(w, cache, Y, cfg)[call]
+    with pytest.raises(ValueError, match=re.escape(f"{name} {l} outside 1..3")):
+        fn(l)
+
+
+@pytest.mark.parametrize("call", CALLS)
+def test_numpy_integer_block_number_accepted(call):
+    w, X, Y, cfg = make_problem([3, 3, 1], 2, 5, seed=10)
+    _, cache = forward(w, X)
+    block_number_calls(w, cache, Y, cfg)[call][1](np.int64(2))
 
 
 @st.composite

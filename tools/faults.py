@@ -24,8 +24,9 @@ may not catch alive, so theirs can move by up to about 100 bytes; at
 ``full_gradient`` sweep, so the objects a sweep holds, such as the map of
 its products, count there.
 ``threads`` is ``threading.active_count()`` after the measured run: 2 where
-the method's layers ran by halves on the helper thread, 1 where they did
-not. BLAS is pinned to one thread.
+the method's layers ran by halves, so that the worker thread of network.py's
+one-worker executor has started, 1 where they did not. BLAS is pinned to one
+thread.
 """
 
 import argparse
