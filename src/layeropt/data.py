@@ -6,11 +6,12 @@ character. `save_dataset` writes it comma-delimited, targets first, ``%.17g``;
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SeededRng
+from .linalg import SeededRng, _is_a
 from .network import Architecture, forward, init_weights
 
 
@@ -117,10 +118,25 @@ def train_test_split(ds: Dataset, test_fraction: float, seed: int):
     return Dataset(ds.X[tr], ds.Y[tr]), Dataset(ds.X[te], ds.Y[te])
 
 
+# What `synth_teacher_dataset` asks of its sample count and noise, by the
+# names `DatasetSpec` gives them: a test and the words for what it asks.
+SYNTH_RULES = {
+    "samples": (lambda P: _is_a(P, numbers.Integral) and P >= 1,
+                "must be an int >= 1"),
+    "noise_sd": (lambda sd: _is_a(sd, numbers.Real) and math.isfinite(sd)
+                 and sd >= 0, "must be a finite number >= 0")}
+
+
 def synth_teacher_dataset(arch: Architecture, P: int, noise_sd: float,
                           seed: int) -> Dataset:
     """Inputs uniform in [0,1]^d; targets are a seeded teacher network's
-    outputs plus Gaussian noise. Realizable by construction at noise_sd=0."""
+    outputs plus Gaussian noise. Realizable by construction at noise_sd=0.
+    P and noise_sd that break `SYNTH_RULES` raise a ValueError naming the
+    field, before any draw."""
+    for key, value in (("samples", P), ("noise_sd", noise_sd)):
+        ok, need = SYNTH_RULES[key]
+        if not ok(value):
+            raise ValueError(f"{key} {value!r} {need}")
     rng = SeededRng(seed)
     teacher = init_weights(arch, rng.child(1))
     X = rng.child(2).uniform(0.0, 1.0, size=(P, arch.input_dim))

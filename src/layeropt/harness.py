@@ -18,8 +18,8 @@ from itertools import combinations, product
 
 from .batch import (AcceptanceParams, BlockSelectionRule, StoppingCriteria,
                     b2ld_run, lbfgs_baseline_run)
-from .data import (Dataset, fit_apply_normalization, load_delimited,
-                   synth_teacher_dataset, train_test_split)
+from .data import (SYNTH_RULES, Dataset, fit_apply_normalization,
+                   load_delimited, synth_teacher_dataset, train_test_split)
 from .linalg import SeededRng, _is_a
 from .minibatch import (BlingParams, MinibatchSelectionRule, bling_run,
                         check_epoch_bound, ig_run, make_partition)
@@ -70,13 +70,10 @@ class DatasetSpec:
                  and all(_is_a(c, numbers.Integral) and c >= 1
                          for c in self.target_columns),
                  "must be a non-empty list of ints >= 1"),
-                ("samples", _is_a(self.samples, numbers.Integral)
-                 and self.samples >= 1, "must be an int >= 1"),
+                *((key, ok(getattr(self, key)), need)
+                  for key, (ok, need) in SYNTH_RULES.items()),
                 ("data_seed", _is_a(self.data_seed, numbers.Integral)
                  and self.data_seed >= 0, "must be an int >= 0"),
-                ("noise_sd", _is_a(self.noise_sd, numbers.Real)
-                 and math.isfinite(self.noise_sd) and self.noise_sd >= 0,
-                 "must be a finite number >= 0"),
                 ("test_fraction", _is_a(self.test_fraction, numbers.Real)
                  and 0 < self.test_fraction < 1, "must lie in (0, 1)")):
             if not ok:

@@ -248,6 +248,12 @@ class StaleCacheError(RuntimeError):
 #   ways, and its halves did not keep the bits.
 _SPLIT_MIN = 65_536
 _HALF_PRODUCT_MIN = 2 ** 20
+# A split step whose product is asked for slopes its rows in this many
+# chunks, so its scratch holds that share of the rows. At 1,600 x 50 with
+# BLAS on one thread, four chunks of 400 rows kept the caller's side of the
+# step (matmul, slope, multiply) as fast as one whole pass; 100-row chunks
+# cost about 15% more.
+_SCRATCH_PARTS = 4
 
 
 def _can_split() -> bool:
@@ -357,9 +363,9 @@ class ForwardCache:
     `_propagate` and `_backpropagate` plan the hand-offs. Each product is
     the serial call or row halves of it, so the bits are the serial ones. A
     split step whose product is asked for writes its slope into `scratch`,
-    one rows x n array per width n of a layer that a split block reads, and
-    empty when nothing splits: 640,000 bytes for the student on 1,600 rows.
-    """
+    one array per width n of a layer that a split block reads, of a
+    `_SCRATCH_PARTS`th of the rows by n, and empty when nothing splits:
+    160,000 bytes for the student on 1,600 rows."""
 
     z: list = field(default_factory=list)
     deltas: list = field(default_factory=list)    # None at 0
@@ -367,7 +373,7 @@ class ForwardCache:
     versions: tuple = ()
     geometry: tuple = ()
     split: tuple = ()
-    scratch: dict = field(default_factory=dict)   # width -> rows x width
+    scratch: dict = field(default_factory=dict)   # width -> chunk x width
 
     @classmethod
     def for_rows(cls, arch: Architecture, rows: int) -> "ForwardCache":
@@ -387,7 +393,7 @@ class ForwardCache:
                    slopes=[None] + [pairs[n][1 - l % 2] for l, n in hidden]
                    + [None],
                    geometry=(rows, widths), split=split,
-                   scratch={n: np.empty((rows, n))
+                   scratch={n: np.empty((-(-rows // _SCRATCH_PARTS), n))
                             for n in {widths[l - 2] for l in split if l > 1}})
 
     @property
@@ -499,8 +505,9 @@ def _backpropagate(weights: NetworkWeights, delta, down_to: int,
     products included; each run of split steps whose products are not asked
     for, one call by halves. A split step whose product is asked for is one
     whole call beside the helper, which forms the product whole, as it sums
-    over the rows; its slope goes into the scratch array for the width, as
-    slopes[l] may be the buffer of the delta the helper reads."""
+    over the rows; its slope goes, a chunk of rows at a time, into the
+    scratch array for the width, as slopes[l] may be the buffer of the
+    delta the helper reads."""
     blocks, split = weights._blocks, cache.split
     l = weights.num_layers - 1
     while l >= down_to:
@@ -532,8 +539,10 @@ def _steps(blocks, delta, first: int, stop: int, cache: ForwardCache, lo=0,
     """Steps first down to stop+1 over rows lo..hi-1 of delta_{first+1}, or
     all rows when hi is None. Step l writes delta_l into cache.deltas[l]
     and sigmoid'(z_l) into `slopes`[l], cache.slopes unless given, after
-    its last read of delta_{l+1}, whose buffer that may be. Over all rows it
-    first forms a product asked for."""
+    its last read of delta_{l+1}, whose buffer that may be; a slopes[l] of
+    fewer rows takes them in chunks of its length, as elementwise ufuncs
+    give the same bits on any run of rows. Over all rows it first forms a
+    product asked for."""
     slopes = slopes or cache.slopes
     if hi is not None:
         delta = delta[lo:hi]
@@ -544,4 +553,10 @@ def _steps(blocks, delta, first: int, stop: int, cache: ForwardCache, lo=0,
         if hi is not None:
             d, z, s = d[lo:hi], z[lo:hi], s[lo:hi]
         delta = np.matmul(delta, blocks[l].T, out=d)
-        delta *= _sigmoid_slope(z, out=s)
+        k = len(s)
+        if k == len(d):
+            delta *= _sigmoid_slope(z, out=s)
+        else:   # a scratch of fewer rows: chunks of k rows
+            for i in range(0, len(d), k):
+                part = delta[i:i + k]
+                part *= _sigmoid_slope(z[i:i + k], out=s[:len(part)])

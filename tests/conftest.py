@@ -1,5 +1,8 @@
+import os
+
 import numpy as np
 
+from layeropt import network
 from layeropt.harness import ExperimentConfig
 from layeropt.linalg import SeededRng
 from layeropt.network import Architecture, init_weights
@@ -37,6 +40,14 @@ def count_callback_calls(monkeypatch, module, name, tally, key):
     def wrapper(callback, *args, **kwargs):
         return fn(counted(callback, tally, key), *args, **kwargs)
     monkeypatch.setattr(module, name, wrapper)
+
+
+def idle_cpu(mp):
+    """An affinity of two CPUs and BLAS on one thread, whatever the machine
+    has, so that large layers run by halves; BLAS keeps its own thread
+    count."""
+    mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    mp.setattr(network, "_blas_threads", lambda: 1)
 
 
 def make_problem(widths, input_dim, P, seed, rho=1e-3):

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 import layeropt.batch as batch
 import layeropt.objective as objective
 import layeropt.solvers as solvers
-from conftest import count_callback_calls, counted, make_problem
+from conftest import count_callback_calls, counted, idle_cpu, make_problem
 from layeropt.batch import (AcceptanceParams, BlockSelectionRule,
                             StoppingCriteria, _block_eval, accept_trial,
                             b2ld_run, lbfgs_baseline_run)
-from layeropt.network import ForwardCache, StaleCacheError, forward
+from layeropt.network import (ForwardCache, StaleCacheError, forward,
+                              parse_architecture)
 from layeropt.objective import (ObjectiveConfig, block_gradient,
                                 full_gradient, gradient_norm, objective_value,
                                 weights_squared_norm)
@@ -336,17 +337,27 @@ class TestEvaluationBuffers:
         w, X, Y, cfg = make_problem([40, 40, 40, 1], 6, 2000, seed=3)
         cache = ForwardCache.for_rows(w.arch, X.shape[0])
         held = {id(a): a for a in cache.z[1:] + cache.deltas + cache.slopes
-                if a is not None}
+                + list(cache.scratch.values()) if a is not None}
         cache_bytes = sum(a.nbytes for a in held.values())
         assert warm_peak_bytes(lambda: run_b2ld(w, X, Y, cfg, max_cycles=1)) \
             < cache_bytes + X.shape[0] * 40 * 8
+
+    def test_b2ld_run_by_halves_holds_one_cache(self, monkeypatch):
+        """The same bound with blocks 2 and 3 split, the cache's rows x 40
+        scratch slope counted: a full gradient's products, formed on the
+        helper beside the delta steps, hold no array of their own."""
+        idle_cpu(monkeypatch)
+        assert ForwardCache.for_rows(parse_architecture("6-[3x40]-1"),
+                                     2000).split == (2, 3)
+        self.test_b2ld_run_holds_one_cache()
 
     def test_lbfgs_run_holds_one_cache_and_its_pairs(self):
         """A whole L-BFGS run whose MEMORY curvature pairs are all held
         allocates, at peak, less than its one forward cache, those pairs
         and one more layer array. The cache is counted as it should be laid
         out: the layer outputs, one pair of rows x n buffers per hidden
-        width n and the output layer's delta. This fails at d22511d, whose
+        width n, the output layer's delta and, when layers split, the
+        scratch slope. This fails at d22511d, whose
         cache held a third rows x 40 array: its peak of 4,687,704 B was
         above the bound of 4,428,800 B. The peak is now 4,020,336 B."""
         w, X, Y, cfg = make_problem([40, 40, 40, 1], 6, 2000, seed=3)
@@ -359,10 +370,21 @@ class TestEvaluationBuffers:
                                       stop).inner_iterations == steps
         widths = w.arch.layer_widths
         cache_bytes = X.shape[0] * 8 * (
-            sum(widths) + 2 * sum(set(widths[:-1])) + widths[-1])
+            sum(widths) + 2 * sum(set(widths[:-1])) + widths[-1]) + sum(
+            a.nbytes for a in ForwardCache.for_rows(
+                w.arch, X.shape[0]).scratch.values())
         pair_bytes = 2 * solvers.MEMORY * w.arch.num_variables * 8
         assert warm_peak_bytes(run) \
             < cache_bytes + pair_bytes + X.shape[0] * 40 * 8
+
+    def test_lbfgs_run_by_halves_holds_one_cache_and_its_pairs(
+            self, monkeypatch):
+        """The same bound with blocks 2 and 3 split, the cache's rows x 40
+        scratch slope counted."""
+        idle_cpu(monkeypatch)
+        assert ForwardCache.for_rows(parse_architecture("6-[3x40]-1"),
+                                     2000).split == (2, 3)
+        self.test_lbfgs_run_holds_one_cache_and_its_pairs()
 
 
 class TestLbfgsBaseline:

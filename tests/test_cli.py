@@ -49,6 +49,20 @@ class TestSynth:
         da, db = load_delimited(a, (1,)), load_delimited(b, (1,))
         assert np.array_equal(da.X, db.X) and np.array_equal(da.Y, db.Y)
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--samples", "0"], "samples"), (["--samples", "-2"], "samples"),
+        (["--noise-sd", "-1"], "noise_sd"), (["--noise-sd", "nan"], "noise_sd"),
+        (["--noise-sd", "inf"], "noise_sd")])
+    def test_bad_samples_or_noise_exit_1_and_write_no_file(self, tmp_path,
+                                                           capsys, flags,
+                                                           field):
+        out = tmp_path / "f.csv"
+        argv = ["synth", "--arch", "3-[1x4]-1", "--samples", "5",
+                "--out", str(out)]
+        assert main(argv + flags) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: {field} ")
+
     def test_train_reads_what_synth_writes(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert main(["synth", "--arch", "3-[1x4]-1", "--samples", "40",

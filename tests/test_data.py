@@ -157,6 +157,27 @@ class TestSynthTeacher:
         ds = synth_teacher_dataset(arch, 100, 0.0, seed=2)
         assert ds.X.min() >= 0.0 and ds.X.max() <= 1.0
 
+    @pytest.mark.parametrize("P", [0, -2, True, 2.0, "5", None])
+    def test_samples_not_an_int_of_1_or_more_refused(self, P):
+        with pytest.raises(ValueError,
+                           match=r"^samples .* must be an int >= 1$"):
+            synth_teacher_dataset(parse_architecture("3-[1x4]-1"), P, 0.0, 0)
+
+    @pytest.mark.parametrize("noise_sd", [-1.0, float("nan"), float("inf"),
+                                          -float("inf"), True, "0.1", None])
+    def test_noise_sd_not_a_finite_number_of_0_or_more_refused(self,
+                                                                noise_sd):
+        with pytest.raises(ValueError, match=r"^noise_sd .* must be a finite "
+                           r"number >= 0$"):
+            synth_teacher_dataset(parse_architecture("3-[1x4]-1"), 5,
+                                  noise_sd, 0)
+
+    def test_numpy_scalars_accepted(self):
+        arch = parse_architecture("3-[1x4]-1")
+        a = synth_teacher_dataset(arch, np.int64(6), np.float64(0.1), 1)
+        b = synth_teacher_dataset(arch, 6, 0.1, 1)
+        assert np.array_equal(a.Y, b.Y)
+
 
 class TestSnapshot:
     def test_round_trip_bitwise(self, tmp_path):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_problem
+from conftest import idle_cpu, make_problem
 from layeropt import network
 from layeropt.batch import StoppingCriteria
 from layeropt.harness import ExperimentConfig, prepare_dataset, run_experiment
@@ -59,13 +59,6 @@ class NoHelper:
 
     def submit(self, job):
         raise AssertionError("a job was handed to the helper")
-
-
-def idle_cpu(mp):
-    """An affinity of two CPUs and BLAS on one thread, whatever the machine
-    has; BLAS keeps its own thread count."""
-    mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    mp.setattr(network, "_blas_threads", lambda: 1)
 
 
 @pytest.fixture
@@ -402,7 +395,7 @@ def test_forked_child_starts_its_own_helper(helper_allowed):
 EXIT_SCRIPT = """
 import atexit, os, sys
 import numpy as np
-from conftest import make_problem
+from conftest import idle_cpu, make_problem
 from layeropt import network
 
 os.sched_getaffinity = lambda pid: {0, 1}

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -6,11 +7,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import idle_cpu
 from layeropt.linalg import SeededRng, ShapeMismatchError
 from layeropt.network import (Architecture, ForwardCache, NetworkWeights,
                               StaleCacheError, _sigmoid_slope, forward,
                               forward_partial, init_weights,
                               parse_architecture, sigmoid, sigmoid_prime)
+
+
+def arrays_held(cache):
+    """The distinct arrays in a cache's fields, in their lists, tuples and
+    dicts included."""
+    held, todo = {}, [getattr(cache, f.name) for f in dataclasses.fields(cache)]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, np.ndarray):
+            held[id(x)] = x
+        elif isinstance(x, (list, tuple, dict)):
+            todo.extend(x.values() if isinstance(x, dict) else x)
+    return list(held.values())
 
 
 def random_net(widths, seed, input_dim=None, P=6):
@@ -307,9 +322,20 @@ class TestForward:
         of delta buffers of rows x 50; B2LD's block trials write into the
         same arrays."""
         cache = ForwardCache.for_rows(parse_architecture("10-[10x50]-1"), 9)
-        held = {id(a): a for a in cache.z[1:] + cache.deltas + cache.slopes
-                if a is not None}
-        assert sum(a.shape == (9, 50) for a in held.values()) == 12
+        assert sum(a.shape == (9, 50) for a in arrays_held(cache)) == 12
+
+    def test_split_student_cache_holds_a_quarter_scratch_slope(
+            self, monkeypatch):
+        """On 1,600 rows, where blocks 2-10 run by halves, the cache holds
+        the same 12 arrays of rows x 50 and one more of 400 x 50, the
+        scratch slope of a step whose product is formed beside it. This
+        fails at a6f61bd, whose scratch was a 13th rows x 50 array."""
+        idle_cpu(monkeypatch)
+        cache = ForwardCache.for_rows(parse_architecture("10-[10x50]-1"),
+                                      1600)
+        assert cache.split == tuple(range(2, 11))
+        assert sum(a.shape == (1600, 50) for a in arrays_held(cache)) == 12
+        assert [a.shape for a in cache.scratch.values()] == [(400, 50)]
 
     def test_cache_for_other_rows_is_rejected(self):
         arch, w, X = random_net([4, 1], seed=1, input_dim=3, P=5)
