@@ -91,7 +91,8 @@ class StoppingCriteria:
         # -inf is legal: no relative decrease is <= -inf, so it never stops
         if not _is_a(self.f_tol, numbers.Real) or math.isnan(self.f_tol):
             raise ValueError(f"f_tol {self.f_tol!r} must be a number, not NaN")
-        # below 0 every run stops at once; NaN disables the deadline
+        # None or inf: no deadline, which RunLedger.check_ends refuses for
+        # BLInG and IG without max_epochs and for B2LD with f_tol < 0, no cap
         t = self.time_limit_seconds
         if t is not None and not (_is_a(t, numbers.Real) and t >= 0):
             raise ValueError(f"time_limit_seconds {t!r} must be a number >= 0 or null")
@@ -111,6 +112,61 @@ class OptimizerRun:
     layer_update_counts: list
     stop_reason: str
     inner_iterations: int = 0
+
+
+class RunLedger:
+    """When one run stops, and why. Built from its StoppingCriteria as the
+    run starts, it holds the start time and the deadline, answers "stop now?"
+    at each driver's grain, keeps the first reason and builds the run."""
+
+    CAP_REASONS = {"max_inner_iters": "iteration_budget"}  # else the cap's name
+
+    def __init__(self, stop: StoppingCriteria):
+        self.stop, self.reason, self.start = stop, None, time.monotonic()
+        t = stop.time_limit_seconds
+        self.deadline = None if t is None else self.start + t
+
+    def halt(self, reason, hit=True):
+        """Keep `reason` if `hit` and none is kept yet; True once one is."""
+        if hit and self.reason is None:
+            self.reason = reason
+        return self.reason is not None
+
+    def capped(self, name, count):
+        cap = getattr(self.stop, name)
+        return self.halt(self.CAP_REASONS.get(name, name),
+                         cap is not None and count >= cap)
+
+    def timed_out(self):  # reads the clock only while no reason is kept
+        return self.halt("time_limit", self.reason is None and self.deadline
+                         is not None and time.monotonic() > self.deadline)
+
+    def at_cycle(self, cycle, f, gnorm):
+        """B2LD's checks before a cycle, in their order."""
+        return (self.halt("non_finite", not all(map(math.isfinite, (f, gnorm))))
+                or self.halt("grad_norm", gnorm <= self.stop.grad_norm_tol)
+                or self.capped("max_cycles", cycle) or self.timed_out())
+
+    @staticmethod
+    def check_ends(algorithm, stop: StoppingCriteria):
+        """Refuse a `stop` under which an `algorithm` run may never end. The
+        epoch loop checks only max_epochs and the deadline. An accepted B2LD
+        visit never raises f, so with f_tol >= 0 f falls through finitely many
+        floats before a cycle moves no block; with f_tol < 0 that stop never
+        comes. LBFGS ends at its solver's max_iters."""
+        caps = {"BLInG": ["max_epochs"], "IG": ["max_epochs"]}.get(algorithm)
+        if algorithm == "B2LD" and stop.f_tol < 0:
+            caps = ["max_cycles", "max_inner_iters"]
+        limit = stop.time_limit_seconds
+        if caps and limit in (None, math.inf) \
+                and all(getattr(stop, c) is None for c in caps):
+            why = f" with f_tol {stop.f_tol!r} < 0" if algorithm == "B2LD" else ""
+            raise ValueError(f"{algorithm}{why} needs {', '.join(caps)} "
+                             f"or a finite time_limit_seconds, not {limit!r}")
+
+    def record(self, **fields) -> OptimizerRun:
+        return OptimizerRun(elapsed_seconds=time.monotonic() - self.start,
+                            stop_reason=self.reason, **fields)
 
 
 def _block_eval(weights, cache, Y, cfg, l, base_sq):
@@ -152,9 +208,7 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
     """Cyclic block-layer descent with inner L-BFGS solves of increasing accuracy."""
     weights = weights0.copy()
     L = weights.num_layers
-    start = time.monotonic()
-    deadline = None if stop.time_limit_seconds is None \
-        else start + stop.time_limit_seconds
+    ledger = RunLedger(stop)
 
     _, cache = forward(weights, X)
     f_cur = cached_value(weights, cache, Y, cfg)
@@ -162,25 +216,11 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
     counts = [0] * L
     last_rel_dec = [math.inf] * L
     eps = lbfgs.grad_tol
-    inner_total = 0
-    reason = None
-    cycle = 0
+    inner_total = cycle = 0
 
     while True:
         gnorm = gradient_norm(full_gradient(weights, Y, cfg, cache))
-        if reason is not None:  # set by a visit of the previous cycle
-            break
-        if not (math.isfinite(f_cur) and math.isfinite(gnorm)):
-            reason = "non_finite"
-            break
-        if gnorm <= stop.grad_norm_tol:
-            reason = "grad_norm"
-            break
-        if stop.max_cycles is not None and cycle >= stop.max_cycles:
-            reason = "max_cycles"
-            break
-        if deadline is not None and time.monotonic() > deadline:
-            reason = "time_limit"
+        if ledger.at_cycle(cycle, f_cur, gnorm):
             break
 
         any_update = False
@@ -188,8 +228,7 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
             evaluate, (f_l, g_l), commit = _block_eval(
                 weights, cache, Y, cfg, l, weights_squared_norm(weights))
             bnorm = frobenius_norm(g_l)
-            if not math.isfinite(bnorm):
-                reason = "non_finite"
+            if ledger.halt("non_finite", not math.isfinite(bnorm)):
                 break
             # Skip blocks whose gradient or last relative decrease is already
             # below tolerance; skipped blocks still advance the cycle but are
@@ -215,7 +254,7 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
 
             res = lbfgs_minimize_block(
                 evaluate, w_l,
-                replace(lbfgs, grad_tol=eps), deadline=deadline,
+                replace(lbfgs, grad_tol=eps), deadline=ledger.deadline,
                 start_fg=(f_l, g_l))
             inner_total += max(res.iterations, 1)
 
@@ -231,26 +270,19 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
             traj.append(f_cur)
             counts[l - 1] += 1
             any_update = True
-
-            if deadline is not None and time.monotonic() > deadline:
-                reason = "time_limit"
-                break
-            if stop.max_inner_iters is not None and inner_total >= stop.max_inner_iters:
-                reason = "iteration_budget"
+            if ledger.timed_out() or ledger.capped("max_inner_iters", inner_total):
                 break
 
-        if reason is None and not any_update:
-            reason = "f_tol"  # no block moved, so gnorm is still current
+        if not any_update and ledger.reason is None:
+            ledger.halt("f_tol")  # no block moved, so gnorm is still current
             break
         eps *= ACCURACY_SHRINK
         cycle += 1
 
-    return OptimizerRun(algorithm="B2LD", seed=seed, final_weights=weights,
-                        trajectory=traj, final_objective=f_cur,
-                        final_grad_norm=gnorm,
-                        elapsed_seconds=time.monotonic() - start,
-                        layer_update_counts=counts, stop_reason=reason,
-                        inner_iterations=inner_total)
+    return ledger.record(algorithm="B2LD", seed=seed, final_weights=weights,
+                         trajectory=traj, final_objective=f_cur,
+                         final_grad_norm=gnorm, layer_update_counts=counts,
+                         inner_iterations=inner_total)
 
 
 def lbfgs_baseline_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
@@ -258,9 +290,7 @@ def lbfgs_baseline_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
                        seed: int = 0) -> OptimizerRun:
     """Full-variable L-BFGS on the whole problem, same stopping criteria."""
     weights = weights0.copy()
-    start = time.monotonic()
-    deadline = None if stop.time_limit_seconds is None \
-        else start + stop.time_limit_seconds
+    ledger = RunLedger(stop)
     cache = ForwardCache.for_rows(weights.arch, X.shape[0])
 
     def trial(vec):
@@ -269,16 +299,15 @@ def lbfgs_baseline_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
         return cached_value(weights, cache, Y, cfg), lambda: np.concatenate(
             [g.ravel() for g in full_gradient(weights, Y, cfg, cache)])
 
-    max_iters = stop.max_inner_iters if stop.max_inner_iters is not None \
-        else lbfgs.max_iters
-    params = replace(lbfgs, grad_tol=stop.grad_norm_tol, max_iters=max_iters)
-    res = lbfgs_minimize(trial, weights0.flatten(), params, deadline=deadline,
-                         f_tol=stop.f_tol)
+    params = replace(lbfgs, grad_tol=stop.grad_norm_tol, max_iters=lbfgs.max_iters
+                     if stop.max_inner_iters is None else stop.max_inner_iters)
+    res = lbfgs_minimize(trial, weights0.flatten(), params,
+                         deadline=ledger.deadline, f_tol=stop.f_tol)
     weights.set_from_flat(res.x)
-    return OptimizerRun(algorithm="LBFGS", seed=seed, final_weights=weights,
-                        trajectory=res.f_history, final_objective=res.f,
-                        final_grad_norm=res.grad_norm,
-                        elapsed_seconds=time.monotonic() - start,
-                        layer_update_counts=[res.iterations] * weights.num_layers,
-                        stop_reason=res.stop_reason, inner_iterations=res.iterations)
+    ledger.halt(res.stop_reason)
+    return ledger.record(algorithm="LBFGS", seed=seed, final_weights=weights,
+                         trajectory=res.f_history, final_objective=res.f,
+                         final_grad_norm=res.grad_norm,
+                         layer_update_counts=[res.iterations] * weights.num_layers,
+                         inner_iterations=res.iterations)
 

@@ -16,13 +16,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import combinations, product
 
-from .batch import (AcceptanceParams, BlockSelectionRule, StoppingCriteria,
-                    b2ld_run, lbfgs_baseline_run)
+from .batch import (AcceptanceParams, BlockSelectionRule, RunLedger,
+                    StoppingCriteria, b2ld_run, lbfgs_baseline_run)
 from .data import (SYNTH_RULES, Dataset, fit_apply_normalization,
                    load_delimited, synth_teacher_dataset, train_test_split)
 from .linalg import SeededRng, _is_a
 from .minibatch import (BlingParams, MinibatchSelectionRule, bling_run,
-                        check_epoch_bound, ig_run, make_partition)
+                        ig_run, make_partition)
 from .network import Architecture, init_weights, parse_architecture
 from .objective import ObjectiveConfig, default_rho, mse_value
 from .solvers import LbfgsParams
@@ -142,9 +142,9 @@ class ExperimentConfig:
         unknown = set(cfg.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ConfigError(f"unknown algorithms {sorted(unknown)}")
-        if {"BLInG", "IG"} & set(cfg.algorithms):
+        for algorithm in cfg.algorithms:
             try:
-                check_epoch_bound(cfg.stopping)
+                RunLedger.check_ends(algorithm, cfg.stopping)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
         return cfg
@@ -462,5 +462,13 @@ def load_report(csv_path) -> ExperimentReport:
             if len(cells) != len(kinds):
                 raise ValueError(f"{csv_path} line {lineno}: {len(cells)} "
                                  f"cells, expected {len(kinds)}")
-            rows.append(RunRow(*map(_parse, cells, kinds)))
+            values = []
+            for col, (name, cell, kind) in enumerate(
+                    zip(CSV_COLUMNS, cells, kinds), start=1):
+                try:
+                    values.append(_parse(cell, kind))
+                except ValueError as exc:
+                    raise ValueError(f"{csv_path} line {lineno} column {col} "
+                                     f"({name}): {cell!r}: {exc}") from exc
+            rows.append(RunRow(*values))
     return ExperimentReport(rows=rows)

@@ -10,12 +10,11 @@ same stepsize schedule and normalization.
 """
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import OptimizerRun, StoppingCriteria
+from .batch import OptimizerRun, RunLedger, StoppingCriteria
 from .linalg import SeededRng, frobenius_norm
 from .network import ForwardCache, NetworkWeights, forward, forward_partial
 from .objective import (ObjectiveConfig, block_gradient, cached_value,
@@ -118,15 +117,6 @@ def _ig_step(weights, cache, Yb, cfg_b, alpha):
     return True
 
 
-def check_epoch_bound(stop: StoppingCriteria):
-    """Refuse a `stop` with no max_epochs and no finite time limit: the
-    epoch loop checks only those two, so its run would never end."""
-    limit = stop.time_limit_seconds
-    if stop.max_epochs is None and (limit is None or not math.isfinite(limit)):
-        raise ValueError("a BLInG or IG run needs max_epochs or a finite "
-                         f"time_limit_seconds, not {limit!r}")
-
-
 def _run_epochs(algorithm, step, weights0, X, Y, cfg, partition, rule, params,
                 stop, seed):
     """The epoch loop both minibatch methods share: visit the minibatches in
@@ -138,34 +128,26 @@ def _run_epochs(algorithm, step, weights0, X, Y, cfg, partition, rule, params,
     array of all P rows. The final f and its gradient are summed over the
     components in partition order, which can differ from one pass over all
     rows by rounding."""
-    check_epoch_bound(stop)
+    RunLedger.check_ends(algorithm, stop)
     weights = weights0.copy()
-    start = time.monotonic()
-    deadline = None if stop.time_limit_seconds is None \
-        else start + stop.time_limit_seconds
+    ledger = RunLedger(stop)
     gathered = [(X[batch], Y[batch], cfg.component(len(batch)))
                 for batch in partition.batches]
     caches = {n: ForwardCache.for_rows(weights.arch, n)
               for n in {len(batch) for batch in partition.batches}}
     alpha = params.alpha0
-    k = 0
-    reason = None
-    epoch = 0
+    k = epoch = 0
 
-    while reason is None:
-        if stop.max_epochs is not None and epoch >= stop.max_epochs:
-            reason = "max_epochs"
-            break
+    while not ledger.capped("max_epochs", epoch):
         for h in rule.epoch_order(partition.num_batches):
             Xb, Yb, cfg_b = gathered[h]
             _, cache = forward(weights, Xb, caches[Xb.shape[0]])
             if not step(weights, cache, Yb, cfg_b, alpha):
-                reason = "non_finite"
+                ledger.halt("non_finite")
                 break
             alpha = stepsize_update(alpha, EPS_DIM)
             k += 1
-            if deadline is not None and time.monotonic() > deadline:
-                reason = "time_limit"
+            if ledger.timed_out():
                 break
         epoch += 1
 
@@ -177,13 +159,10 @@ def _run_epochs(algorithm, step, weights0, X, Y, cfg, partition, rule, params,
         f += cached_value(weights, cache, Yb, cfg_b)
         for total, g in zip(grads, full_gradient(weights, Yb, cfg_b, cache)):
             total += g
-    gnorm = gradient_norm(grads)
-    return OptimizerRun(algorithm=algorithm, seed=seed, final_weights=weights,
-                        trajectory=[f], final_objective=f, final_grad_norm=gnorm,
-                        elapsed_seconds=time.monotonic() - start,
-                        layer_update_counts=[k] * weights.num_layers,
-                        stop_reason=reason,
-                        inner_iterations=k)
+    return ledger.record(algorithm=algorithm, seed=seed, final_weights=weights,
+                         trajectory=[f], final_objective=f, inner_iterations=k,
+                         final_grad_norm=gradient_norm(grads),
+                         layer_update_counts=[k] * weights.num_layers)
 
 
 # `rule` has one order; bench/workloads.py still passes it.

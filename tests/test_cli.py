@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -118,6 +119,17 @@ class TestTrain:
                      "--time-limit", "inf"]) == 1
         assert re.search("max_epochs.*time_limit_seconds",
                          capsys.readouterr().err)
+
+    def test_b2ld_run_that_may_never_end_exits_1(self, capsys):
+        # ran until killed before
+        start = time.monotonic()
+        assert main(["train", "--arch", "[1x4]", "--teacher", "3-[1x4]-1",
+                     "--samples", "50", "--algorithm", "B2LD",
+                     "--grad-tol", "0", "--f-tol=-inf",
+                     "--time-limit", "inf"]) == 1
+        assert time.monotonic() - start < 1.0
+        assert re.search("f_tol -inf < 0 needs max_cycles, max_inner_iters or "
+                         "a finite time_limit_seconds", capsys.readouterr().err)
 
     def test_defaults_are_the_dataclass_defaults(self, monkeypatch):
         seen = []

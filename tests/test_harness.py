@@ -4,6 +4,7 @@ import re
 import struct
 import tempfile
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 import layeropt.harness as harness
 from conftest import small_experiment
 from layeropt.batch import StoppingCriteria
-from layeropt.harness import (ALGORITHMS, ConfigError, DatasetSpec,
-                              ExperimentConfig, ExperimentReport, RunRow,
+from layeropt.harness import (ALGORITHMS, CSV_COLUMNS, ConfigError,
+                              DatasetSpec, ExperimentConfig, ExperimentReport, RunRow,
                               depth_ratio, emit_report, load_report,
                               prepare_dataset, resolve_architecture,
                               run_experiment, run_single, tally_wins)
@@ -252,6 +253,25 @@ class TestConfig:
             ExperimentConfig.from_dict(raw)
         raw["algorithms"] = ["B2LD", "LBFGS"]
         assert ExperimentConfig.from_dict(raw).stopping.max_epochs is None
+
+    @pytest.mark.parametrize("limit", [None, float("inf")])
+    def test_b2ld_run_that_may_never_end_rejected_up_front(self, limit):
+        # loaded before, then its B2LD runs went on until killed
+        raw = self.minimal()
+        raw["stopping"] = {"grad_norm_tol": 0.0, "f_tol": float("-inf"),
+                           "time_limit_seconds": limit, "max_epochs": 2}
+        with pytest.raises(ConfigError, match="^B2LD with f_tol -inf < 0 "
+                           "needs max_cycles, max_inner_iters or a finite "
+                           "time_limit_seconds"):
+            ExperimentConfig.from_dict(raw)
+        raw["algorithms"] = ["LBFGS", "IG"]
+        assert ExperimentConfig.from_dict(raw).stopping.max_cycles is None
+
+    def test_demo_config_accepted(self):
+        path = Path(__file__).resolve().parent.parent / "demos" \
+            / "benchmark_experiment.json"
+        cfg = ExperimentConfig.from_json_file(path)
+        assert set(cfg.algorithms) == set(ALGORITHMS)
 
     def test_nan_rho_in_json_file_rejected(self, tmp_path):
         p = tmp_path / "exp.json"
@@ -517,6 +537,29 @@ class TestReportCells:
             fh.write("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"line 3: {cells} cells, expected 12"):
             load_report(tsv)
+
+
+    @pytest.mark.parametrize("column,cell", [
+        ("final_objective", "x"), ("seed", "1.5"),
+        ("layer_update_counts", "4;y")])
+    def test_unparsable_cell_names_its_place(self, tmp_path, column, cell):
+        row = RunRow(dataset="toy", architecture="[1x4]", algorithm="IG",
+                     seed=3, final_objective=1.0, grad_norm=0.5, test_mse=2.0,
+                     elapsed_seconds=0.0, stop_reason="max_epochs",
+                     layer_update_counts=[4, 4], init_digest="abc")
+        tsv, _ = emit_report(ExperimentReport(rows=[row, row]), tmp_path)
+        with open(tsv) as fh:
+            lines = fh.read().splitlines()
+        col = CSV_COLUMNS.index(column)
+        lines[2] = "\t".join(cell if i == col else c
+                             for i, c in enumerate(lines[2].split("\t")))
+        with open(tsv, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_report(tsv)
+        assert str(info.value).startswith(
+            f"{tsv} line 3 column {col + 1} ({column}): {cell!r}: ")
+        assert isinstance(info.value.__cause__, ValueError)
 
 
 _EXECUTE_TASK = harness._execute_task

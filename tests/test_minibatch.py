@@ -3,6 +3,7 @@ import types
 import numpy as np
 import pytest
 
+import layeropt.batch as batch
 import layeropt.minibatch as minibatch
 from conftest import make_problem
 from layeropt.batch import StoppingCriteria
@@ -341,9 +342,10 @@ def test_run_with_no_epoch_bound_refused(driver, limit, monkeypatch):
 @pytest.mark.parametrize("driver", [bling_run, ig_run])
 def test_deadline_checked_after_every_step(driver, monkeypatch):
     """A deadline that passes during the first minibatch step stops the run
-    after it, in the first of three epochs of four minibatches."""
+    after it, in the first of three epochs of four minibatches. The clock
+    is the run ledger's, in batch.py."""
     clock = iter([0.0])
-    monkeypatch.setattr(minibatch, "time", types.SimpleNamespace(
+    monkeypatch.setattr(batch, "time", types.SimpleNamespace(
         monotonic=lambda: next(clock, 200.0)))
     w, X, Y, cfg = make_problem([4, 3, 1], 3, 20, seed=15)
     stop = StoppingCriteria(time_limit_seconds=100.0, max_epochs=3)

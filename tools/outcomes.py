@@ -5,7 +5,7 @@ change that should not move any result.
 
 layeropt is imported from the ``src/`` beside this file's directory, so the
 script runs the tree it sits in. It writes one record per run, every float as
-``float.hex()``, for nine sets:
+``float.hex()``, for ten sets:
 
 - ``deep``: the criterion-10 instance (a ``10-[2x20]-1`` teacher, 2000
   samples, noise 0.05, data seed 99, an 80/20 split, min-max scaling, a
@@ -50,7 +50,15 @@ script runs the tree it sits in. It writes one record per run, every float as
   and 3, include the output block: a backward sweep then takes its first
   step by halves or beside block 3's product, while the forward pass forms
   the output layer's product whole, so these records pin a split output
-  block, which the one-output sets never have.
+  block, which the one-output sets never have;
+- ``stops``: all four methods on the demo's data, ``[2x20]``, init seeds 0
+  and 1, no time limit, in three variants. Under the default tolerances,
+  50 cycles, 400 inner iterations and 3 epochs, B2LD stops on ``grad_norm``
+  (seed 0) and ``f_tol`` (seed 1), and LBFGS on ``f_tol``; with
+  ``grad_norm_tol = 2e-2`` and ``f_tol = -inf`` both stop on ``grad_norm``;
+  from an infinite weight in block 1 all four stop on ``non_finite``. The
+  other sets stop only on a cap, so these records move if a tolerance
+  stop, or the check order that reaches it, changes.
 
 Each record holds the init and final-weight digests, the final objective and
 gradient norm, the trajectory, the stop reason, the update counts, the inner
@@ -76,10 +84,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -165,6 +177,16 @@ WIDE_OUTPUT = dict(MIXED_WIDTHS, architectures=["10-[50,50]-16"],
                                        data_seed=99, test_fraction=0.2))
 
 
+STOPS = dict(DEMO, architectures=["[2x20]"], seeds=[0, 1],
+             stopping=StoppingCriteria(time_limit_seconds=None, max_cycles=50,
+                                       max_inner_iters=400, max_epochs=3))
+
+STOPS_GRAD_NORM = dict(STOPS, stopping=replace(
+    STOPS["stopping"], grad_norm_tol=2e-2, f_tol=-math.inf))
+
+STOPS_NON_FINITE = dict(STOPS, inf_weight=True)
+
+
 def file_set(tmp):
     """The demo's data as a file in directory `tmp`, and the set that runs it."""
     demo = DEMO["dataset"]
@@ -192,6 +214,10 @@ def records(name, spec, rows):
                                     train.num_targets)
         for seed in spec["seeds"]:
             weights0 = init_weights(arch, SeededRng(seed))
+            if spec.get("inf_weight"):
+                W = weights0.block(1).copy()
+                W[0, 0] = math.inf
+                weights0.set_block(1, W)
             for algorithm in spec.get("algorithms", ALGORITHMS):
                 run, test_mse = spec.get("run", run_single)(
                     algorithm, weights0, train, test, spec["stopping"],
@@ -258,6 +284,10 @@ def main(argv=None):
     out += records("mixed-widths", MIXED_WIDTHS, [])
     out += records("broken-chain", BROKEN_CHAIN, [])
     out += records("wide-output", WIDE_OUTPUT, [])
+    out += records("stops/tolerances", STOPS, [])
+    out += records("stops/grad-norm", STOPS_GRAD_NORM, [])
+    with np.errstate(invalid="ignore"):  # the inf weight times a zero input
+        out += records("stops/non-finite", STOPS_NON_FINITE, [])
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")
