@@ -25,7 +25,8 @@ from .linalg import _is_a, frobenius_norm
 from .network import (ForwardCache, NetworkWeights, forward, forward_partial,
                       sigmoid)  # noqa: F401
 from .objective import (ObjectiveConfig, _loss, block_gradient, cached_value,
-                        full_gradient, gradient_norm, weights_squared_norm)
+                        flat_gradient, full_gradient, gradient_norm,
+                        weights_squared_norm)
 from .solvers import (ArmijoParams, LbfgsParams, LinesearchError,
                       armijo_linesearch, lbfgs_minimize, lbfgs_minimize_block)
 
@@ -206,6 +207,7 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
              lbfgs: LbfgsParams, stop: StoppingCriteria,
              seed: int = 0) -> OptimizerRun:
     """Cyclic block-layer descent with inner L-BFGS solves of increasing accuracy."""
+    RunLedger.check_ends("B2LD", stop)
     weights = weights0.copy()
     L = weights.num_layers
     ledger = RunLedger(stop)
@@ -296,8 +298,8 @@ def lbfgs_baseline_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
     def trial(vec):
         weights.set_from_flat(vec)
         forward(weights, X, cache)
-        return cached_value(weights, cache, Y, cfg), lambda: np.concatenate(
-            [g.ravel() for g in full_gradient(weights, Y, cfg, cache)])
+        return cached_value(weights, cache, Y, cfg), \
+            lambda: flat_gradient(weights, Y, cfg, cache)
 
     params = replace(lbfgs, grad_tol=stop.grad_norm_tol, max_iters=lbfgs.max_iters
                      if stop.max_inner_iters is None else stop.max_inner_iters)

@@ -125,6 +125,17 @@ class Architecture:
     def num_variables(self) -> int:
         return sum(r * c for r, c in self.block_shapes)
 
+    def unflatten(self, vec: np.ndarray) -> list:
+        """Blocks 1..L of a flat vector in `NetworkWeights.flatten`'s order,
+        views where `vec` is contiguous; one of the wrong length is refused."""
+        if vec.size != (n := self.num_variables):
+            raise ValueError(f"flat vector length {vec.size} != {n}")
+        pos, blocks = 0, []
+        for r, c in self.block_shapes:
+            blocks.append(vec[pos:pos + r * c].reshape(r, c))
+            pos += r * c
+        return blocks
+
 
 _ARCH_RE = re.compile(r"(\d+)-\[\s*(?:(\d+)\s*x\s*(\d+)|(\d+(?:\s*,\s*\d+)*))"
                       r"\s*\]-(\d+)")
@@ -203,12 +214,8 @@ class NetworkWeights:
 
     def set_from_flat(self, vec: np.ndarray):
         """Set the blocks from `vec`; one of the wrong length sets none."""
-        if vec.size != (n := self.arch.num_variables):
-            raise ValueError(f"flat vector length {vec.size} != {n}")
-        pos = 0
-        for l, (r, c) in enumerate(self.arch.block_shapes, start=1):
-            self.set_block(l, vec[pos:pos + r * c].reshape(r, c))
-            pos += r * c
+        for l, block in enumerate(self.arch.unflatten(vec), start=1):
+            self.set_block(l, block)
 
     def digest(self) -> str:
         import hashlib
@@ -267,10 +274,10 @@ def _can_split() -> bool:
 
 
 @functools.cache
-def _blas_threads():
-    """The thread count the OpenBLAS that numpy loaded reports, once per
-    process, or None where no OpenBLAS is mapped into it or the platform
-    has no /proc."""
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS that numpy loaded, or
+    None where no OpenBLAS is mapped into the process or the platform has
+    no /proc."""
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln})
@@ -287,8 +294,24 @@ def _blas_threads():
             query = getattr(lib, name, None)
             if query is not None:
                 query.argtypes, query.restype = [], ctypes.c_int
-                return query()
+                setter = getattr(lib, name.replace("_get_", "_set_"))
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return query, setter
     return None
+
+
+def _blas_threads():
+    """The thread count `_openblas` reports, or None where it finds no
+    OpenBLAS."""
+    blas = _openblas()
+    return blas and blas[0]()
+
+
+def _one_blas_thread():
+    """Set OpenBLAS, if numpy loaded one, to one thread: `run_experiment`'s
+    pool workers start so, as each already has a CPU to itself."""
+    if blas := _openblas():
+        blas[1](1)
 
 
 def _start_helper():

@@ -143,16 +143,33 @@ def block_gradient(weights: NetworkWeights, Y, cfg: ObjectiveConfig, l: int,
     return _finish(g, weights.block(l), cfg)
 
 
-def full_gradient(weights: NetworkWeights, Y, cfg: ObjectiveConfig,
-                  cache: ForwardCache):
-    """Per-block gradients of the objective, as a list indexed l-1, from one
-    backward sweep over a cache that is current for the weights, which
-    writes every block's product into an array allocated here."""
+def _gradient_into(weights: NetworkWeights, Y, cfg: ObjectiveConfig,
+                   cache: ForwardCache, grads) -> list:
+    """The objective's gradient blocks, as a list indexed l-1, written into
+    grads[l] for l in 1..L by one backward sweep over a cache that is
+    current for the weights."""
     _check_current(weights, cache)
-    grads = {l: np.empty(shape)
-             for l, shape in enumerate(weights.arch.block_shapes, start=1)}
     backprop_deltas(weights, cache, Y, 1, grads)
     return [_finish(g, W, cfg) for g, W in zip(grads.values(), weights.blocks)]
+
+
+def full_gradient(weights: NetworkWeights, Y, cfg: ObjectiveConfig,
+                  cache: ForwardCache):
+    """Per-block gradients of the objective, as a list indexed l-1, each in
+    an array allocated here."""
+    return _gradient_into(weights, Y, cfg, cache, {
+        l: np.empty(shape) for l, shape in enumerate(weights.arch.block_shapes,
+                                                     start=1)})
+
+
+def flat_gradient(weights: NetworkWeights, Y, cfg: ObjectiveConfig,
+                  cache: ForwardCache) -> np.ndarray:
+    """`full_gradient`'s blocks, bit for bit, written into their views of one
+    vector in `NetworkWeights.flatten`'s order."""
+    flat = np.empty(weights.arch.num_variables)
+    _gradient_into(weights, Y, cfg, cache,
+                   dict(enumerate(weights.arch.unflatten(flat), start=1)))
+    return flat
 
 
 def gradient_norm(grads) -> float:

@@ -83,10 +83,16 @@ def lbfgs_minimize(trial, x0: np.ndarray, params: LbfgsParams,
     condition, so the objective sequence is non-increasing. The latest MEMORY
     curvature pairs are kept, skipping those with s'y <= 1e-10 ||s|| ||y||.
     Each pair is formed in the vectors the step retires, s in x's buffer and
-    y in g's, so x0 and start_fg's gradient are copied and never written.
-    The wall-clock deadline, if given, is checked before every iteration.
+    y in g's, so x0 and start_fg's gradient are copied and never written;
+    x0 itself is not kept, so a temporary passed there is freed once copied.
+    Beside the pairs the solve holds no more than x, g, the direction d,
+    one trial point and its gradient: a backtrack frees the last trial point
+    before forming the next, and d is freed before the accepted point's
+    gradient is formed. The wall-clock deadline, if given, is checked
+    before every iteration.
     """
-    x = np.asarray(x0, dtype=np.float64).copy()
+    x = np.array(x0, dtype=np.float64)
+    del x0
     if start_fg is None:
         f, grad = trial(x)
         g = grad()
@@ -117,7 +123,9 @@ def lbfgs_minimize(trial, x0: np.ndarray, params: LbfgsParams,
         last = []  # (x + a*d, f, grad) of the latest trial
 
         def phi(a):
-            x_a = x + a * d
+            last.clear()
+            x_a = np.multiply(a, d)     # a*d + x has the bits of x + a*d
+            x_a += x
             last[:] = (x_a, *trial(x_a))
             return last[1]
 
@@ -128,6 +136,7 @@ def lbfgs_minimize(trial, x0: np.ndarray, params: LbfgsParams,
             break
 
         x_new, f_new, grad = last  # the search stops on the accepted trial
+        del d
         g_new = grad()
         s = np.subtract(x_new, x, out=x)
         y = np.subtract(g_new, g, out=g)
@@ -148,7 +157,7 @@ def lbfgs_minimize(trial, x0: np.ndarray, params: LbfgsParams,
 
 def _two_loop(g, pairs):
     """Implicit product -H_k g via the standard two-loop recursion over the
-    (s, y, 1/s'y) pairs, oldest first."""
+    (s, y, 1/s'y) pairs, oldest first, in one new vector."""
     q = g.copy()
     alphas = []
     for s, y, rho in reversed(pairs):
@@ -161,7 +170,7 @@ def _two_loop(g, pairs):
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
         b = rho * float(np.dot(y, q))
         q += (a - b) * s
-    return -q
+    return np.negative(q, out=q)
 
 
 def lbfgs_minimize_block(block_trial, start: np.ndarray, params: LbfgsParams,

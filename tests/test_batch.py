@@ -66,6 +66,18 @@ def run_b2ld(w, X, Y, cfg, max_cycles=20, grad_tol=1e-3, f_tol=1e-4,
 
 
 class TestB2ld:
+    @pytest.mark.parametrize("limit", [None, float("inf")])
+    def test_run_that_may_never_end_refused_before_any_work(self, limit):
+        """With f_tol < 0, no cap and no finite time limit a B2LD run may
+        never end. b2ld_run refuses it first, before the forward pass that
+        would refuse an X of the wrong width."""
+        w, X, Y, cfg = make_problem([4, 3, 1], 3, 30, seed=14)
+        stop = StoppingCriteria(grad_norm_tol=0.0, f_tol=-np.inf,
+                                time_limit_seconds=limit)
+        with pytest.raises(ValueError, match="^B2LD with f_tol -inf < 0 needs"):
+            b2ld_run(w, X[:, :2], Y, cfg, BlockSelectionRule("backward"),
+                     AcceptanceParams(), LbfgsParams(), stop)
+
     def test_deterministic_given_seed(self):
         w, X, Y, cfg = make_problem([4, 3, 1], 3, 30, seed=1)
         r1 = run_b2ld(w, X, Y, cfg, max_cycles=5)
@@ -262,7 +274,7 @@ class TestEvaluationCounts:
 
     @pytest.mark.parametrize("stop, reason, cycles", [
         (dict(max_cycles=3), "max_cycles", 3),
-        (dict(max_cycles=None, acceptance=AcceptanceParams(
+        (dict(max_cycles=5, acceptance=AcceptanceParams(
             ArmijoParams(a=1e8, max_halvings=0))), "f_tol", 1)])
     def test_b2ld_sweeps_the_full_gradient_once_per_cycle(
             self, monkeypatch, stop, reason, cycles):

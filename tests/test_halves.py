@@ -23,7 +23,8 @@ from layeropt.harness import ExperimentConfig, prepare_dataset, run_experiment
 from layeropt.minibatch import (BlingParams, MinibatchSelectionRule,
                                 bling_run, make_partition)
 from layeropt.network import ForwardCache, forward, forward_partial, sigmoid
-from layeropt.objective import backprop_deltas, block_gradient, full_gradient
+from layeropt.objective import (backprop_deltas, block_gradient, flat_gradient,
+                                full_gradient)
 
 
 def bits(a):
@@ -108,6 +109,8 @@ def test_block_gradient_has_the_bits_of_the_full_sweep(helper_allowed):
     full = full_gradient(w, Y, cfg, cache)
     for l in range(1, 12):
         assert same_bits(block_gradient(w, Y, cfg, l, cache), full[l - 1])
+    assert same_bits(flat_gradient(w, Y, cfg, cache),
+                     np.concatenate([g.ravel() for g in full]))
 
 
 def count_handoffs(mp):

@@ -2,6 +2,8 @@ import json
 import os
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 from concurrent.futures import Future
 from pathlib import Path
@@ -465,7 +467,7 @@ class TestRunExperiment:
         sizes = []
 
         class Pool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -495,6 +497,29 @@ class TestRunExperiment:
                            rf"{workers}$"):
             run_experiment(small_experiment(), workers=workers)
         assert tasks == []
+
+    def test_pool_workers_run_blas_on_one_thread(self):
+        """Each pool worker sets OpenBLAS to one thread as it starts: two
+        workers of two BLAS threads each on two CPUs made run times noise.
+        The calling process keeps its own count."""
+        script = ("import layeropt.harness as harness\n"
+                  "from conftest import small_experiment\n"
+                  "from layeropt.network import _blas_threads\n"
+                  "def probe(task):\n"
+                  "    return _blas_threads()\n"
+                  "harness._execute_task = probe\n"
+                  "rows = harness.run_experiment(small_experiment(), 2).rows\n"
+                  "print(sorted(set(rows)), _blas_threads())\n")
+        paths = [os.path.dirname(os.path.dirname(harness.__file__)),
+                 os.path.dirname(__file__)]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=os.pathsep.join(paths))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             check=True, capture_output=True, text=True,
+                             timeout=120).stdout.strip()
+        if out == "[None] None":
+            pytest.skip("numpy's BLAS is no OpenBLAS")
+        assert out == "[1] 2"
 
     def test_parallel_matches_serial(self):
         cfg = small_experiment()

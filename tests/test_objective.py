@@ -13,8 +13,8 @@ from layeropt.network import (Architecture, ForwardCache, NetworkWeights,
                               init_weights, sigmoid, sigmoid_prime)
 from layeropt.objective import (ObjectiveConfig, backprop_deltas,
                                 block_gradient, cached_value, default_rho,
-                                full_gradient, gradient_norm, objective_value,
-                                weights_squared_norm)
+                                flat_gradient, full_gradient, gradient_norm,
+                                objective_value, weights_squared_norm)
 
 
 class TestObjectiveValue:
@@ -82,6 +82,8 @@ class TestBlockGradient:
             block_gradient(w, Y, cfg, 1, cache)
         with pytest.raises(StaleCacheError):
             full_gradient(w, Y, cfg, cache)
+        with pytest.raises(StaleCacheError):
+            flat_gradient(w, Y, cfg, cache)
         with pytest.raises(StaleCacheError):
             cached_value(w, cache, Y, cfg)
 
@@ -240,12 +242,15 @@ class TestFullGradient:
         each equals the per-block call bit for bit: full_gradient on a
         forward pass's own cache and on one handed to it, full_gradient of a
         component on a subset of the rows, and the start and trial
-        gradients of B2LD's block closures at the current block."""
+        gradients of B2LD's block closures at the current block; and the
+        LBFGS baseline's flat_gradient equals the blocks concatenated."""
         w, X, Y, cfg = case
         L = w.num_layers
         _, cache = forward(w, X)
         per_block = [block_gradient(w, Y, cfg, l, cache) for l in range(1, L + 1)]
         assert same_bits(full_gradient(w, Y, cfg, cache), per_block)
+        assert same_bits([flat_gradient(w, Y, cfg, cache)],
+                         [np.concatenate([g.ravel() for g in per_block])])
         _, given = forward(w, X, ForwardCache.for_rows(w.arch, X.shape[0]))
         assert same_bits(full_gradient(w, Y, cfg, given), per_block)
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import types
 from collections import Counter
 
@@ -166,6 +167,33 @@ class TestLbfgs:
         res = lbfgs_minimize_block(block_trial, W0, params, start_fg=(f0, G0))
         assert res.iterations == params.max_iters
         assert (x0.tobytes(), g0.tobytes()) == kept
+
+    def test_solve_holds_only_the_vectors_its_arithmetic_reads(self):
+        """The traced peak of a solve over n = 100,000 variables, MEMORY + 2
+        steps with a backtrack in the first, is at most the 2 MEMORY pair
+        vectors plus x, g, d, one trial point and its gradient: no copy of
+        x0 but the solve's own, no a*d or -q temporary, and no trial point
+        kept past the next backtrack or d past the accepted search."""
+        n = 100_000
+        curvature = np.linspace(0.5, 8.0, n)  # a unit first step overshoots
+        tally = Counter()
+
+        def trial(x):
+            tally["trial"] += 1
+            g = curvature * x   # the one vector a trial makes
+            return 0.5 * float(np.dot(x, g)), lambda: g
+
+        params = LbfgsParams(grad_tol=0.0, max_iters=solvers.MEMORY + 2)
+        tracemalloc.start()
+        try:
+            res = lbfgs_minimize(trial, np.ones(n), params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.iterations == params.max_iters
+        assert tally["trial"] > 1 + res.iterations
+        vector = 8 * n
+        assert peak <= (2 * solvers.MEMORY + 5) * vector + vector // 2
 
     def test_non_finite_gradient_stops_at_the_last_finite_point(self):
         """A trial whose gradient is NaN ends the solve with reason
