@@ -142,11 +142,12 @@ class RunLedger:
         return self.halt("time_limit", self.reason is None and self.deadline
                          is not None and time.monotonic() > self.deadline)
 
-    def at_cycle(self, cycle, f, gnorm):
+    def at_cycle(self, cycle, iters, f, gnorm):
         """B2LD's checks before a cycle, in their order."""
         return (self.halt("non_finite", not all(map(math.isfinite, (f, gnorm))))
                 or self.halt("grad_norm", gnorm <= self.stop.grad_norm_tol)
-                or self.capped("max_cycles", cycle) or self.timed_out())
+                or self.capped("max_cycles", cycle)
+                or self.capped("max_inner_iters", iters) or self.timed_out())
 
     @staticmethod
     def check_ends(algorithm, stop: StoppingCriteria):
@@ -222,7 +223,7 @@ def b2ld_run(weights0: NetworkWeights, X, Y, cfg: ObjectiveConfig,
 
     while True:
         gnorm = gradient_norm(full_gradient(weights, Y, cfg, cache))
-        if ledger.at_cycle(cycle, f_cur, gnorm):
+        if ledger.at_cycle(cycle, inner_total, f_cur, gnorm):
             break
 
         any_update = False

@@ -12,7 +12,6 @@ import math
 import numbers
 import os
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import combinations, product
 
@@ -393,6 +392,7 @@ def run_experiment(config: ExperimentConfig, workers: int = None) -> ExperimentR
                                   arch, train, test, config.stopping,
                                   config.rho, config.batch_size))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         # found here, so that forked workers inherit it: finding it in
         # each worker raised its peak RSS by about 0.4 MB
         _openblas()

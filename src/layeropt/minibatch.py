@@ -16,7 +16,8 @@ import numpy as np
 
 from .batch import OptimizerRun, RunLedger, StoppingCriteria
 from .linalg import SeededRng, frobenius_norm
-from .network import ForwardCache, NetworkWeights, forward, forward_partial
+from .network import (ForwardCache, NetworkWeights, _check_int, forward,
+                      forward_partial)
 from .objective import (ObjectiveConfig, block_gradient, cached_value,
                         full_gradient, gradient_norm)
 
@@ -40,8 +41,8 @@ def make_partition(P: int, batch_size: int, seed: int = 0,
                    shuffle: bool = False) -> Partition:
     """Cut {0..P-1} (optionally seeded-shuffled) into contiguous chunks of
     `batch_size`; the last chunk holds the remainder."""
-    if not 1 <= batch_size <= P:
-        raise ValueError(f"batch_size {batch_size} outside 1..{P}")
+    _check_int(P, "P", 1, math.inf)
+    _check_int(batch_size, "batch_size", 1, P)
     idx = np.arange(P, dtype=np.intp)
     if shuffle:
         idx = idx[SeededRng(seed).permutation(P)]

@@ -10,11 +10,10 @@ so a batch Z propagates as Z @ w_1, g(.), @ w_2, ...
 import ctypes
 import enum
 import functools
-import multiprocessing
 import numbers
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,8 +80,8 @@ def _sigmoid_slope(z, out=None):
 _ACT = {Activation.SIGMOID: (sigmoid, _sigmoid_slope)}
 
 
-def _check_layer(l, name: str, lo: int, hi: int):
-    """Refuse a block number l outside lo..hi, a bool or float included."""
+def _check_int(l, name: str, lo: int, hi: int):
+    """Refuse a block number or size l outside lo..hi, a bool or float too."""
     if not ((type(l) is int or _is_a(l, numbers.Integral)) and lo <= l <= hi):
         raise ValueError(f"{name} {l} outside {lo}..{hi}")
 
@@ -118,7 +117,7 @@ class Architecture:
 
     def block_shape(self, layer: int):
         """Shape of weight block `layer` (1-based)."""
-        _check_layer(layer, "layer", 1, len(self.block_shapes))
+        _check_int(layer, "layer", 1, len(self.block_shapes))
         return self.block_shapes[layer - 1]
 
     @property
@@ -187,7 +186,7 @@ class NetworkWeights:
         """Read weight block `layer` (1-based), refusing a layer outside
         1..L as `block_shape` does. This module's kernels index the blocks
         directly."""
-        _check_layer(layer, "layer", 1, len(self._blocks))
+        _check_int(layer, "layer", 1, len(self._blocks))
         return self._blocks[layer - 1]
 
     @property
@@ -269,6 +268,7 @@ def _can_split() -> bool:
     worker, whose pool keeps every CPU busy. A threaded BLAS keeps the CPUs
     busy in every product and then spins on them: with OpenBLAS on two
     threads a 1600x50 layer took 304 us in halves against 282 us whole."""
+    import multiprocessing  # here: only a cache with a block to split asks
     return _blas_threads() == 1 and len(os.sched_getaffinity(0)) >= 2 \
         and multiprocessing.parent_process() is None
 
@@ -314,29 +314,37 @@ def _one_blas_thread():
         blas[1](1)
 
 
+def _reset_helper():
+    """No `_helper`, a free lock: a forked child has no worker, no lock holder."""
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+_reset_helper()
+os.register_at_fork(after_in_child=_reset_helper)
+
+
 def _start_helper():
-    """A new `_helper`, at import and in a forked child: a fork copies no
-    thread but the caller's, so the parent's worker is not there."""
+    """Make `_helper` under the lock, once however many first calls overlap."""
     global _helper
-    _helper = ThreadPoolExecutor(1, thread_name_prefix="layeropt-halves")
-
-
-_start_helper()
-os.register_at_fork(after_in_child=_start_helper)
+    with _helper_lock:
+        if _helper is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _helper = ThreadPoolExecutor(1, thread_name_prefix="layeropt-halves")
+    return _helper
 
 
 def _alongside(job, mine):
-    """Run job() on the helper thread and mine() on this one, and return
-    when both are done. An exception of mine's is raised once job is done;
-    otherwise one of job's is raised here. The helper is `_helper`'s one
-    worker, started at the first job; jobs of several calling threads queue
-    on it. Once the interpreter begins to exit, before any atexit hook, it
-    takes no job, and job() then mine() run here. Neither may
-    write what the other reads or writes, and job must call only numpy and
-    private functions: a tracer that wraps the public ones keeps no lock."""
+    """Run job() on the helper thread and mine() on this one; once both are
+    done, raise mine's exception, else job's. The helper is `_helper`'s one
+    worker, made at the first call; calling threads queue their jobs on it.
+    From the start of interpreter exit, before any atexit hook, none takes a
+    job or can be made, and job() then mine() run here. Neither may write
+    what the other reads or writes; job calls only numpy and private
+    functions, as a tracer that wraps the public ones keeps no lock."""
     try:
-        done = _helper.submit(job)
-    except RuntimeError:        # "cannot schedule new futures after shutdown"
+        done = (_helper or _start_helper()).submit(job)
+    except RuntimeError:    # at exit, from submit or from the import
         job()
         return mine()
     try:
@@ -458,7 +466,7 @@ def forward_partial(weights: NetworkWeights, cache: ForwardCache, from_layer: in
     StaleCacheError is raised, as it is for a cache that holds no forward
     pass.
     """
-    _check_layer(from_layer, "from_layer", 1, weights.num_layers)
+    _check_int(from_layer, "from_layer", 1, weights.num_layers)
     if not cache.versions:
         raise StaleCacheError("cache holds no forward pass")
     cur = weights.versions()

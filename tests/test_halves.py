@@ -1,9 +1,11 @@
 """The helper thread that runs large layers by halves: the halves give the
 serial kernels' bits, and the helper starts only where it can pay off."""
 
+import concurrent.futures
 import hashlib
 import os
 import select
+import signal
 import subprocess
 import sys
 import threading
@@ -53,7 +55,8 @@ def reference(weights, X, Y, cfg):
 
 
 class NoHelper:
-    """An executor that takes no job, for `network.ThreadPoolExecutor`."""
+    """An executor that takes no job, for `concurrent.futures`'
+    ThreadPoolExecutor."""
 
     def __init__(self, *args, **kwargs):
         pass
@@ -333,15 +336,24 @@ def test_calling_threads_take_turns_on_the_helper(helper_allowed):
 
 
 def test_threads_whose_first_calls_overlap_share_one_helper(monkeypatch):
-    """Two threads hand a fresh executor their first jobs at once: one
-    worker thread starts, and it runs both."""
+    """Two threads make their first calls at once, with no executor made
+    yet and one slow to make: one is made, one worker thread starts, and it
+    runs both helper halves."""
     def helpers():
         return {t for t in threading.enumerate()
                 if t.name.startswith("layeropt-halves")}
 
+    made = []
+
+    class SlowToMake(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            time.sleep(0.01)    # room for the other thread to make one too
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
     before = helpers()
     monkeypatch.setattr(network, "_helper", None)
-    network._start_helper()
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SlowToMake)
     start = threading.Barrier(2)
     ran = []
 
@@ -360,9 +372,10 @@ def test_threads_whose_first_calls_overlap_share_one_helper(monkeypatch):
         started = helpers() - before
     finally:
         sys.setswitchinterval(interval)
-        network._helper.shutdown()
+        for executor in made:
+            executor.shutdown()
     assert not any(t.is_alive() for t in threads)
-    assert len(started) == 1
+    assert len(made) == len(started) == 1
     assert sorted(ran) == [(0, 5, False), (0, 5, False), (5, 10, True),
                            (5, 10, True)]
 
@@ -395,6 +408,47 @@ def test_forked_child_starts_its_own_helper(helper_allowed):
     assert reply == hashlib.sha256(bits(out)).hexdigest() + "True"
 
 
+def test_a_child_forked_before_any_split_makes_its_own_helper(
+        monkeypatch, helper_allowed):
+    """No helper exists yet and the parent holds the helper's lock at the
+    fork, as a thread making the helper would: the child has no helper and
+    a free lock, makes its own helper at its first split and gives the
+    serial bits, and the parent still has none."""
+    monkeypatch.setattr(network, "_helper", None)
+    w, X, Y, cfg = make_problem([50, 50, 1], 10, 1600, 18)
+    want = hashlib.sha256(bits(reference(w, X, Y, cfg)[0][-1])).hexdigest()
+    r, wr = os.pipe()
+    lock = network._helper_lock
+    lock.acquire()
+    try:
+        pid = os.fork()
+        if pid == 0:                                # the child
+            try:
+                fresh = network._helper is None \
+                    and not network._helper_lock.locked()
+                out, cache = forward(w, X)
+                made = type(network._helper) is ThreadPoolExecutor \
+                    and bool(cache.split)
+                os.write(wr, f"{hashlib.sha256(bits(out)).hexdigest()} "
+                             f"{fresh} {made}".encode())
+            finally:
+                os._exit(0)
+    finally:
+        lock.release()
+    os.close(wr)
+    ready = []
+    try:
+        ready, _, _ = select.select([r], [], [], 60)
+        reply = os.read(r, 200).decode() if ready else "no reply"
+    finally:
+        os.close(r)
+        if not ready:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert reply == f"{want} True True"
+    assert network._helper is None
+
+
 EXIT_SCRIPT = """
 import atexit, os, sys
 import numpy as np
@@ -410,7 +464,7 @@ serial = network.sigmoid(network.sigmoid(X @ W[0]) @ W[1]) @ W[2]
 
 def refused():
     try:
-        network._helper.submit(int)
+        (network._helper or network._start_helper()).submit(int)
     except RuntimeError:
         return True
     return False
@@ -422,18 +476,25 @@ def split_forward(when):
     print(when, cache.split, same, refused(), flush=True)
 
 
-split_forward("main")
-if sys.argv[1:] == ["atexit"]:
+if sys.argv[1:] == ["first-at-exit"]:
+    print("no split yet", network._helper,
+          "concurrent.futures.thread" in sys.modules, flush=True)
+else:
+    split_forward("main")
+if sys.argv[1:] in (["atexit"], ["first-at-exit"]):
     atexit.register(split_forward, "atexit")
 """
 
 
-def run_exit_script(*args):
-    """The stdout of EXIT_SCRIPT, which must exit with status 0 in time."""
+def run_script(script, *args):
+    """The stdout of `script`, run with BLAS on one thread, which must exit
+    with status 0 in time."""
     here = os.path.dirname(__file__)
     src = os.path.join(os.path.dirname(here), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
-    done = subprocess.run([sys.executable, "-c", EXIT_SCRIPT, *args],
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", script, *args],
                           env=env, capture_output=True, text=True,
                           timeout=60)
     assert done.returncode == 0, done.stderr
@@ -442,13 +503,62 @@ def run_exit_script(*args):
 
 def test_a_process_whose_layers_split_exits():
     """The helper is no daemon: the interpreter joins it at exit."""
-    assert run_exit_script() == "main (2,) True False\n"
+    assert run_script(EXIT_SCRIPT) == "main (2,) True False\n"
 
 
 def test_a_split_pass_in_an_atexit_hook_gives_the_serial_bits():
     """By then the executor takes no job, and both halves run here."""
-    assert run_exit_script("atexit") == ("main (2,) True False\n"
-                                         "atexit (2,) True True\n")
+    assert run_script(EXIT_SCRIPT, "atexit") == ("main (2,) True False\n"
+                                                 "atexit (2,) True True\n")
+
+
+def test_a_first_split_in_an_atexit_hook_gives_the_serial_bits():
+    """No helper exists and its executor's module is not loaded when the
+    interpreter begins to exit. By then none can be made: both halves run
+    here, and the process exits."""
+    assert run_script(EXIT_SCRIPT, "first-at-exit") == (
+        "no split yet None False\n"
+        "atexit (2,) True True\n")
+
+
+LAZY_SCRIPT = """
+import os, sys, threading
+import numpy as np
+import layeropt
+from conftest import make_problem
+from layeropt import network
+from layeropt.batch import StoppingCriteria
+from layeropt.minibatch import (BlingParams, MinibatchSelectionRule,
+                                bling_run, ig_run, make_partition)
+
+os.sched_getaffinity = lambda pid: {0, 1}
+network._blas_threads = lambda: 1
+w, X, Y, cfg = make_problem([50] * 10 + [1], 10, 1600, 19)
+for run in (bling_run, ig_run):
+    run(w, X, Y, cfg, make_partition(1600, 128),
+        MinibatchSelectionRule(MinibatchSelectionRule.INCREMENTAL),
+        BlingParams(alpha0=BlingParams.default_alpha0(11)),
+        StoppingCriteria(time_limit_seconds=None, max_epochs=1))
+print(sorted({"concurrent.futures.process", "concurrent.futures.thread",
+              "multiprocessing"} & set(sys.modules)),
+      threading.active_count(), network._helper)
+serial = X
+for l, W in enumerate(w.blocks, start=1):
+    serial = serial @ W if l == w.num_layers else network.sigmoid(serial @ W)
+out, cache = network.forward(w, X)
+print(cache.split, np.array_equal(out.view(np.uint64), serial.view(np.uint64)),
+      type(network._helper).__name__, threading.active_count())
+"""
+
+
+def test_minibatch_runs_load_no_pool_and_start_no_thread():
+    """`import layeropt` and BLInG and IG runs on 128 rows load neither
+    the process pool, the thread executor nor multiprocessing, and start no
+    thread. A later split pass makes the executor and gives the serial
+    bits."""
+    assert run_script(LAZY_SCRIPT) == (
+        "[] 1 None\n"
+        "(2, 3, 4, 5, 6, 7, 8, 9, 10) True ThreadPoolExecutor 2\n")
 
 
 def test_pool_workers_start_no_helper_and_match_one_worker(monkeypatch,
@@ -461,12 +571,13 @@ def test_pool_workers_start_no_helper_and_match_one_worker(monkeypatch,
                         "max_inner_iters": 5}}
     config = ExperimentConfig.from_dict(raw)
     assert prepare_dataset(config.datasets[0])[0].num_samples == 1600
+    before = network._helper
     with monkeypatch.context() as mp:
-        # the at-fork hook makes each forked worker's _helper a NoHelper
-        mp.setattr(network, "ThreadPoolExecutor", NoHelper)
+        # a helper that a forked worker made would be a NoHelper
+        mp.setattr(concurrent.futures, "ThreadPoolExecutor", NoHelper)
         pooled = run_experiment(config, workers=2).rows
     inline = run_experiment(config, workers=1).rows
-    assert type(network._helper) is ThreadPoolExecutor
+    assert network._helper is before
     assert not any(r.error for r in pooled + inline)
     for a, b in zip(pooled, inline):
         a.elapsed_seconds = b.elapsed_seconds = 0.0

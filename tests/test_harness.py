@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import re
@@ -483,7 +484,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         tasks = []
         monkeypatch.setattr(harness, "_execute_task", tasks.append)
         run_experiment(small_experiment())

@@ -51,7 +51,7 @@ def test_the_first_reason_wins(monkeypatch):
     assert not ledger.halt("non_finite", hit=False) and ledger.reason is None
     assert ledger.halt("grad_norm")
     assert ledger.halt("f_tol") and ledger.capped("max_cycles", 5)
-    assert ledger.timed_out() and ledger.at_cycle(5, math.nan, math.nan)
+    assert ledger.timed_out() and ledger.at_cycle(5, 0, math.nan, math.nan)
     run = ledger.record(algorithm="B2LD", seed=0, final_weights=None,
                         trajectory=[], final_objective=0.0,
                         final_grad_norm=0.0, layer_update_counts=[])
@@ -92,15 +92,43 @@ def test_cycle_checks_in_their_order(f, gnorm, cycle, reason, monkeypatch):
     shows which check comes first."""
     fake_clock(monkeypatch)
     ledger = RunLedger(StoppingCriteria(grad_norm_tol=0.5, max_cycles=9,
+                                        max_inner_iters=9,
                                         time_limit_seconds=100.0))
-    assert ledger.at_cycle(cycle, f, gnorm) and ledger.reason == reason
+    assert ledger.at_cycle(cycle, cycle, f, gnorm) and ledger.reason == reason
+
+
+@pytest.mark.parametrize("cycle,reason", [(9, "max_cycles"),
+                                          (8, "iteration_budget")])
+def test_the_inner_budget_is_checked_after_max_cycles(cycle, reason,
+                                                      monkeypatch):
+    """B2LD's inner budget stops a run before a cycle too, a budget of 0
+    before the first; it comes after max_cycles and before the clock."""
+    fake_clock(monkeypatch)
+    ledger = RunLedger(StoppingCriteria(max_cycles=9, max_inner_iters=0,
+                                        time_limit_seconds=100.0))
+    assert ledger.at_cycle(cycle, 0, 1.0, 1.0) and ledger.reason == reason
 
 
 def test_a_cycle_within_every_bound_goes_on(monkeypatch):
     fake_clock(monkeypatch, 2)
     ledger = RunLedger(StoppingCriteria(grad_norm_tol=0.5, max_cycles=9,
+                                        max_inner_iters=9,
                                         time_limit_seconds=100.0))
-    assert not ledger.at_cycle(8, 1.0, 1.0) and ledger.reason is None
+    assert not ledger.at_cycle(8, 8, 1.0, 1.0) and ledger.reason is None
+
+
+def test_a_zero_inner_budget_moves_no_block():
+    """Under a budget of 0 inner iterations B2LD visits no block, as LBFGS
+    takes no step."""
+    w, X, Y, cfg = make_problem([4, 4, 1], 3, 20, seed=0)
+    stop = StoppingCriteria(max_inner_iters=0, f_tol=-math.inf,
+                            grad_norm_tol=0.0, time_limit_seconds=None)
+    for r in (b2ld_run(w, X, Y, cfg, BlockSelectionRule("backward"),
+                       AcceptanceParams(), LbfgsParams(), stop),
+              lbfgs_baseline_run(w, X, Y, cfg, LbfgsParams(), stop)):
+        assert r.stop_reason == "iteration_budget" and r.inner_iterations == 0
+        assert r.layer_update_counts == [0, 0, 0] and len(r.trajectory) == 1
+        assert r.final_weights.digest() == w.digest()
 
 
 @pytest.mark.parametrize("limit", [None, math.inf])

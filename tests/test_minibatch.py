@@ -1,3 +1,4 @@
+import re
 import types
 
 import numpy as np
@@ -41,6 +42,16 @@ class TestPartition:
             make_partition(5, 0)
         with pytest.raises(ValueError):
             make_partition(5, 6)
+
+    @pytest.mark.parametrize("P,batch_size,bad", [
+        (100, True, "batch_size True"), (100, 12.5, "batch_size 12.5"),
+        (100.0, 10, "P 100.0"), (True, 1, "P True")])
+    def test_malformed_size_refused(self, P, batch_size, bad):
+        """A bool is no size, and a float none either, even a whole one."""
+        with pytest.raises(ValueError, match=f"^{re.escape(bad)} outside 1"):
+            make_partition(P, batch_size)
+        part = make_partition(np.int64(10), np.int64(4))
+        assert [len(b) for b in part.batches] == [4, 4, 2]
 
     def test_empty_batch_rejected(self):
         """A minibatch component needs at least one row; Partition is where

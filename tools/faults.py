@@ -19,14 +19,19 @@ of the bytes it allocated, numpy buffers and Python objects included.
 Unlike ``ru_maxrss``, it repeats from run to run, so a memory change can
 cite it as a count. For BLInG and IG it repeats exactly. B2LD and LBFGS
 run large layers on the helper thread, whose slice views the peak may or
-may not catch alive, so theirs can move by up to about 100 bytes; at
-2 CPUs both repeated exactly over three runs. B2LD's peak falls inside a
+may not catch alive, so theirs can move by a few hundred bytes: two runs of
+one tree read LBFGS at 12,510,112 and 12,510,305 bytes, 193 apart, at
+2 CPUs. B2LD's peak falls inside a
 ``full_gradient`` sweep, so the objects a sweep holds, such as the map of
 its products, count there.
 ``threads`` is ``threading.active_count()`` after the measured run: 2 where
 the method's layers ran by halves, so that the worker thread of network.py's
 one-worker executor has started, 1 where they did not. BLAS is pinned to one
 thread.
+
+The ``import`` row is a fresh process that only imports layeropt: its
+live threads and its peak RSS, the footprint every method's row starts
+from. It has no run, so its other columns read ``-``.
 """
 
 import argparse
@@ -49,6 +54,11 @@ from layeropt.linalg import SeededRng  # noqa: E402
 from layeropt.network import init_weights  # noqa: E402
 
 SEED = 0
+IMPORT_ONLY = ("import resource, sys, threading\n"
+               "sys.path.insert(0, sys.argv[1])\n"
+               "import layeropt\n"
+               "print(threading.active_count(),"
+               " resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)")
 
 
 def measure(method):
@@ -100,6 +110,12 @@ def main(argv=None):
         name, seconds, faults, threads, peak_mb, traced_peak = line.split()
         print(f"{name:<8}{seconds:>12}{faults:>14}{threads:>9}{peak_mb:>13}"
               f"{int(traced_peak):>15,}")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    threads, peak_mb = subprocess.run(
+        [sys.executable, "-c", IMPORT_ONLY, src], capture_output=True,
+        text=True, check=True).stdout.split()
+    print(f"{'import':<8}{'-':>12}{'-':>14}{threads:>9}"
+          f"{float(peak_mb):>13.1f}{'-':>15}")
 
 
 if __name__ == "__main__":
