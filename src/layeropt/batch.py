@@ -53,11 +53,13 @@ class AcceptanceParams:
     sigma0: float = None  # forcing coefficient; defaults to gamma/a
 
     def __post_init__(self):
+        bound = self.armijo.gamma / self.armijo.a
         if self.sigma0 is None:
-            object.__setattr__(self, "sigma0", self.armijo.gamma / self.armijo.a)
-        if self.sigma0 > self.armijo.gamma / self.armijo.a + 1e-15:
-            raise ValueError("sigma0 must not exceed gamma/a, or the Armijo "
-                             "fallback point could fail the decrease condition")
+            object.__setattr__(self, "sigma0", bound)
+        if not (_is_a(self.sigma0, numbers.Real)
+                and 0 <= self.sigma0 <= bound + 1e-15):
+            raise ValueError(f"sigma0 {self.sigma0!r} outside [0, gamma/a]: above "
+                             "it the Armijo fallback could fail the decrease")
 
 
 def accept_trial(f_current: float, f_trial: float, f_armijo_point: float,

@@ -375,7 +375,7 @@ def run_experiment(config: ExperimentConfig, workers: int = None) -> ExperimentR
     Pool workers run OpenBLAS on one thread; this process keeps its own."""
     if workers is None:
         workers = len(os.sched_getaffinity(0))
-    if workers < 1:
+    if not (_is_a(workers, numbers.Integral) and workers >= 1):
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     tasks = []
     for spec in config.datasets:

@@ -6,6 +6,7 @@ one layer is a single matrix product acting on the right.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -29,6 +30,20 @@ def frobenius_norm(a: np.ndarray) -> float:
 def _is_a(value, kind) -> bool:
     """isinstance(value, kind), with a bool counted as no number."""
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_int(l, name: str, lo: int, hi: int):
+    """Refuse an integer l outside lo..hi, a bool or float too."""
+    if not ((type(l) is int or _is_a(l, numbers.Integral)) and lo <= l <= hi):
+        raise ValueError(f"{name} {l} outside {lo}..{hi}")
+
+
+def _check_real(x, name: str, lo: float, hi: float, closed: bool = False):
+    """Refuse a parameter x outside (lo, hi), or [lo, hi] if `closed`: NaN, a
+    bool or no number too."""
+    if not (_is_a(x, numbers.Real) and (lo <= x <= hi if closed else lo < x < hi)):
+        ends = "[]" if closed else "()"
+        raise ValueError(f"{name} {x!r} outside {ends[0]}{lo}, {hi}{ends[1]}")
 
 
 class SeededRng:

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import OptimizerRun, RunLedger, StoppingCriteria
-from .linalg import SeededRng, frobenius_norm
-from .network import (ForwardCache, NetworkWeights, _check_int, forward,
-                      forward_partial)
+from .linalg import SeededRng, _check_int, _check_real, frobenius_norm
+from .network import ForwardCache, NetworkWeights, forward, forward_partial
 from .objective import (ObjectiveConfig, block_gradient, cached_value,
                         full_gradient, gradient_norm)
 
@@ -71,6 +70,11 @@ CLAMP_HI = 1e6     # upper bound on the normalization divisor
 @dataclass(frozen=True)
 class BlingParams:
     alpha0: float = 0.5
+
+    def __post_init__(self):
+        # from 1/EPS_DIM up, `stepsize_update` goes to zero or below
+        _check_real(self.alpha0, "alpha0", 0.0,
+                    1.0 / EPS_DIM if EPS_DIM else math.inf)
 
     @staticmethod
     def default_alpha0(num_layers: int) -> float:

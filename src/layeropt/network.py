@@ -13,12 +13,13 @@ import functools
 import numbers
 import os
 import re
+import sys
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SeededRng, ShapeMismatchError, _is_a
+from .linalg import SeededRng, ShapeMismatchError, _check_int, _is_a
 
 
 # One member: hidden layers are sigmoid; bench/tests/test_bench.py reads it.
@@ -78,12 +79,6 @@ def _sigmoid_slope(z, out=None):
 
 # Not read here; bench/tests/test_bench.py looks it up.
 _ACT = {Activation.SIGMOID: (sigmoid, _sigmoid_slope)}
-
-
-def _check_int(l, name: str, lo: int, hi: int):
-    """Refuse a block number or size l outside lo..hi, a bool or float too."""
-    if not ((type(l) is int or _is_a(l, numbers.Integral)) and lo <= l <= hi):
-        raise ValueError(f"{name} {l} outside {lo}..{hi}")
 
 
 @dataclass(frozen=True)
@@ -263,14 +258,13 @@ _SCRATCH_PARTS = 4
 
 
 def _can_split() -> bool:
-    """Whether a CPU is idle for the helper: BLAS runs on one thread, the
-    process may run on two or more CPUs, and it is no multiprocessing
-    worker, whose pool keeps every CPU busy. A threaded BLAS keeps the CPUs
-    busy in every product and then spins on them: with OpenBLAS on two
-    threads a 1600x50 layer took 304 us in halves against 282 us whole."""
-    import multiprocessing  # here: only a cache with a block to split asks
+    """Whether a CPU is idle for the helper: BLAS on one thread (with two, a
+    1600x50 layer took 304 us in halves against 282 us whole), 2+ CPUs, and
+    no multiprocessing worker, whose pool keeps them busy. A worker always
+    has `multiprocessing` in `sys.modules`, so the check imports nothing."""
+    parent = getattr(sys.modules.get("multiprocessing"), "parent_process", None)
     return _blas_threads() == 1 and len(os.sched_getaffinity(0)) >= 2 \
-        and multiprocessing.parent_process() is None
+        and (parent is None or parent() is None)
 
 
 @functools.cache

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _is_a
+from .linalg import ShapeMismatchError, _check_int, _is_a
 from .network import (ForwardCache, NetworkWeights, StaleCacheError,
-                      _backpropagate, _check_int, forward)
+                      _backpropagate, forward)
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,8 @@ def weights_squared_norm(weights: NetworkWeights) -> float:
 
 
 def _squared_error(outputs, Y) -> float:
+    if np.shape(Y) != outputs.shape:    # else the residual broadcasts
+        raise ShapeMismatchError("targets", np.shape(Y), outputs.shape)
     resid = outputs - Y
     return float(np.dot(resid.ravel(), resid.ravel()))
 
@@ -126,6 +128,8 @@ def backprop_deltas(weights: NetworkWeights, cache: ForwardCache, Y, down_to: in
     _check_int(down_to, "down_to", 1, L)
     for l in products or ():
         _check_int(l, "products block", down_to, L)
+    if np.shape(Y) != cache.z[L].shape:
+        raise ShapeMismatchError("targets", np.shape(Y), cache.z[L].shape)
     delta = np.subtract(cache.z[L], Y, out=cache.deltas[L])
     return _backpropagate(weights, delta, down_to, cache, products or {})
 

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _check_int, _check_real
+
 MEMORY = 10    # curvature pairs the two-loop recursion keeps
 
 
@@ -18,8 +20,10 @@ class ArmijoParams:
     max_halvings: int = 60
 
     def __post_init__(self):
-        if self.a <= 0 or not 0 < self.gamma < 1 or not 0 < self.delta < 1:
-            raise ValueError("need a > 0, gamma and delta in (0,1)")
+        _check_real(self.a, "a", 0.0, math.inf)
+        _check_real(self.gamma, "gamma", 0.0, 1.0)
+        _check_real(self.delta, "delta", 0.0, 1.0)
+        _check_int(self.max_halvings, "max_halvings", 0, math.inf)
 
 
 ARMIJO = ArmijoParams()    # the search every L-BFGS step runs
@@ -54,6 +58,10 @@ def armijo_linesearch(phi, phi0: float, slope: float, params: ArmijoParams) -> f
 class LbfgsParams:
     grad_tol: float = 1e-5
     max_iters: int = 30
+
+    def __post_init__(self):
+        _check_real(self.grad_tol, "grad_tol", 0.0, math.inf, closed=True)
+        _check_int(self.max_iters, "max_iters", 0, math.inf)
 
 
 @dataclass

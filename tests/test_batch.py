@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import types
 from collections import Counter
@@ -14,6 +15,7 @@ from conftest import count_callback_calls, counted, idle_cpu, make_problem
 from layeropt.batch import (AcceptanceParams, BlockSelectionRule,
                             StoppingCriteria, _block_eval, accept_trial,
                             b2ld_run, lbfgs_baseline_run)
+from layeropt.linalg import ShapeMismatchError
 from layeropt.network import (ForwardCache, StaleCacheError, forward,
                               parse_architecture)
 from layeropt.objective import (ObjectiveConfig, block_gradient,
@@ -55,6 +57,24 @@ class TestAcceptance:
     def test_default_sigma0_is_gamma_over_a(self):
         p = AcceptanceParams()
         assert p.sigma0 == p.armijo.gamma / p.armijo.a
+
+    @pytest.mark.parametrize("sigma0", [-1.0, -1e-12, np.nan, -np.inf, True,
+                                        "1e-4"])
+    def test_sigma0_outside_0_to_gamma_over_a_rejected(self, sigma0):
+        # a negative sigma0 was taken, and a NaN one failed every trial
+        with pytest.raises(ValueError,
+                           match=rf"^sigma0 {re.escape(repr(sigma0))} "):
+            AcceptanceParams(sigma0=sigma0)
+
+    @pytest.mark.parametrize("armijo, sigma0", [
+        (ArmijoParams(), 0.0), (ArmijoParams(), 1e-8), (ArmijoParams(), 1e-4),
+        (ArmijoParams(a=1e3, max_halvings=3), None),
+        (ArmijoParams(a=1e8, max_halvings=0), None),
+        (ArmijoParams(gamma=0.3), np.float64(0.3))])
+    def test_sigma0_in_0_to_gamma_over_a_accepted(self, armijo, sigma0):
+        p = AcceptanceParams(armijo, sigma0)
+        assert p.sigma0 == (armijo.gamma / armijo.a if sigma0 is None
+                            else sigma0)
 
 
 def run_b2ld(w, X, Y, cfg, max_cycles=20, grad_tol=1e-3, f_tol=1e-4,
@@ -397,6 +417,19 @@ class TestEvaluationBuffers:
         assert ForwardCache.for_rows(parse_architecture("6-[3x40]-1"),
                                      2000).split == (2, 3)
         self.test_lbfgs_run_holds_one_cache_and_its_pairs()
+
+
+def test_drivers_refuse_targets_of_another_shape():
+    """LBFGS computed a wrong f from the broadcast residual before its
+    gradient failed inside numpy; now both drivers name the targets."""
+    w, X, Y, cfg = make_problem([4, 4, 1], 3, 10, seed=0)
+    stop = StoppingCriteria(time_limit_seconds=None, max_cycles=2,
+                            max_inner_iters=5)
+    for run in (lambda y: run_b2ld(w, X, y, cfg, max_cycles=2),
+                lambda y: lbfgs_baseline_run(w, X, y, cfg, LbfgsParams(), stop)):
+        with pytest.raises(ShapeMismatchError,
+                           match=r"^targets: shapes \(10,\) "):
+            run(Y.ravel())
 
 
 class TestLbfgsBaseline:

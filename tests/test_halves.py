@@ -547,7 +547,8 @@ for l, W in enumerate(w.blocks, start=1):
     serial = serial @ W if l == w.num_layers else network.sigmoid(serial @ W)
 out, cache = network.forward(w, X)
 print(cache.split, np.array_equal(out.view(np.uint64), serial.view(np.uint64)),
-      type(network._helper).__name__, threading.active_count())
+      type(network._helper).__name__, threading.active_count(),
+      "multiprocessing" in sys.modules)
 """
 
 
@@ -555,10 +556,51 @@ def test_minibatch_runs_load_no_pool_and_start_no_thread():
     """`import layeropt` and BLInG and IG runs on 128 rows load neither
     the process pool, the thread executor nor multiprocessing, and start no
     thread. A later split pass makes the executor and gives the serial
-    bits."""
+    bits, and still loads no multiprocessing."""
     assert run_script(LAZY_SCRIPT) == (
         "[] 1 None\n"
-        "(2, 3, 4, 5, 6, 7, 8, 9, 10) True ThreadPoolExecutor 2\n")
+        "(2, 3, 4, 5, 6, 7, 8, 9, 10) True ThreadPoolExecutor 2 False\n")
+
+
+FORKED_WORKER_SCRIPT = """
+import multiprocessing, os, sys
+import numpy as np
+from conftest import make_problem
+from layeropt import network
+
+os.sched_getaffinity = lambda pid: {0, 1}
+network._blas_threads = lambda: 1
+w, X, _, _ = make_problem([50] * 10 + [1], 10, 1600, 21)
+
+
+def worker(conn):
+    conn.send(network.forward(w, X)[1].split)
+
+
+context = multiprocessing.get_context("fork")
+here, there = context.Pipe()
+child = context.Process(target=worker, args=(there,))
+child.start()
+print(here.recv() if here.poll(30) else "no reply", flush=True)
+child.join()
+serial = X
+for l, W in enumerate(w.blocks, start=1):
+    serial = serial @ W if l == w.num_layers else network.sigmoid(serial @ W)
+out, cache = network.forward(w, X)
+print(cache.split, np.array_equal(out.view(np.uint64), serial.view(np.uint64)),
+      child.exitcode)
+"""
+
+
+def test_a_forked_pool_worker_runs_serially_and_its_parent_splits():
+    """A worker started by multiprocessing's fork method inherits the
+    parent's idle-CPU view, but its 1,600-row cache splits no block: the
+    worker finds `multiprocessing` in `sys.modules` and asks it. The
+    parent, which has imported it to start the worker, is none and still
+    splits, with the serial bits."""
+    assert run_script(FORKED_WORKER_SCRIPT) == (
+        "()\n"
+        "(2, 3, 4, 5, 6, 7, 8, 9, 10) True 0\n")
 
 
 def test_pool_workers_start_no_helper_and_match_one_worker(monkeypatch,

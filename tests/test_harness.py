@@ -490,14 +490,17 @@ class TestRunExperiment:
         run_experiment(small_experiment())
         assert sizes == pools and len(tasks) == 24
 
-    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize("workers", [0, -3, True, 2.5, "2"])
     def test_fewer_than_one_worker_refused(self, monkeypatch, workers):
-        tasks = []
+        # True ran one worker; 2.5 prepared every data set before the pool
+        # raised a TypeError, and "2" raised one from `<`
+        tasks, prepared = [], []
         monkeypatch.setattr(harness, "_execute_task", tasks.append)
+        monkeypatch.setattr(harness, "prepare_dataset", prepared.append)
         with pytest.raises(ValueError, match=rf"workers must be >= 1, got "
-                           rf"{workers}$"):
+                           rf"{re.escape(repr(workers))}$"):
             run_experiment(small_experiment(), workers=workers)
-        assert tasks == []
+        assert tasks == [] and prepared == []
 
     def test_pool_workers_run_blas_on_one_thread(self):
         """Each pool worker sets OpenBLAS to one thread as it starts: two

@@ -102,6 +102,24 @@ class TestStepsize:
         assert BlingParams.default_alpha0(3) == 0.5
         assert BlingParams.default_alpha0(12) == 0.05
 
+    @pytest.mark.parametrize("alpha0", [-1.0, 0.0, 200.0, 1e3, np.nan,
+                                        np.inf, True, "0.5", None])
+    def test_alpha0_outside_0_to_1_over_eps_rejected(self, alpha0):
+        # a negative alpha0 stepped uphill; from 200 up one update took the
+        # stepsize to zero or below
+        with pytest.raises(ValueError,
+                           match=rf"^alpha0 {re.escape(repr(alpha0))} "):
+            BlingParams(alpha0=alpha0)
+
+    def test_alpha0_in_0_to_1_over_eps_accepted(self, monkeypatch):
+        for alpha0 in [0.1, 0.25, 0.5, 199.0, np.float64(0.3)] + [
+                BlingParams.default_alpha0(L) for L in range(1, 40)]:
+            assert BlingParams(alpha0).alpha0 == alpha0
+            assert stepsize_update(alpha0, minibatch.EPS_DIM) > 0
+        # with no decay every positive finite stepsize is one
+        monkeypatch.setattr(minibatch, "EPS_DIM", 0.0)
+        assert BlingParams(1e3).alpha0 == 1e3
+
 
 class TestClampedScale:
     def test_interior(self):

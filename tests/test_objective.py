@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 
 from conftest import fd_block_gradient, make_problem, rel_error
 from layeropt.batch import _block_eval
-from layeropt.linalg import SeededRng
+from layeropt.linalg import SeededRng, ShapeMismatchError
 from layeropt.network import (Architecture, ForwardCache, NetworkWeights,
                               StaleCacheError, forward, forward_partial,
                               init_weights, sigmoid, sigmoid_prime)
 from layeropt.objective import (ObjectiveConfig, backprop_deltas,
                                 block_gradient, cached_value, default_rho,
                                 flat_gradient, full_gradient, gradient_norm,
-                                objective_value, weights_squared_norm)
+                                mse_value, objective_value,
+                                weights_squared_norm)
 
 
 class TestObjectiveValue:
@@ -214,6 +215,33 @@ def test_numpy_integer_block_number_accepted(call):
     w, X, Y, cfg = make_problem([3, 3, 1], 2, 5, seed=10)
     _, cache = forward(w, X)
     block_number_calls(w, cache, Y, cfg)[call][1](np.int64(2))
+
+
+# Each public call that reads targets, given (weights, X, Y, cfg, cache).
+TARGET_CALLS = {
+    "cached_value": lambda w, X, Y, cfg, c: cached_value(w, c, Y, cfg),
+    "objective_value": lambda w, X, Y, cfg, c: objective_value(w, X, Y, cfg),
+    "mse_value": lambda w, X, Y, cfg, c: mse_value(w, X, Y),
+    "backprop_deltas": lambda w, X, Y, cfg, c: backprop_deltas(w, c, Y, 1),
+    "block_gradient": lambda w, X, Y, cfg, c: block_gradient(w, Y, cfg, 2, c),
+    "full_gradient": lambda w, X, Y, cfg, c: full_gradient(w, Y, cfg, c),
+    "flat_gradient": lambda w, X, Y, cfg, c: flat_gradient(w, Y, cfg, c),
+}
+
+
+@pytest.mark.parametrize("call", sorted(TARGET_CALLS))
+@pytest.mark.parametrize("reshape", [np.ravel, np.transpose])
+def test_targets_of_another_shape_rejected(call, reshape):
+    """Targets of shape (10,) or (1, 10) against outputs of (10, 1): the
+    values broadcast the residual to 10 x 10 and came out wrong, and the
+    gradients failed inside numpy with a message that named nothing."""
+    w, X, Y, cfg = make_problem([4, 4, 1], 3, 10, seed=0)
+    _, cache = forward(w, X)
+    bad = reshape(Y)
+    with pytest.raises(ShapeMismatchError, match=re.escape(
+            f"targets: shapes {bad.shape} and (10, 1) do not conform")):
+        TARGET_CALLS[call](w, X, bad, cfg, cache)
+    TARGET_CALLS[call](w, X, Y, cfg, cache)
 
 
 @st.composite

@@ -76,6 +76,38 @@ class TestArmijo:
                 x = x_new
 
 
+@pytest.mark.parametrize("field, value", [
+    ("a", -1.0), ("a", 0.0), ("a", np.nan), ("a", np.inf), ("a", True),
+    ("a", "1.0"), ("gamma", 0.0), ("gamma", 1.0), ("gamma", np.nan),
+    ("delta", -0.5), ("delta", 1.5), ("delta", np.nan), ("delta", False),
+    ("max_halvings", -1), ("max_halvings", 2.0), ("max_halvings", True)])
+def test_armijo_params_outside_their_domain_rejected(field, value):
+    # a NaN or infinite a passed `a <= 0`; max_halvings -1 was taken
+    with pytest.raises(ValueError, match=rf"^{field} "):
+        ArmijoParams(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("grad_tol", -1e-3), ("grad_tol", np.nan), ("grad_tol", True),
+    ("grad_tol", "1e-5"), ("grad_tol", None), ("max_iters", -1),
+    ("max_iters", 2.5), ("max_iters", True), ("max_iters", None)])
+def test_lbfgs_params_outside_their_domain_rejected(field, value):
+    # max_iters -1 ran no iteration and a NaN grad_tol never stopped
+    with pytest.raises(ValueError, match=rf"^{field} "):
+        LbfgsParams(**{field: value})
+
+
+def test_params_in_their_domain_accepted():
+    # the values the drivers, tools and bench pass, numpy scalars too
+    for kw in [{}, dict(a=1e3, max_halvings=3), dict(a=1e8, max_halvings=0),
+               dict(a=np.float64(2.0), gamma=0.9, delta=np.float64(0.1),
+                    max_halvings=np.int64(5))]:
+        ArmijoParams(**kw)
+    for kw in [{}, dict(grad_tol=0.0, max_iters=0), dict(grad_tol=np.inf),
+               dict(grad_tol=np.float64(0.1), max_iters=np.int64(3))]:
+        LbfgsParams(**kw)
+
+
 class TestLbfgs:
     def quadratic(self, n, seed):
         rng = np.random.default_rng(seed)

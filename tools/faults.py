@@ -1,5 +1,5 @@
-"""Warm-run wall time, minor page faults, peak RSS and traced peak of B2LD,
-LBFGS, BLInG and IG.
+"""Warm-run wall time, minor page faults, loaded modules, peak RSS and traced
+peak of B2LD, LBFGS, BLInG and IG.
 
     python3 tools/faults.py
 
@@ -27,11 +27,15 @@ its products, count there.
 ``threads`` is ``threading.active_count()`` after the measured run: 2 where
 the method's layers ran by halves, so that the worker thread of network.py's
 one-worker executor has started, 1 where they did not. BLAS is pinned to one
-thread.
+thread. ``modules`` is ``len(sys.modules)`` after the measured run: every
+module the process has loaded by then, this script's own included. So a
+module that a method's run loads shows there: the rows of B2LD and LBFGS,
+whose layers split, add ``concurrent.futures`` and what it imports for the
+helper's executor to the count of BLInG's and IG's.
 
 The ``import`` row is a fresh process that only imports layeropt: its
-live threads and its peak RSS, the footprint every method's row starts
-from. It has no run, so its other columns read ``-``.
+live threads, its module count and its peak RSS, the footprint every
+method's row starts from. It has no run, so its other columns read ``-``.
 """
 
 import argparse
@@ -57,14 +61,14 @@ SEED = 0
 IMPORT_ONLY = ("import resource, sys, threading\n"
                "sys.path.insert(0, sys.argv[1])\n"
                "import layeropt\n"
-               "print(threading.active_count(),"
+               "print(threading.active_count(), len(sys.modules),"
                " resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)")
 
 
 def measure(method):
-    """(seconds, minor faults, live threads) of the second of two identical
-    runs, the process's peak RSS in MB after them, and the traced peak bytes
-    of a third."""
+    """(seconds, minor faults, live threads, loaded modules) of the second
+    of two identical runs, the process's peak RSS in MB after them, and the
+    traced peak bytes of a third."""
     train, test = prepare_dataset(DEEP["dataset"])
     arch = resolve_architecture(DEEP["architectures"][0], train.num_features,
                                 train.num_targets)
@@ -79,7 +83,7 @@ def measure(method):
     start = time.perf_counter()
     run()
     seconds = time.perf_counter() - start
-    threads = threading.active_count()
+    threads, modules = threading.active_count(), len(sys.modules)
     usage = resource.getrusage(resource.RUSAGE_SELF)
     tracemalloc.start()
     try:
@@ -87,8 +91,8 @@ def measure(method):
         traced_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return (seconds, usage.ru_minflt - faults, threads, usage.ru_maxrss / 1024,
-            traced_peak)
+    return (seconds, usage.ru_minflt - faults, threads, modules,
+            usage.ru_maxrss / 1024, traced_peak)
 
 
 def main(argv=None):
@@ -98,23 +102,25 @@ def main(argv=None):
                              "one tab-separated line")
     args = parser.parse_args(argv)
     if args.method:
-        seconds, faults, threads, peak_mb, traced_peak = measure(args.method)
-        print(f"{args.method}\t{seconds:.3f}\t{faults}\t{threads}"
+        seconds, faults, threads, modules, peak_mb, traced_peak = \
+            measure(args.method)
+        print(f"{args.method}\t{seconds:.3f}\t{faults}\t{threads}\t{modules}"
               f"\t{peak_mb:.1f}\t{traced_peak}")
         return
     print(f"{'method':<8}{'warm_run_s':>12}{'minor_faults':>14}{'threads':>9}"
-          f"{'peak_rss_mb':>13}{'traced_peak_b':>15}")
+          f"{'modules':>9}{'peak_rss_mb':>13}{'traced_peak_b':>15}")
     for method in ALGORITHMS:
         line = subprocess.run([sys.executable, __file__, "--method", method],
                               capture_output=True, text=True, check=True).stdout
-        name, seconds, faults, threads, peak_mb, traced_peak = line.split()
-        print(f"{name:<8}{seconds:>12}{faults:>14}{threads:>9}{peak_mb:>13}"
-              f"{int(traced_peak):>15,}")
+        name, seconds, faults, threads, modules, peak_mb, traced_peak = \
+            line.split()
+        print(f"{name:<8}{seconds:>12}{faults:>14}{threads:>9}{modules:>9}"
+              f"{peak_mb:>13}{int(traced_peak):>15,}")
     src = str(Path(__file__).resolve().parent.parent / "src")
-    threads, peak_mb = subprocess.run(
+    threads, modules, peak_mb = subprocess.run(
         [sys.executable, "-c", IMPORT_ONLY, src], capture_output=True,
         text=True, check=True).stdout.split()
-    print(f"{'import':<8}{'-':>12}{'-':>14}{threads:>9}"
+    print(f"{'import':<8}{'-':>12}{'-':>14}{threads:>9}{modules:>9}"
           f"{float(peak_mb):>13.1f}{'-':>15}")
 
 
